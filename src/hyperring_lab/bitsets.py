@@ -8,7 +8,7 @@ deterministic.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 
 def mask_of(members: Iterable[int]) -> int:
@@ -25,6 +25,11 @@ def members(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def least(mask: int) -> Optional[int]:
+    """Smallest member, or None for the empty mask."""
+    return (mask & -mask).bit_length() - 1 if mask else None
 
 
 def iter_bits(mask: int) -> Iterator[int]:

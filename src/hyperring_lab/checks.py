@@ -8,6 +8,12 @@ Scan order is deterministic -- ideals ascending as enumerated, elements
 ascending, exponent pairs in lexicographic order -- so across an instance
 stream the first counterexample reported is the least one.
 
+A check is written as a generator of cases.  Each case is a plain tuple
+``(ok, ideals, elements, sn, fmt, args)``; a yielded ``str`` is a note.  One
+runner, `_collect`, counts the cases and turns the first failing one into a
+`Counterexample` whose detail is ``fmt % args``, so only that one detail
+string is ever formatted.
+
 Statements quantified over all exponents are decided on a finite window:
 every element's hyperpowers are eventually periodic, so containment masks
 stabilize at the ring's power bound and nothing changes beyond it.
@@ -15,13 +21,21 @@ stabilize at the ring's power bound and nothing changes beyond it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Callable, Optional
 
-from .bitsets import is_subset, iter_bits, members
-from .closedness import land_mask, zero_in_mask
+from .bitsets import is_subset, iter_bits, least, members
+from .closedness import (
+    big_omega_unchecked,
+    land_mask,
+    omega_unchecked,
+    open_mask,
+    tough_zero_mask,
+    weakly_open_mask,
+    zero_in_mask,
+)
 from .core import (
     FiniteHyperring,
     HomMap,
@@ -82,11 +96,6 @@ class RingOutcome:
     counterexample: Optional[Counterexample] = None
     notes: list[str] = field(default_factory=list)
 
-    def case(self, ok: bool, factory) -> None:
-        self.applicable += 1
-        if not ok and self.counterexample is None:
-            self.counterexample = factory()
-
 
 @dataclass(frozen=True)
 class Check:
@@ -96,48 +105,30 @@ class Check:
     note: str = ""
 
 
-# -- shared mask-level shortcuts (hypotheses already guarantee proper ideals) ----
+def _collect(check_id, gen, ring, p):
+    """Run one case generator over one hyperring to a finished outcome."""
+    out = RingOutcome()
+    applicable = 0
+    for case in gen(ring, p):
+        if type(case) is str:
+            out.notes.append(case)
+            continue
+        applicable += 1
+        if not case[0] and out.counterexample is None:
+            _, ideals, elements, sn, fmt, args = case
+            out.counterexample = Counterexample(
+                check_id, ring, ideals, elements, sn, fmt % args
+            )
+    out.applicable = applicable
+    return out
 
 
-def _closed(ring, q, s, n):
-    return land_mask(ring, q, s) & ~land_mask(ring, q, n) == 0
+def _check(check_id, statement, gen, note=""):
+    """Registry entry whose fn runs `gen` through `_collect`; it pickles."""
+    return Check(check_id, statement, partial(_collect, check_id, gen), note)
 
 
-def _weakly(ring, q, s, n):
-    return (
-        land_mask(ring, q, s) & ~zero_in_mask(ring, s) & ~land_mask(ring, q, n)
-        == 0
-    )
-
-
-def _closed_witness(ring, q, s, n):
-    bad = land_mask(ring, q, s) & ~land_mask(ring, q, n)
-    return members(bad)[0] if bad else None
-
-
-def _weakly_witness(ring, q, s, n):
-    bad = land_mask(ring, q, s) & ~zero_in_mask(ring, s) & ~land_mask(ring, q, n)
-    return members(bad)[0] if bad else None
-
-
-def _omega(ring, q, s):
-    ls = land_mask(ring, q, s)
-    for n in range(1, s + 1):
-        if is_subset(ls, land_mask(ring, q, n)):
-            return n
-    raise AssertionError("unreachable: (s,s) is always a closed pair")
-
-
-def _big_omega(ring, q, n):
-    bound = ring.power_bound()
-    ln = land_mask(ring, q, n)
-    if is_subset(land_mask(ring, q, bound), ln):
-        return math.inf
-    best = 1
-    for s in range(1, bound + 1):
-        if is_subset(land_mask(ring, q, s), ln):
-            best = s
-    return float(best)
+# -- shared shortcuts -------------------------------------------------------------
 
 
 def _kmax(ring, p):
@@ -199,8 +190,7 @@ def _product_factors(ring):
 # -- closed hyperideals -----------------------------------------------------------
 
 
-def _run_absorbing_closed(ring, p):
-    out = RingOutcome()
+def _absorbing_closed(ring, p):
     ks = max(ring.power_bound(), p.smax)
     for q in proper_hyperideals(ring):
         if not is_C_hyperideal(ring, q):
@@ -209,50 +199,39 @@ def _run_absorbing_closed(ring, p):
             if not is_n_absorbing(ring, q, n):
                 continue
             for s in range(1, ks + 1):
-                w = _closed_witness(ring, q, s, n)
-                out.case(
+                w = least(open_mask(ring, q, s, n))
+                yield (
                     w is None,
-                    lambda q=q, s=s, n=n, w=w: Counterexample(
-                        "T2_3",
-                        ring,
-                        (q,),
-                        (w,),
-                        (s, n),
-                        "%d-absorbing C-hyperideal not (%d,%d)-closed at %d"
-                        % (n, s, n, w),
-                    ),
+                    (q,),
+                    (w,),
+                    (s, n),
+                    "%d-absorbing C-hyperideal not (%d,%d)-closed at %d",
+                    (n, s, n, w),
                 )
-    return out
 
 
-def _run_prime_products(ring, p):
-    out = RingOutcome()
+def _prime_products(ring, p):
     primes = prime_hyperideals(ring)
     for t in range(1, p.tuple_max + 1):
         for combo in combinations_with_replacement(primes, t):
             prod = combo[0]
             for q in combo[1:]:
                 prod = ideal_product(ring, prod, q)
+            ideals = combo + (prod,)
             for s in range(1, p.smax + 1):
                 for n in range(min(s, t), p.nmax + 1):
-                    w = _closed_witness(ring, prod, s, n)
-                    out.case(
+                    w = least(open_mask(ring, prod, s, n))
+                    yield (
                         w is None,
-                        lambda combo=combo, prod=prod, s=s, n=n, w=w: Counterexample(
-                            "T2_4",
-                            ring,
-                            combo + (prod,),
-                            (w,),
-                            (s, n),
-                            "product of %d primes not (%d,%d)-closed at %d"
-                            % (len(combo), s, n, w),
-                        ),
+                        ideals,
+                        (w,),
+                        (s, n),
+                        "product of %d primes not (%d,%d)-closed at %d",
+                        (len(combo), s, n, w),
                     )
-    return out
 
 
-def _run_closed_combinations(ring, p, part):
-    out = RingOutcome()
+def _closed_combinations(ring, p, part):
     propers = proper_hyperideals(ring)
     for t in range(1, p.tuple_max + 1):
         for combo in combinations_with_replacement(propers, t):
@@ -264,55 +243,45 @@ def _run_closed_combinations(ring, p, part):
                 agg = ring.full
                 for q in combo:
                     agg &= q
+            ideals = combo + (agg,)
             for s in range(1, p.smax + 1):
-                nis = [_omega(ring, q, s) for q in combo]
+                nis = [omega_unchecked(ring, q, s) for q in combo]
                 low = min(s, sum(nis) if part == "product" else max(nis))
                 for n in range(max(1, low), p.nmax + 1):
-                    w = _closed_witness(ring, agg, s, n)
-                    out.case(
+                    w = least(open_mask(ring, agg, s, n))
+                    yield (
                         w is None,
-                        lambda combo=combo, agg=agg, s=s, n=n, w=w: Counterexample(
-                            "T2_5i" if part == "product" else "T2_5ii",
-                            ring,
-                            combo + (agg,),
-                            (w,),
-                            (s, n),
-                            "%s of (s=%d, omega)-closed ideals not (%d,%d)-closed at %d"
-                            % (part, s, s, n, w),
-                        ),
+                        ideals,
+                        (w,),
+                        (s, n),
+                        "%s of (s=%d, omega)-closed ideals not (%d,%d)-closed at %d",
+                        (part, s, s, n, w),
                     )
-    return out
 
 
-def _run_intersection_closed(ring, p):
-    out = RingOutcome()
+def _intersection_closed(ring, p):
     propers = proper_hyperideals(ring)
     for t in range(2, p.tuple_max + 1):
         for combo in combinations(propers, t):
             inter = ring.full
             for q in combo:
                 inter &= q
+            ideals = combo + (inter,)
             for s, n in _window(p):
-                if not all(_closed(ring, q, s, n) for q in combo):
+                if any(open_mask(ring, q, s, n) for q in combo):
                     continue
-                w = _closed_witness(ring, inter, s, n)
-                out.case(
+                w = least(open_mask(ring, inter, s, n))
+                yield (
                     w is None,
-                    lambda combo=combo, inter=inter, s=s, n=n, w=w: Counterexample(
-                        "C2_6",
-                        ring,
-                        combo + (inter,),
-                        (w,),
-                        (s, n),
-                        "intersection of (%d,%d)-closed ideals open at %d"
-                        % (s, n, w),
-                    ),
+                    ideals,
+                    (w,),
+                    (s, n),
+                    "intersection of (%d,%d)-closed ideals open at %d",
+                    (s, n, w),
                 )
-    return out
 
 
-def _run_coprime_products(ring, p):
-    out = RingOutcome()
+def _coprime_products(ring, p):
     propers = proper_hyperideals(ring)
     for t in range(2, p.tuple_max + 1):
         for combo in combinations(propers, t):
@@ -324,496 +293,401 @@ def _run_coprime_products(ring, p):
             prod = combo[0]
             for q in combo[1:]:
                 prod = ideal_product(ring, prod, q)
+            ideals = combo + (prod,)
             for s, n in _window(p):
-                if not all(_closed(ring, q, s, n) for q in combo):
+                if any(open_mask(ring, q, s, n) for q in combo):
                     continue
-                w = _closed_witness(ring, prod, s, n)
-                out.case(
+                w = least(open_mask(ring, prod, s, n))
+                yield (
                     w is None,
-                    lambda combo=combo, prod=prod, s=s, n=n, w=w: Counterexample(
-                        "C2_7",
-                        ring,
-                        combo + (prod,),
-                        (w,),
-                        (s, n),
-                        "product of coprime (%d,%d)-closed ideals open at %d"
-                        % (s, n, w),
-                    ),
+                    ideals,
+                    (w,),
+                    (s, n),
+                    "product of coprime (%d,%d)-closed ideals open at %d",
+                    (s, n, w),
                 )
-    return out
 
 
-def _run_square_sum(ring, p):
-    out = RingOutcome()
+def _square_sum(ring, p):
     all_ideals = enumerate_hyperideals(ring)
     for q in proper_hyperideals(ring):
         if not is_strong_C_hyperideal(ring, q):
             continue
         for s in range(1, p.smax + 1):
-            if not _closed(ring, q, s, 2):
+            if open_mask(ring, q, s, 2):
                 continue
             for pm in all_ideals:
                 if not is_subset(_set_power_cached(ring, pm, s), q):
                     continue
                 p2 = _set_power_cached(ring, pm, 2)
                 concl = ring.minkowski_sum(p2, p2)
-                out.case(
+                yield (
                     is_subset(concl, q),
-                    lambda q=q, pm=pm, s=s: Counterexample(
-                        "T2_8",
-                        ring,
-                        (q, pm),
-                        (),
-                        (s, 2),
-                        "P^%d inside Q but P^2+P^2 escapes Q" % s,
-                    ),
+                    (q, pm),
+                    (),
+                    (s, 2),
+                    "P^%d inside Q but P^2+P^2 escapes Q",
+                    (s,),
                 )
-    return out
 
 
-def _run_class_ring_transfer(ring, p):
-    out = RingOutcome()
+def _class_ring_transfer(ring, p):
     for q in proper_hyperideals(ring):
         tr = ideal_in_fundamental(ring, q, p.smax, p.nmax)
         if tr.skipped:
-            out.notes.append(
-                "skip ideal %s: %s" % (members(q), tr.note)
-            )
+            yield "skip ideal %s: %s" % (members(q), tr.note)
             continue
         for s, n, hyper, ringside in tr.pairs:
-            out.case(
+            yield (
                 hyper == ringside,
-                lambda q=q, s=s, n=n, hyper=hyper: Counterexample(
-                    "T2_9",
-                    ring,
-                    (q,),
-                    (),
-                    (s, n),
-                    "hyperring side %s but class-ring side %s"
-                    % (hyper, not hyper),
-                ),
+                (q,),
+                (),
+                (s, n),
+                "hyperring side %s but class-ring side %s",
+                (hyper, not hyper),
             )
-    return out
 
 
-def _run_radical_characterization(ring, p):
-    out = RingOutcome()
+def _radical_characterization(ring, p):
     bound = ring.power_bound()
     for q in proper_hyperideals(ring):
         for s, n in _window(p):
             if s > n:
                 continue
-            w = _closed_witness(ring, q, s, n)
-            out.case(
+            w = least(open_mask(ring, q, s, n))
+            yield (
                 w is None,
-                lambda q=q, s=s, n=n, w=w: Counterexample(
-                    "R2_rad",
-                    ring,
-                    (q,),
-                    (w,),
-                    (s, n),
-                    "pair with s <= n not closed at %d" % w,
-                ),
+                (q,),
+                (w,),
+                (s, n),
+                "pair with s <= n not closed at %d",
+                (w,),
             )
         radical_fixed = radical(ring, q) == q
         always_closed = is_subset(land_mask(ring, q, bound), q)
-        out.case(
+        yield (
             radical_fixed == always_closed,
-            lambda q=q, rf=radical_fixed: Counterexample(
-                "R2_rad",
-                ring,
-                (q,),
-                (),
-                None,
-                "radical-fixed %s but closed-for-all-pairs %s" % (rf, not rf),
-            ),
+            (q,),
+            (),
+            None,
+            "radical-fixed %s but closed-for-all-pairs %s",
+            (radical_fixed, not radical_fixed),
         )
-    return out
 
 
-def _run_step_down(ring, p):
-    out = RingOutcome()
+def _step_down(ring, p):
     for q in proper_hyperideals(ring):
         for s, n in _window(p):
             if s == n:
                 continue
-            if not (_closed(ring, q, s, n) and _closed(ring, q, s + 1, n + 1)):
+            if open_mask(ring, q, s, n) or open_mask(ring, q, s + 1, n + 1):
                 continue
-            w = _closed_witness(ring, q, s + 1, n)
-            out.case(
+            w = least(open_mask(ring, q, s + 1, n))
+            yield (
                 w is None,
-                lambda q=q, s=s, n=n, w=w: Counterexample(
-                    "T2_10",
-                    ring,
-                    (q,),
-                    (w,),
-                    (s + 1, n),
-                    "(%d,%d) and (%d,%d) closed but (%d,%d) open at %d"
-                    % (s, n, s + 1, n + 1, s + 1, n, w),
-                ),
+                (q,),
+                (w,),
+                (s + 1, n),
+                "(%d,%d) and (%d,%d) closed but (%d,%d) open at %d",
+                (s, n, s + 1, n + 1, s + 1, n, w),
             )
-    return out
 
 
-def _run_pair_monotone(ring, p):
-    out = RingOutcome()
+def _pair_monotone(ring, p):
     kk = _kmax(ring, p)
     for q in proper_hyperideals(ring):
         for s, n in _window(p):
-            if not _closed(ring, q, s, n):
+            if open_mask(ring, q, s, n):
                 continue
-            bad = None
-            for s2 in range(1, s + 1):
-                for n2 in range(n, kk + 1):
-                    if not _closed(ring, q, s2, n2):
-                        bad = (s2, n2)
-                        break
-                if bad:
-                    break
-            out.case(
-                bad is None,
-                lambda q=q, s=s, n=n, bad=bad: Counterexample(
-                    "L2_11",
-                    ring,
-                    (q,),
-                    (),
-                    bad,
-                    "(%d,%d) closed but weaker pair %s open" % (s, n, bad),
+            bad = next(
+                (
+                    (s2, n2)
+                    for s2 in range(1, s + 1)
+                    for n2 in range(n, kk + 1)
+                    if open_mask(ring, q, s2, n2)
                 ),
+                None,
             )
-    return out
+            yield (
+                bad is None,
+                (q,),
+                (),
+                bad,
+                "(%d,%d) closed but weaker pair %s open",
+                (s, n, bad),
+            )
 
 
-def _run_two_absorbing_spread(ring, p):
-    out = RingOutcome()
+def _two_absorbing_spread(ring, p):
     kk = _kmax(ring, p)
     for q in proper_hyperideals(ring):
         if not is_C_hyperideal(ring, q):
             continue
         for n in range(3, kk + 1):
-            if not (_closed(ring, q, n, 2) and _closed(ring, q, n + 1, 2)):
+            if open_mask(ring, q, n, 2) or open_mask(ring, q, n + 1, 2):
                 continue
             bad = next(
-                (t for t in range(1, kk + 1) if not _closed(ring, q, t, 2)),
+                (t for t in range(1, kk + 1) if open_mask(ring, q, t, 2)),
                 None,
             )
-            out.case(
+            yield (
                 bad is None,
-                lambda q=q, n=n, bad=bad: Counterexample(
-                    "T2_12i",
-                    ring,
-                    (q,),
-                    (),
-                    (bad, 2),
-                    "(%d,2),(%d,2) closed but (%d,2) open" % (n, n + 1, bad),
-                ),
+                (q,),
+                (),
+                (bad, 2),
+                "(%d,2),(%d,2) closed but (%d,2) open",
+                (n, n + 1, bad),
             )
-    return out
 
 
-def _run_half_exponent_spread(ring, p):
-    out = RingOutcome()
+def _half_exponent_spread(ring, p):
     kk = _kmax(ring, p)
     for q in proper_hyperideals(ring):
         if not is_C_hyperideal(ring, q):
             continue
         for s in range(1, kk + 1):
             for n in range(1, p.nmax + 1):
-                if 2 * n > s or not _closed(ring, q, s, n):
+                if 2 * n > s or open_mask(ring, q, s, n):
                     continue
                 bad = next(
-                    (t for t in range(1, kk + 1) if not _closed(ring, q, t, n)),
+                    (t for t in range(1, kk + 1) if open_mask(ring, q, t, n)),
                     None,
                 )
-                out.case(
+                yield (
                     bad is None,
-                    lambda q=q, s=s, n=n, bad=bad: Counterexample(
-                        "T2_12ii",
-                        ring,
-                        (q,),
-                        (),
-                        (bad, n),
-                        "(%d,%d) closed with 2n <= s but (%d,%d) open"
-                        % (s, n, bad, n),
-                    ),
+                    (q,),
+                    (),
+                    (bad, n),
+                    "(%d,%d) closed with 2n <= s but (%d,%d) open",
+                    (s, n, bad, n),
                 )
-    return out
 
 
-def _run_order_comparisons(ring, p):
-    out = RingOutcome()
+def _order_comparisons(ring, p):
     kk = _kmax(ring, p)
     propers = proper_hyperideals(ring)
     for pm, qm in permutations(propers, 2):
         cont = all(
-            not _closed(ring, pm, s, n) or _closed(ring, qm, s, n)
+            open_mask(ring, pm, s, n) or not open_mask(ring, qm, s, n)
             for s in range(1, kk + 1)
             for n in range(1, kk + 1)
         )
         by_omega = all(
-            _omega(ring, qm, s) <= _omega(ring, pm, s) for s in range(1, kk + 1)
+            omega_unchecked(ring, qm, s) <= omega_unchecked(ring, pm, s)
+            for s in range(1, kk + 1)
         )
         by_Omega = all(
-            _big_omega(ring, pm, n) <= _big_omega(ring, qm, n)
+            big_omega_unchecked(ring, pm, n) <= big_omega_unchecked(ring, qm, n)
             for n in range(1, kk + 1)
         )
-        out.case(
+        yield (
             cont == by_omega == by_Omega,
-            lambda pm=pm, qm=qm, c=cont, o=by_omega, O=by_Omega: Counterexample(
-                "R2_omega",
-                ring,
-                (pm, qm),
-                (),
-                None,
-                "containment %s, omega comparison %s, Omega comparison %s"
-                % (c, o, O),
-            ),
+            (pm, qm),
+            (),
+            None,
+            "containment %s, omega comparison %s, Omega comparison %s",
+            (cont, by_omega, by_Omega),
         )
-    return out
 
 
-def _run_omega_jump(ring, p):
-    out = RingOutcome()
+def _omega_jump(ring, p):
     kk = _kmax(ring, p)
     for q in proper_hyperideals(ring):
         for s in range(1, kk + 1):
-            w = _omega(ring, q, s)
+            w = omega_unchecked(ring, q, s)
             if w >= s:
                 continue
-            w2 = _omega(ring, q, s + 1)
-            out.case(
+            w2 = omega_unchecked(ring, q, s + 1)
+            yield (
                 w2 == w or w2 >= w + 2,
-                lambda q=q, s=s, w=w, w2=w2: Counterexample(
-                    "T2_13",
-                    ring,
-                    (q,),
-                    (),
-                    (s, w),
-                    "omega(%d)=%d but omega(%d)=%d" % (s, w, s + 1, w2),
-                ),
+                (q,),
+                (),
+                (s, w),
+                "omega(%d)=%d but omega(%d)=%d",
+                (s, w, s + 1, w2),
             )
-    return out
 
 
-def _run_Omega_jump(ring, p):
-    out = RingOutcome()
+def _Omega_jump(ring, p):
     kk = _kmax(ring, p)
     for q in proper_hyperideals(ring):
         for n in range(1, kk + 1):
-            big = _big_omega(ring, q, n)
+            big = big_omega_unchecked(ring, q, n)
             if big <= n:
                 continue
-            big2 = _big_omega(ring, q, n + 1)
-            out.case(
+            big2 = big_omega_unchecked(ring, q, n + 1)
+            yield (
                 big2 == big or big2 >= big + 2,
-                lambda q=q, n=n, big=big, big2=big2: Counterexample(
-                    "T2_14",
-                    ring,
-                    (q,),
-                    (),
-                    None,
-                    "Omega(%d)=%s but Omega(%d)=%s" % (n, big, n + 1, big2),
-                ),
+                (q,),
+                (),
+                None,
+                "Omega(%d)=%s but Omega(%d)=%s",
+                (n, big, n + 1, big2),
             )
-    return out
 
 
-def _run_intersection_bounds(ring, p):
-    out = RingOutcome()
+def _intersection_bounds(ring, p):
     kk = _kmax(ring, p)
     for pm, qm in combinations(proper_hyperideals(ring), 2):
         im = pm & qm
+        ideals = (pm, qm, im)
         for s in range(1, kk + 1):
-            bound = max(_omega(ring, pm, s), _omega(ring, qm, s))
-            got = _omega(ring, im, s)
-            out.case(
+            bound = max(omega_unchecked(ring, pm, s), omega_unchecked(ring, qm, s))
+            got = omega_unchecked(ring, im, s)
+            yield (
                 got <= bound,
-                lambda pm=pm, qm=qm, im=im, s=s, got=got, bound=bound: Counterexample(
-                    "T2_15",
-                    ring,
-                    (pm, qm, im),
-                    (),
-                    (s, bound),
-                    "omega of intersection %d exceeds pointwise max %d"
-                    % (got, bound),
-                ),
+                ideals,
+                (),
+                (s, bound),
+                "omega of intersection %d exceeds pointwise max %d",
+                (got, bound),
             )
         for n in range(1, kk + 1):
-            bound = min(_big_omega(ring, pm, n), _big_omega(ring, qm, n))
-            got = _big_omega(ring, im, n)
-            out.case(
-                bound <= got,
-                lambda pm=pm, qm=qm, im=im, n=n, got=got, bound=bound: Counterexample(
-                    "T2_15",
-                    ring,
-                    (pm, qm, im),
-                    (),
-                    None,
-                    "Omega of intersection %s below pointwise min %s"
-                    % (got, bound),
-                ),
+            bound = min(
+                big_omega_unchecked(ring, pm, n), big_omega_unchecked(ring, qm, n)
             )
-    return out
+            got = big_omega_unchecked(ring, im, n)
+            yield (
+                bound <= got,
+                ideals,
+                (),
+                None,
+                "Omega of intersection %s below pointwise min %s",
+                (got, bound),
+            )
 
 
 def _pairset_equal(ring, pm, qm, im, kk):
     return all(
-        (_closed(ring, pm, s, n) and _closed(ring, qm, s, n))
-        == _closed(ring, im, s, n)
+        (not open_mask(ring, pm, s, n) and not open_mask(ring, qm, s, n))
+        == (not open_mask(ring, im, s, n))
         for s in range(1, kk + 1)
         for n in range(1, kk + 1)
     )
 
 
-def _run_omega_exactness(ring, p):
-    out = RingOutcome()
+def _omega_is_max(ring, pm, qm, im, kk):
+    return all(
+        omega_unchecked(ring, im, s)
+        == max(omega_unchecked(ring, pm, s), omega_unchecked(ring, qm, s))
+        for s in range(1, kk + 1)
+    )
+
+
+def _Omega_is_min(ring, pm, qm, im, kk):
+    return all(
+        big_omega_unchecked(ring, im, n)
+        == min(big_omega_unchecked(ring, pm, n), big_omega_unchecked(ring, qm, n))
+        for n in range(1, kk + 1)
+    )
+
+
+def _omega_exactness(ring, p):
     kk = _kmax(ring, p)
     for pm, qm in combinations(proper_hyperideals(ring), 2):
         im = pm & qm
-        lhs = all(
-            _omega(ring, im, s) == max(_omega(ring, pm, s), _omega(ring, qm, s))
-            for s in range(1, kk + 1)
-        )
+        lhs = _omega_is_max(ring, pm, qm, im, kk)
         rhs = _pairset_equal(ring, pm, qm, im, kk)
-        out.case(
+        yield (
             lhs == rhs,
-            lambda pm=pm, qm=qm, im=im, lhs=lhs: Counterexample(
-                "T2_16",
-                ring,
-                (pm, qm, im),
-                (),
-                None,
-                "omega equality %s but pair-set equality %s" % (lhs, not lhs),
-            ),
+            (pm, qm, im),
+            (),
+            None,
+            "omega equality %s but pair-set equality %s",
+            (lhs, not lhs),
         )
-    return out
 
 
-def _run_Omega_exactness(ring, p):
-    out = RingOutcome()
+def _Omega_exactness(ring, p):
     kk = _kmax(ring, p)
     for pm, qm in combinations(proper_hyperideals(ring), 2):
         im = pm & qm
-        lhs = all(
-            _big_omega(ring, im, n)
-            == min(_big_omega(ring, pm, n), _big_omega(ring, qm, n))
-            for n in range(1, kk + 1)
-        )
+        lhs = _Omega_is_min(ring, pm, qm, im, kk)
         rhs = _pairset_equal(ring, pm, qm, im, kk)
-        out.case(
+        yield (
             lhs == rhs,
-            lambda pm=pm, qm=qm, im=im, lhs=lhs: Counterexample(
-                "T2_17",
-                ring,
-                (pm, qm, im),
-                (),
-                None,
-                "Omega equality %s but pair-set equality %s" % (lhs, not lhs),
-            ),
+            (pm, qm, im),
+            (),
+            None,
+            "Omega equality %s but pair-set equality %s",
+            (lhs, not lhs),
         )
-    return out
 
 
-def _run_invariant_equivalence(ring, p):
-    out = RingOutcome()
+def _invariant_equivalence(ring, p):
     kk = _kmax(ring, p)
     for pm, qm in combinations(proper_hyperideals(ring), 2):
         im = pm & qm
-        via_omega = all(
-            _omega(ring, im, s) == max(_omega(ring, pm, s), _omega(ring, qm, s))
-            for s in range(1, kk + 1)
-        )
-        via_Omega = all(
-            _big_omega(ring, im, n)
-            == min(_big_omega(ring, pm, n), _big_omega(ring, qm, n))
-            for n in range(1, kk + 1)
-        )
-        out.case(
+        via_omega = _omega_is_max(ring, pm, qm, im, kk)
+        via_Omega = _Omega_is_min(ring, pm, qm, im, kk)
+        yield (
             via_omega == via_Omega,
-            lambda pm=pm, qm=qm, im=im, a=via_omega: Counterexample(
-                "C2_18",
-                ring,
-                (pm, qm, im),
-                (),
-                None,
-                "omega equality %s but Omega equality %s" % (a, not a),
-            ),
+            (pm, qm, im),
+            (),
+            None,
+            "omega equality %s but Omega equality %s",
+            (via_omega, not via_omega),
         )
-    return out
 
 
 # -- weakly closed hyperideals ----------------------------------------------------
 
 
-def _run_weakly_basics(ring, p):
-    out = RingOutcome()
+def _weakly_basics(ring, p):
     propers = proper_hyperideals(ring)
     for pm, qm in combinations(propers, 2):
         im = pm & qm
+        ideals = (pm, qm, im)
         for s, n in _window(p):
-            if not (_weakly(ring, pm, s, n) and _weakly(ring, qm, s, n)):
+            if weakly_open_mask(ring, pm, s, n) or weakly_open_mask(ring, qm, s, n):
                 continue
-            w = _weakly_witness(ring, im, s, n)
-            out.case(
+            w = least(weakly_open_mask(ring, im, s, n))
+            yield (
                 w is None,
-                lambda pm=pm, qm=qm, im=im, s=s, n=n, w=w: Counterexample(
-                    "D3_w",
-                    ring,
-                    (pm, qm, im),
-                    (w,),
-                    (s, n),
-                    "intersection of weakly (%d,%d)-closed ideals open at %d"
-                    % (s, n, w),
-                ),
+                ideals,
+                (w,),
+                (s, n),
+                "intersection of weakly (%d,%d)-closed ideals open at %d",
+                (s, n, w),
             )
     for q in propers:
         for s, n in _window(p):
-            if not _weakly(ring, q, s, n):
+            if weakly_open_mask(ring, q, s, n):
                 continue
-            w = _weakly_witness(ring, q, s, n + 1)
-            out.case(
+            w = least(weakly_open_mask(ring, q, s, n + 1))
+            yield (
                 w is None,
-                lambda q=q, s=s, n=n, w=w: Counterexample(
-                    "D3_w",
-                    ring,
-                    (q,),
-                    (w,),
-                    (s, n + 1),
-                    "weakly (%d,%d)-closed but weakly (%d,%d) open at %d"
-                    % (s, n, s, n + 1, w),
-                ),
+                (q,),
+                (w,),
+                (s, n + 1),
+                "weakly (%d,%d)-closed but weakly (%d,%d) open at %d",
+                (s, n, s, n + 1, w),
             )
         if not is_C_hyperideal(ring, q):
             continue
         for s, n in _window(p):
-            if not _weakly(ring, q, s, n):
+            if weakly_open_mask(ring, q, s, n):
                 continue
-            tough = zero_in_mask(ring, s) & ~land_mask(ring, q, n)
-            out.case(
-                (not _closed(ring, q, s, n)) == bool(tough),
-                lambda q=q, s=s, n=n, tough=tough: Counterexample(
-                    "D3_w",
-                    ring,
-                    (q,),
-                    tuple(members(tough)[:1]),
-                    (s, n),
-                    "not-closed %s but tough-zero existence %s"
-                    % (not _closed(ring, q, s, n), bool(tough)),
-                ),
+            tough = tough_zero_mask(ring, q, s, n)
+            not_closed = open_mask(ring, q, s, n) != 0
+            yield (
+                not_closed == bool(tough),
+                (q,),
+                tuple(members(tough)[:1]),
+                (s, n),
+                "not-closed %s but tough-zero existence %s",
+                (not_closed, bool(tough)),
             )
-    return out
 
 
-def _run_tough_zero_shift(ring, p):
-    out = RingOutcome()
+def _tough_zero_shift(ring, p):
     for q in proper_hyperideals(ring):
         if not is_strong_C_hyperideal(ring, q):
             continue
         for s, n in _window(p):
-            if not _weakly(ring, q, s, n):
+            if weakly_open_mask(ring, q, s, n):
                 continue
-            tough = zero_in_mask(ring, s) & ~land_mask(ring, q, n)
-            for x in members(tough):
+            for x in members(tough_zero_mask(ring, q, s, n)):
                 bad = next(
                     (
                         a
@@ -822,47 +696,37 @@ def _run_tough_zero_shift(ring, p):
                     ),
                     None,
                 )
-                out.case(
+                yield (
                     bad is None,
-                    lambda q=q, s=s, n=n, x=x, bad=bad: Counterexample(
-                        "T3_4",
-                        ring,
-                        (q,),
-                        (x, bad),
-                        (s, n),
-                        "tough zero %d but 0 not in (%d+%d)^%d" % (x, x, bad, s),
-                    ),
+                    (q,),
+                    (x, bad),
+                    (s, n),
+                    "tough zero %d but 0 not in (%d+%d)^%d",
+                    (x, x, bad, s),
                 )
-    return out
 
 
-def _run_weakly_nilpotent(ring, p):
-    out = RingOutcome()
+def _weakly_nilpotent(ring, p):
     ups = nilpotents(ring)
     for q in proper_hyperideals(ring):
         if not is_strong_C_hyperideal(ring, q):
             continue
+        escape = q & ~ups
+        shown = members(escape)[:1]
         for s, n in _window(p):
-            if not _weakly(ring, q, s, n) or _closed(ring, q, s, n):
+            if weakly_open_mask(ring, q, s, n) or not open_mask(ring, q, s, n):
                 continue
-            escape = q & ~ups
-            out.case(
+            yield (
                 escape == 0,
-                lambda q=q, s=s, n=n, escape=escape: Counterexample(
-                    "T3_5",
-                    ring,
-                    (q,),
-                    tuple(members(escape)[:1]),
-                    (s, n),
-                    "weakly-not-closed ideal contains non-nilpotent %s"
-                    % members(escape)[:1],
-                ),
+                (q,),
+                tuple(shown),
+                (s, n),
+                "weakly-not-closed ideal contains non-nilpotent %s",
+                (shown,),
             )
-    return out
 
 
-def _run_nilpotent_ideal_criterion(ring, p):
-    out = RingOutcome()
+def _nilpotent_ideal_criterion(ring, p):
     e = scalar_identity(ring)
     if (
         not is_strongly_distributive(ring)
@@ -870,7 +734,7 @@ def _run_nilpotent_ideal_criterion(ring, p):
         or e == ring.zero
         or not has_i_set(ring)
     ):
-        return out
+        return
     ups = nilpotents(ring)
     inside = [
         q for q in proper_hyperideals(ring) if is_subset(q, ups)
@@ -878,140 +742,109 @@ def _run_nilpotent_ideal_criterion(ring, p):
     for s, n in _window(p):
         if s <= n:
             continue
-        every_weak = all(_weakly(ring, q, s, n) for q in inside)
+        every_weak = not any(weakly_open_mask(ring, q, s, n) for q in inside)
         zeros = (ups & ~zero_in_mask(ring, s)) == 0
-        out.case(
+        yield (
             every_weak == zeros,
-            lambda s=s, n=n, a=every_weak: Counterexample(
-                "T3_6",
-                ring,
-                (),
-                (),
-                (s, n),
-                "all nilpotent-contained ideals weakly closed %s but "
-                "0 in x^s for all nilpotent x %s" % (a, not a),
-            ),
+            (),
+            (),
+            (s, n),
+            "all nilpotent-contained ideals weakly closed %s but "
+            "0 in x^s for all nilpotent x %s",
+            (every_weak, not every_weak),
         )
-    return out
 
 
 # -- regular elements ----------------------------------------------------------------
 
 
-def _run_regular_implies_Regular(ring, p):
-    out = RingOutcome()
+def _regular_implies_Regular(ring, p):
     for a in ring.elements:
         for s, n in _window(p):
             if not _regular(ring, a, s, n):
                 continue
-            out.case(
+            yield (
                 _Regular(ring, a, s, n),
-                lambda a=a, s=s, n=n: Counterexample(
-                    "D3_reg",
-                    ring,
-                    (),
-                    (a,),
-                    (s, n),
-                    "element (%d,%d)-regular but not (%d,%d)-Regular"
-                    % (s, n, s, n),
-                ),
+                (),
+                (a,),
+                (s, n),
+                "element (%d,%d)-regular but not (%d,%d)-Regular",
+                (s, n, s, n),
             )
-    return out
 
 
-def _run_regular_iff_small_exponent(ring, p):
-    out = RingOutcome()
+def _regular_iff_small_exponent(ring, p):
     e = scalar_identity(ring)
     if not is_strongly_distributive(ring) or e is None:
-        return out
+        return
     um = units(ring)
     zw = weak_zero_divisors(ring)
     pool = ring.full & ~(um | zw)
     for a in members(pool):
         for s, n in _window(p):
-            out.case(
-                _regular(ring, a, s, n) == (s <= n),
-                lambda a=a, s=s, n=n: Counterexample(
-                    "T3_9",
-                    ring,
-                    (),
-                    (a,),
-                    (s, n),
-                    "regularity %s but s <= n is %s"
-                    % (_regular(ring, a, s, n), s <= n),
-                ),
+            regular = _regular(ring, a, s, n)
+            yield (
+                regular == (s <= n),
+                (),
+                (a,),
+                (s, n),
+                "regularity %s but s <= n is %s",
+                (regular, s <= n),
             )
-    return out
 
 
-def _run_regular_step(ring, p):
-    out = RingOutcome()
+def _regular_step(ring, p):
     for a in ring.elements:
         for s, n in _window(p):
             if s <= n or not _regular(ring, a, s, n):
                 continue
-            out.case(
+            yield (
                 _Regular(ring, a, s + 1, n),
-                lambda a=a, s=s, n=n: Counterexample(
-                    "T3_10",
-                    ring,
-                    (),
-                    (a,),
-                    (s + 1, n),
-                    "(%d,%d)-regular element not (%d,%d)-Regular"
-                    % (s, n, s + 1, n),
-                ),
+                (),
+                (a,),
+                (s + 1, n),
+                "(%d,%d)-regular element not (%d,%d)-Regular",
+                (s, n, s + 1, n),
             )
-    return out
 
 
-def _run_units_Regular(ring, p):
-    out = RingOutcome()
+def _units_Regular(ring, p):
     um = units(ring)
     if um is None:
-        return out
+        return
     for a in members(um):
         for s, n in _window(p):
-            out.case(
+            yield (
                 _Regular(ring, a, s, n),
-                lambda a=a, s=s, n=n: Counterexample(
-                    "T3_11",
-                    ring,
-                    (),
-                    (a,),
-                    (s, n),
-                    "unit not (%d,%d)-Regular" % (s, n),
-                ),
+                (),
+                (a,),
+                (s, n),
+                "unit not (%d,%d)-Regular",
+                (s, n),
             )
-    return out
 
 
-def _run_every_ideal_weakly(ring, p):
-    out = RingOutcome()
+def _every_ideal_weakly(ring, p):
     if not is_strongly_distributive(ring) or not has_i_set(ring):
-        return out
+        return
     ups = nilpotents(ring)
     propers = proper_hyperideals(ring)
     for s, n in _window(p):
         if s <= n:
             continue
-        every_weak = all(_weakly(ring, q, s, n) for q in propers)
+        every_weak = not any(weakly_open_mask(ring, q, s, n) for q in propers)
         rhs = (ups & ~zero_in_mask(ring, s)) == 0 and all(
             _Regular(ring, a, s, n) for a in members(ring.full & ~ups)
         )
-        out.case(
+        yield (
             every_weak == rhs,
-            lambda s=s, n=n, a=every_weak: Counterexample(
-                "T3_12",
-                ring,
-                (),
-                (),
-                (s, n),
-                "all proper ideals weakly closed %s but Regular/nilpotent "
-                "criterion %s" % (a, not a),
-            ),
+            (),
+            (),
+            (s, n),
+            "all proper ideals weakly closed %s but Regular/nilpotent "
+            "criterion %s",
+            (every_weak, not every_weak),
         )
-    return out
 
 
 # -- transport along homomorphisms, quotients, and products ---------------------------
@@ -1036,8 +869,7 @@ def _hom_pool(ring):
     return cached
 
 
-def _run_hom_transport(ring, p):
-    out = RingOutcome()
+def _hom_transport(ring, p):
     for f in _hom_pool(ring):
         target = f.target
         injective = len(set(f.table)) == ring.order
@@ -1047,27 +879,25 @@ def _run_hom_transport(ring, p):
                     continue
                 pre = f.preimage_mask(q2)
                 if pre == ring.full:
-                    out.notes.append(
-                        "skip: preimage of %s from %s is improper"
-                        % (members(q2), target.name)
+                    yield "skip: preimage of %s from %s is improper" % (
+                        members(q2),
+                        target.name,
                     )
                     continue
                 assert is_hyperideal(ring, pre)
+                shown = members(q2)
                 for s, n in _window(p):
-                    if not _weakly(target, q2, s, n):
+                    if weakly_open_mask(target, q2, s, n):
                         continue
-                    w = _weakly_witness(ring, pre, s, n)
-                    out.case(
+                    w = least(weakly_open_mask(ring, pre, s, n))
+                    yield (
                         w is None,
-                        lambda q2=q2, pre=pre, s=s, n=n, w=w: Counterexample(
-                            "T3_13hom",
-                            ring,
-                            (pre,),
-                            (w,),
-                            (s, n),
-                            "preimage of weakly (%d,%d)-closed ideal %s in %s "
-                            "open at %d" % (s, n, members(q2), target.name, w),
-                        ),
+                        (pre,),
+                        (w,),
+                        (s, n),
+                        "preimage of weakly (%d,%d)-closed ideal %s in %s "
+                        "open at %d",
+                        (s, n, shown, target.name, w),
                     )
         if f.is_surjective():
             ker = f.kernel_mask()
@@ -1076,27 +906,23 @@ def _run_hom_transport(ring, p):
                     continue
                 img = f.image_mask(q1)
                 assert img != target.full and is_hyperideal(target, img)
+                shown = members(img)
                 for s, n in _window(p):
-                    if not _weakly(ring, q1, s, n):
+                    if weakly_open_mask(ring, q1, s, n):
                         continue
-                    w = _weakly_witness(target, img, s, n)
-                    out.case(
+                    w = least(weakly_open_mask(target, img, s, n))
+                    yield (
                         w is None,
-                        lambda q1=q1, img=img, s=s, n=n, w=w: Counterexample(
-                            "T3_13hom",
-                            ring,
-                            (q1,),
-                            (),
-                            (s, n),
-                            "image %s of weakly (%d,%d)-closed ideal in %s "
-                            "open at %d" % (members(img), s, n, target.name, w),
-                        ),
+                        (q1,),
+                        (),
+                        (s, n),
+                        "image %s of weakly (%d,%d)-closed ideal in %s "
+                        "open at %d",
+                        (shown, s, n, target.name, w),
                     )
-    return out
 
 
-def _run_quotient_transport(ring, p):
-    out = RingOutcome()
+def _quotient_transport(ring, p):
     propers = proper_hyperideals(ring)
     for pm in propers:
         quot = None
@@ -1108,22 +934,18 @@ def _run_quotient_transport(ring, p):
                 quot, proj = quotient_by_ideal(ring, pm)
             img = proj.image_mask(qm)
             for s, n in _window(p):
-                if not _weakly(ring, qm, s, n):
+                if weakly_open_mask(ring, qm, s, n):
                     continue
-                w = _weakly_witness(quot, img, s, n)
-                out.case(
+                w = least(weakly_open_mask(quot, img, s, n))
+                yield (
                     w is None,
-                    lambda pm=pm, qm=qm, s=s, n=n, w=w: Counterexample(
-                        "C3_quot",
-                        ring,
-                        (pm, qm),
-                        (),
-                        (s, n),
-                        "image of weakly (%d,%d)-closed ideal in quotient "
-                        "open at class %d" % (s, n, w),
-                    ),
+                    (pm, qm),
+                    (),
+                    (s, n),
+                    "image of weakly (%d,%d)-closed ideal in quotient "
+                    "open at class %d",
+                    (s, n, w),
                 )
-    return out
 
 
 def _scalar_identity_factors(ring):
@@ -1137,45 +959,38 @@ def _scalar_identity_factors(ring):
     return f1, f2
 
 
-def _run_box_equivalence(ring, p):
-    out = RingOutcome()
+def _box_equivalence(ring, p):
     factors = _scalar_identity_factors(ring)
     if factors is None:
-        return out
+        return
     f1, f2 = factors
     n2 = f2.order
-    for fac, boxer in (
-        (f1, lambda q1: _box_mask(q1, f2.full, n2)),
-        (f2, lambda q2: _box_mask(f1.full, q2, n2)),
-    ):
+    for side, fac in enumerate(factors):
         for q in proper_hyperideals(fac):
             if not is_C_hyperideal(fac, q):
                 continue
-            box = boxer(q)
+            if side == 0:
+                box = _box_mask(q, f2.full, n2)
+            else:
+                box = _box_mask(f1.full, q, n2)
             for s, n in _window(p):
-                i = _weakly(ring, box, s, n)
-                ii = _closed(fac, q, s, n)
-                iii = _closed(ring, box, s, n)
-                out.case(
+                i = not weakly_open_mask(ring, box, s, n)
+                ii = not open_mask(fac, q, s, n)
+                iii = not open_mask(ring, box, s, n)
+                yield (
                     i == ii == iii,
-                    lambda q=q, box=box, s=s, n=n, i=i, ii=ii, iii=iii: Counterexample(
-                        "T3_14",
-                        ring,
-                        (box, q),
-                        (),
-                        (s, n),
-                        "box weakly %s, factor closed %s, box closed %s"
-                        % (i, ii, iii),
-                    ),
+                    (box, q),
+                    (),
+                    (s, n),
+                    "box weakly %s, factor closed %s, box closed %s",
+                    (i, ii, iii),
                 )
-    return out
 
 
-def _run_box_C_hyperideal(ring, p):
-    out = RingOutcome()
+def _box_C_hyperideal(ring, p):
     factors = _product_factors(ring)
     if not factors:
-        return out
+        return
     f1, f2 = factors
     n2 = f2.order
     for i1 in enumerate_hyperideals(f1):
@@ -1183,40 +998,34 @@ def _run_box_C_hyperideal(ring, p):
             box = _box_mask(i1, i2, n2)
             lhs = is_C_hyperideal(f1, i1) and is_C_hyperideal(f2, i2)
             rhs = is_C_hyperideal(ring, box)
-            out.case(
+            yield (
                 lhs == rhs,
-                lambda i1=i1, i2=i2, box=box, lhs=lhs: Counterexample(
-                    "L3_15",
-                    ring,
-                    (box,),
-                    (),
-                    None,
-                    "factors C-hyperideals %s but box C-hyperideal %s"
-                    % (lhs, not lhs),
-                ),
+                (box,),
+                (),
+                None,
+                "factors C-hyperideals %s but box C-hyperideal %s",
+                (lhs, not lhs),
             )
-    return out
 
 
 def _weak_not_closed_condition(fa, qa, fb, qb, s, n):
     """One disjunct of the box decomposition criterion."""
     if qa == fa.full:
         return False
-    if not _weakly(fa, qa, s, n) or _closed(fa, qa, s, n):
+    if weakly_open_mask(fa, qa, s, n) or not open_mask(fa, qa, s, n):
         return False
     if land_mask(fb, qb, s) & ~zero_in_mask(fb, s):
         return False
     trigger = land_mask(fa, qa, s) & ~zero_in_mask(fa, s)
-    if trigger and qb != fb.full and not _closed(fb, qb, s, n):
+    if trigger and qb != fb.full and open_mask(fb, qb, s, n):
         return False
     return True
 
 
-def _run_box_decomposition(ring, p):
-    out = RingOutcome()
+def _box_decomposition(ring, p):
     factors = _scalar_identity_factors(ring)
     if factors is None:
-        return out
+        return
     f1, f2 = factors
     n2 = f2.order
     for q in proper_hyperideals(ring):
@@ -1226,8 +1035,8 @@ def _run_box_decomposition(ring, p):
         for s, n in _window(p):
             lhs = (
                 is_C_hyperideal(ring, q)
-                and _weakly(ring, q, s, n)
-                and not _closed(ring, q, s, n)
+                and not weakly_open_mask(ring, q, s, n)
+                and open_mask(ring, q, s, n) != 0
             )
             rhs = (
                 decomposes
@@ -1238,182 +1047,178 @@ def _run_box_decomposition(ring, p):
                     or _weak_not_closed_condition(f2, q2, f1, q1, s, n)
                 )
             )
-            out.case(
+            yield (
                 lhs == rhs,
-                lambda q=q, s=s, n=n, lhs=lhs: Counterexample(
-                    "T3_16",
-                    ring,
-                    (q,),
-                    (),
-                    (s, n),
-                    "weakly-not-closed C-hyperideal %s but decomposition "
-                    "criterion %s" % (lhs, not lhs),
-                ),
+                (q,),
+                (),
+                (s, n),
+                "weakly-not-closed C-hyperideal %s but decomposition "
+                "criterion %s",
+                (lhs, not lhs),
             )
-    return out
 
 
 CHECKS: tuple[Check, ...] = (
-    Check(
+    _check(
         "T2_3",
         "A proper n-absorbing C-hyperideal is (s,n)-closed for every s.",
-        _run_absorbing_closed,
+        _absorbing_closed,
     ),
-    Check(
+    _check(
         "T2_4",
         "A product of t prime hyperideals is (s,n)-closed whenever "
         "n >= min(s, t).",
-        _run_prime_products,
+        _prime_products,
     ),
-    Check(
+    _check(
         "T2_5i",
         "If each Qi is (s,ni)-closed, the product of the Qi is (s,n)-closed "
         "for every n >= min(s, n1+...+nt).",
-        lambda ring, p: _run_closed_combinations(ring, p, "product"),
+        partial(_closed_combinations, part="product"),
     ),
-    Check(
+    _check(
         "T2_5ii",
         "If each Qi is (s,ni)-closed, the intersection of the Qi is "
         "(s,n)-closed for every n >= min(s, max(ni)).",
-        lambda ring, p: _run_closed_combinations(ring, p, "intersection"),
+        partial(_closed_combinations, part="intersection"),
     ),
-    Check(
+    _check(
         "C2_6",
         "An intersection of (s,n)-closed hyperideals is (s,n)-closed.",
-        _run_intersection_closed,
+        _intersection_closed,
     ),
-    Check(
+    _check(
         "C2_7",
         "A product of pairwise coprime (s,n)-closed hyperideals is "
         "(s,n)-closed.",
-        _run_coprime_products,
+        _coprime_products,
     ),
-    Check(
+    _check(
         "T2_8",
         "If Q is an (s,2)-closed strong C-hyperideal and P is a hyperideal "
         "with P^s inside Q, then P^2 + P^2 lies inside Q.",
-        _run_square_sum,
+        _square_sum,
     ),
-    Check(
+    _check(
         "T2_9",
         "A proper hyperideal is (s,n)-closed exactly when its image in the "
         "ring of co-occurrence classes is (s,n)-closed.",
-        _run_class_ring_transfer,
+        _class_ring_transfer,
     ),
-    Check(
+    _check(
         "R2_rad",
         "Pairs with s <= n are always closed, and a proper hyperideal equals "
         "its radical exactly when every pair is closed.",
-        _run_radical_characterization,
+        _radical_characterization,
     ),
-    Check(
+    _check(
         "T2_10",
         "If (s,n) and (s+1,n+1) are closed pairs with s != n, then (s+1,n) "
         "is a closed pair.",
-        _run_step_down,
+        _step_down,
     ),
-    Check(
+    _check(
         "L2_11",
         "If (s,n) is a closed pair, so is every (s',n') with s' <= s and "
         "n' >= n.",
-        _run_pair_monotone,
+        _pair_monotone,
     ),
-    Check(
+    _check(
         "T2_12i",
         "For a proper C-hyperideal: if (n,2) and (n+1,2) are closed pairs "
         "for some n >= 3, then (t,2) is a closed pair for every t.",
-        _run_two_absorbing_spread,
+        _two_absorbing_spread,
     ),
-    Check(
+    _check(
         "T2_12ii",
         "For a proper C-hyperideal: if (s,n) is a closed pair with 2n <= s, "
         "then (t,n) is a closed pair for every t.",
-        _run_half_exponent_spread,
+        _half_exponent_spread,
     ),
-    Check(
+    _check(
         "R2_omega",
         "Containment of closed-pair sets, pointwise comparison of omega, and "
         "pointwise comparison of Omega are equivalent orderings.",
-        _run_order_comparisons,
+        _order_comparisons,
     ),
-    Check(
+    _check(
         "T2_13",
         "If omega(s) < s then omega(s+1) equals omega(s) or is at least "
         "omega(s) + 2.",
-        _run_omega_jump,
+        _omega_jump,
     ),
-    Check(
+    _check(
         "T2_14",
         "If Omega(n) > n then Omega(n+1) equals Omega(n) or is at least "
         "Omega(n) + 2.",
-        _run_Omega_jump,
+        _Omega_jump,
     ),
-    Check(
+    _check(
         "T2_15",
         "omega of an intersection is bounded by the pointwise max of the "
         "omegas, and the pointwise min of the Omegas bounds Omega of the "
         "intersection.",
-        _run_intersection_bounds,
+        _intersection_bounds,
     ),
-    Check(
+    _check(
         "T2_16",
         "omega of the intersection equals the pointwise max exactly when the "
         "closed-pair set of the intersection is the intersection of the "
         "closed-pair sets.",
-        _run_omega_exactness,
+        _omega_exactness,
     ),
-    Check(
+    _check(
         "T2_17",
         "Omega of the intersection equals the pointwise min exactly when the "
         "closed-pair set of the intersection is the intersection of the "
         "closed-pair sets.",
-        _run_Omega_exactness,
+        _Omega_exactness,
     ),
-    Check(
+    _check(
         "C2_18",
         "omega of the intersection equals the pointwise max exactly when "
         "Omega of the intersection equals the pointwise min.",
-        _run_invariant_equivalence,
+        _invariant_equivalence,
     ),
-    Check(
+    _check(
         "D3_w",
         "Intersections of weakly (s,n)-closed hyperideals are weakly "
         "(s,n)-closed; weak (s,n)-closedness implies weak (s,n+1)-closedness; "
         "and a weakly (s,n)-closed C-hyperideal fails to be (s,n)-closed "
         "exactly when some x has 0 in x^s and x^n outside it.",
-        _run_weakly_basics,
+        _weakly_basics,
     ),
-    Check(
+    _check(
         "T3_4",
         "If a weakly (s,n)-closed strong C-hyperideal has a tough zero x, "
         "then 0 lies in (x+a)^s for every a in the ideal.",
-        _run_tough_zero_shift,
+        _tough_zero_shift,
     ),
-    Check(
+    _check(
         "T3_5",
         "A weakly (s,n)-closed strong C-hyperideal that is not (s,n)-closed "
         "consists of nilpotent elements.",
-        _run_weakly_nilpotent,
+        _weakly_nilpotent,
     ),
-    Check(
+    _check(
         "T3_6",
         "In a strongly distributive hyperring with nonzero scalar identity "
         "and an i-set, for s > n: every proper hyperideal inside the "
         "nilpotent set is weakly (s,n)-closed exactly when 0 lies in x^s for "
         "every nilpotent x.",
-        _run_nilpotent_ideal_criterion,
+        _nilpotent_ideal_criterion,
     ),
-    Check(
+    _check(
         "D3_reg",
         "Every (s,n)-regular element is (s,n)-Regular.",
-        _run_regular_implies_Regular,
+        _regular_implies_Regular,
     ),
-    Check(
+    _check(
         "T3_9",
         "In a strongly distributive hyperring with scalar identity, an "
         "element outside the weak zero divisors and the units is "
         "(s,n)-regular exactly when s <= n.",
-        _run_regular_iff_small_exponent,
+        _regular_iff_small_exponent,
         note=(
             "vacuous at every finite order: strong distributivity makes "
             "b -> a*b collapse to disjoint singleton images for a outside "
@@ -1421,58 +1226,58 @@ CHECKS: tuple[Check, ...] = (
             "the element pool is provably empty"
         ),
     ),
-    Check(
+    _check(
         "T3_10",
         "For s > n, every (s,n)-regular element is (s+1,n)-Regular.",
-        _run_regular_step,
+        _regular_step,
     ),
-    Check(
+    _check(
         "T3_11",
         "Every unit is (s,n)-Regular for all pairs (s,n).",
-        _run_units_Regular,
+        _units_Regular,
     ),
-    Check(
+    _check(
         "T3_12",
         "In a strongly distributive hyperring with an i-set, for s > n: "
         "every proper hyperideal is weakly (s,n)-closed exactly when every "
         "non-nilpotent element is (s,n)-Regular and 0 lies in a^s for every "
         "nilpotent a.",
-        _run_every_ideal_weakly,
+        _every_ideal_weakly,
     ),
-    Check(
+    _check(
         "T3_13hom",
         "Under a good homomorphism, preimages of weakly (s,n)-closed "
         "hyperideals along injections and images of weakly (s,n)-closed "
         "hyperideals containing the kernel along surjections stay weakly "
         "(s,n)-closed.",
-        _run_hom_transport,
+        _hom_transport,
     ),
-    Check(
+    _check(
         "C3_quot",
         "If P <= Q are proper hyperideals and Q is weakly (s,n)-closed, the "
         "image of Q in the quotient by P is weakly (s,n)-closed.",
-        _run_quotient_transport,
+        _quotient_transport,
     ),
-    Check(
+    _check(
         "T3_14",
         "For a proper C-hyperideal Q1 of a scalar-identity factor: Q1 x G2 "
         "weakly (s,n)-closed, Q1 (s,n)-closed, and Q1 x G2 (s,n)-closed are "
         "equivalent.",
-        _run_box_equivalence,
+        _box_equivalence,
     ),
-    Check(
+    _check(
         "L3_15",
         "I1 and I2 are C-hyperideals exactly when I1 x I2 is a C-hyperideal "
         "of the product.",
-        _run_box_C_hyperideal,
+        _box_C_hyperideal,
     ),
-    Check(
+    _check(
         "T3_16",
         "In a product of scalar-identity hyperrings, a proper hyperideal is "
         "a weakly (s,n)-closed C-hyperideal that is not (s,n)-closed exactly "
         "when it decomposes as a box of C-hyperideals satisfying the "
         "one-sided weakly-not-closed criterion.",
-        _run_box_decomposition,
+        _box_decomposition,
     ),
 )
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bitsets import is_subset, members
+from .bitsets import is_subset, least, members
 from .core import FiniteHyperring, NotAHyperideal, ProperIdealRequired
 
 INF = math.inf
@@ -70,6 +70,58 @@ def zero_in_mask(ring: FiniteHyperring, k: int) -> int:
     return cached
 
 
+# -- mask-level formulas -----------------------------------------------------------
+#
+# These take the ideal on trust: no hyperideal or exponent validation beyond
+# what land_mask does.  The check registry calls them in its inner loops, where
+# the hypotheses already guarantee proper hyperideals; the public functions
+# further down validate their input and then delegate here.
+
+
+def open_mask(ring: FiniteHyperring, imask: int, s: int, n: int) -> int:
+    """Elements breaking (s,n)-closedness: a^s inside the ideal, a^n not."""
+    return land_mask(ring, imask, s) & ~land_mask(ring, imask, n)
+
+
+def weakly_open_mask(ring: FiniteHyperring, imask: int, s: int, n: int) -> int:
+    """Elements breaking weak (s,n)-closedness: a^s inside and free of 0, a^n not."""
+    return (
+        land_mask(ring, imask, s)
+        & ~zero_in_mask(ring, s)
+        & ~land_mask(ring, imask, n)
+    )
+
+
+def tough_zero_mask(ring: FiniteHyperring, imask: int, s: int, n: int) -> int:
+    """Elements x with 0 in x^s but x^n not inside the ideal."""
+    return zero_in_mask(ring, s) & ~land_mask(ring, imask, n)
+
+
+def omega_unchecked(ring: FiniteHyperring, imask: int, s: int) -> int:
+    """Least n with the ideal (s,n)-closed; always within 1..s."""
+    ls = land_mask(ring, imask, s)
+    for n in range(1, s + 1):
+        if is_subset(ls, land_mask(ring, imask, n)):
+            return n
+    raise AssertionError("unreachable: (s,s) is always closed")
+
+
+def big_omega_unchecked(ring: FiniteHyperring, imask: int, n: int) -> float:
+    """Greatest s with the ideal (s,n)-closed; inf when every s works."""
+    bound = ring.power_bound()
+    ln = land_mask(ring, imask, n)
+    if is_subset(land_mask(ring, imask, bound), ln):
+        return INF
+    best = 1
+    for s in range(1, bound + 1):
+        if is_subset(land_mask(ring, imask, s), ln):
+            best = s
+    return float(best)
+
+
+# -- validated entry points -------------------------------------------------------
+
+
 def sn_closed_witness(
     ring: FiniteHyperring, imask: int, s: int, n: int
 ) -> Optional[int]:
@@ -77,8 +129,7 @@ def sn_closed_witness(
     _require_proper_ideal(ring, imask)
     _require_exponent(s)
     _require_exponent(n)
-    bad = land_mask(ring, imask, s) & ~land_mask(ring, imask, n)
-    return members(bad)[0] if bad else None
+    return least(open_mask(ring, imask, s, n))
 
 
 def is_sn_closed(ring: FiniteHyperring, imask: int, s: int, n: int) -> bool:
@@ -92,12 +143,7 @@ def weakly_sn_closed_witness(
     _require_proper_ideal(ring, imask)
     _require_exponent(s)
     _require_exponent(n)
-    bad = (
-        land_mask(ring, imask, s)
-        & ~zero_in_mask(ring, s)
-        & ~land_mask(ring, imask, n)
-    )
-    return members(bad)[0] if bad else None
+    return least(weakly_open_mask(ring, imask, s, n))
 
 
 def is_weakly_sn_closed(ring: FiniteHyperring, imask: int, s: int, n: int) -> bool:
@@ -115,34 +161,21 @@ def find_tough_zero(
     _require_proper_ideal(ring, imask)
     _require_exponent(s)
     _require_exponent(n)
-    mask = zero_in_mask(ring, s) & ~land_mask(ring, imask, n)
-    return members(mask)[0] if mask else None
+    return least(tough_zero_mask(ring, imask, s, n))
 
 
 def omega(ring: FiniteHyperring, imask: int, s: int) -> int:
     """Least n with the ideal (s,n)-closed; always within 1..s."""
     _require_proper_ideal(ring, imask)
     _require_exponent(s)
-    ls = land_mask(ring, imask, s)
-    for n in range(1, s + 1):
-        if is_subset(ls, land_mask(ring, imask, n)):
-            return n
-    raise AssertionError("unreachable: (s,s) is always closed")
+    return omega_unchecked(ring, imask, s)
 
 
 def big_omega(ring: FiniteHyperring, imask: int, n: int) -> float:
     """Greatest s with the ideal (s,n)-closed; inf when every s works."""
     _require_proper_ideal(ring, imask)
     _require_exponent(n)
-    bound = ring.power_bound()
-    ln = land_mask(ring, imask, n)
-    if is_subset(land_mask(ring, imask, bound), ln):
-        return INF
-    best = 1
-    for s in range(1, bound + 1):
-        if is_subset(land_mask(ring, imask, s), ln):
-            best = s
-    return float(best)
+    return big_omega_unchecked(ring, imask, n)
 
 
 @dataclass(frozen=True)

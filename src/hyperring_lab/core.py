@@ -25,6 +25,7 @@ with equality are flagged by `is_strongly_distributive` but not privileged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, product
 from typing import Iterable, Optional
 
 from .bitsets import full_mask, is_subset, iter_bits, mask_of, members
@@ -360,29 +361,20 @@ def validate_axioms(ring: FiniteHyperring) -> AxiomReport:
     zero = _find_zero(add, n)
     checks.append(AxiomCheck("zero_identity", zero is not None, None))
 
-    witness = None
-    for a in range(n):
-        for b in range(a + 1, n):
-            if add[a][b] != add[b][a]:
-                witness = (a, b)
-                break
-        if witness:
-            break
+    witness = next(
+        ((a, b) for a, b in combinations(range(n), 2) if add[a][b] != add[b][a]),
+        None,
+    )
     checks.append(AxiomCheck("add_commutative", witness is None, witness))
 
-    witness = None
-    for a in range(n):
-        for b in range(n):
-            ab = add[a][b]
-            row_b = add[b]
-            for c in range(n):
-                if add[ab][c] != add[a][row_b[c]]:
-                    witness = (a, b, c)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = next(
+        (
+            (a, b, c)
+            for a, b, c in product(range(n), repeat=3)
+            if add[add[a][b]][c] != add[a][add[b][c]]
+        ),
+        None,
+    )
     checks.append(AxiomCheck("add_associative", witness is None, witness))
 
     negs = None
@@ -390,75 +382,52 @@ def validate_axioms(ring: FiniteHyperring) -> AxiomReport:
         checks.append(AxiomCheck("add_inverse", False, None))
     else:
         negs = _find_negs(add, n, zero)
-        witness = None
-        for a in range(n):
-            if negs[a] is None:
-                witness = (a,)
-                break
+        witness = next(((a,) for a in range(n) if negs[a] is None), None)
         checks.append(AxiomCheck("add_inverse", witness is None, witness))
         if witness:
             negs = None
 
-    witness = None
-    for a in range(n):
-        for b in range(a + 1, n):
-            if mul[a][b] != mul[b][a]:
-                witness = (a, b)
-                break
-        if witness:
-            break
+    witness = next(
+        ((a, b) for a, b in combinations(range(n), 2) if mul[a][b] != mul[b][a]),
+        None,
+    )
     checks.append(AxiomCheck("mul_commutative", witness is None, witness))
 
-    witness = None
-    for a in range(n):
-        for b in range(n):
-            ab = mul[a][b]
-            for c in range(n):
-                lhs = 0
-                for t in iter_bits(ab):
-                    lhs |= mul[t][c]
-                rhs = 0
-                for t in iter_bits(mul[b][c]):
-                    rhs |= mul[a][t]
-                if lhs != rhs:
-                    witness = (a, b, c)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = next(
+        (
+            (a, b, c)
+            for a, b, c in product(range(n), repeat=3)
+            if ring.row_product(mul[a][b], c)
+            != _left_product(mul, a, mul[b][c])
+        ),
+        None,
+    )
     checks.append(AxiomCheck("mul_associative", witness is None, witness))
 
-    witness = None
-    for a in range(n):
-        for b in range(n):
-            ab = mul[a][b]
-            for c in range(n):
-                left = mul[a][add[b][c]]
-                if not is_subset(left, ring.minkowski_sum(ab, mul[a][c])):
-                    witness = (a, b, c)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = next(
+        (
+            (a, b, c)
+            for a, b, c in product(range(n), repeat=3)
+            if not is_subset(
+                mul[a][add[b][c]], ring.minkowski_sum(mul[a][b], mul[a][c])
+            )
+        ),
+        None,
+    )
     checks.append(
         AxiomCheck("left_distributive_inclusion", witness is None, witness)
     )
 
-    witness = None
-    for a in range(n):
-        for b in range(n):
-            ba = mul[b][a]
-            for c in range(n):
-                left = mul[add[b][c]][a]
-                if not is_subset(left, ring.minkowski_sum(ba, mul[c][a])):
-                    witness = (a, b, c)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = next(
+        (
+            (a, b, c)
+            for a, b, c in product(range(n), repeat=3)
+            if not is_subset(
+                mul[add[b][c]][a], ring.minkowski_sum(mul[b][a], mul[c][a])
+            )
+        ),
+        None,
+    )
     checks.append(
         AxiomCheck("right_distributive_inclusion", witness is None, witness)
     )
@@ -466,44 +435,37 @@ def validate_axioms(ring: FiniteHyperring) -> AxiomReport:
     if negs is None:
         checks.append(AxiomCheck("sign_rule", False, None))
     else:
-        witness = None
-        for a in range(n):
-            for b in range(n):
-                lhs = mul[a][negs[b]]
-                rhs = 0
-                for t in iter_bits(mul[a][b]):
-                    rhs |= 1 << negs[t]
-                if lhs != rhs:
-                    witness = (a, b)
-                    break
-            if witness:
-                break
+        witness = next(
+            (
+                (a, b)
+                for a, b in product(range(n), repeat=2)
+                if mul[a][negs[b]] != mask_of(negs[t] for t in iter_bits(mul[a][b]))
+            ),
+            None,
+        )
         checks.append(AxiomCheck("sign_rule", witness is None, witness))
 
     return AxiomReport(axioms=tuple(checks))
+
+
+def _left_product(mul, a: int, bmask: int) -> int:
+    """Union of a*y over y in bmask, without assuming commutativity."""
+    out = 0
+    for y in iter_bits(bmask):
+        out |= mul[a][y]
+    return out
 
 
 def is_strongly_distributive(ring: FiniteHyperring) -> bool:
     """True when distributivity holds with set equality on both sides."""
     flag = ring._cache.get("strong")
     if flag is None:
-        flag = True
-        n = ring.order
         add, mul = ring.add, ring.mul
-        for a in range(n):
-            for b in range(n):
-                ab = mul[a][b]
-                for c in range(n):
-                    if mul[a][add[b][c]] != ring.minkowski_sum(ab, mul[a][c]):
-                        flag = False
-                        break
-                    if mul[add[b][c]][a] != ring.minkowski_sum(mul[b][a], mul[c][a]):
-                        flag = False
-                        break
-                if not flag:
-                    break
-            if not flag:
-                break
+        flag = all(
+            mul[a][add[b][c]] == ring.minkowski_sum(mul[a][b], mul[a][c])
+            and mul[add[b][c]][a] == ring.minkowski_sum(mul[b][a], mul[c][a])
+            for a, b, c in product(range(ring.order), repeat=3)
+        )
         ring._cache["strong"] = flag
     return flag
 
@@ -685,15 +647,3 @@ def check_good_hom(f: HomMap) -> tuple[bool, Optional[tuple]]:
 
 def identity_hom(ring: FiniteHyperring) -> HomMap:
     return HomMap(ring, ring, tuple(range(ring.order)))
-
-
-def hom_image(f: HomMap, smask: int) -> int:
-    return f.image_mask(smask)
-
-
-def hom_preimage(f: HomMap, smask: int) -> int:
-    return f.preimage_mask(smask)
-
-
-def kernel(f: HomMap) -> int:
-    return f.kernel_mask()

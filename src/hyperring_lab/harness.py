@@ -207,12 +207,18 @@ def _run_instance_packed(args):
 
 
 def _resolve_threads(cfg: SuiteConfig) -> int:
+    """Worker count from the config, else the environment, else 1."""
     if cfg.threads is not None:
-        return max(1, cfg.threads)
-    env = os.environ.get(THREADS_ENV, "")
-    if env.strip().isdigit():
-        return max(1, int(env))
-    return 1
+        source, value = "threads", cfg.threads
+    else:
+        source, value = THREADS_ENV, os.environ.get(THREADS_ENV, "").strip()
+        if not value:
+            return 1
+        if value.isdecimal():
+            value = int(value)
+    if type(value) is not int or value < 1:
+        raise ValueError("%s must be a positive integer, got %r" % (source, value))
+    return value
 
 
 def run_suite(
@@ -221,12 +227,12 @@ def run_suite(
     checks: Optional[tuple[Check, ...]] = None,
 ) -> SuiteReport:
     started = time.perf_counter()
+    threads = _resolve_threads(cfg)
     if instances is None:
         instances = generate_instances(cfg)
     if checks is None:
         checks = _selected_checks(cfg)
     params = cfg.params()
-    threads = _resolve_threads(cfg)
     if threads > 1 and len(instances) > 1:
         work = [(ring, checks, params) for ring in instances]
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -3,8 +3,8 @@
 A hyperideal is a nonempty subset closed under subtraction (hence an additive
 subgroup) that absorbs products: r*a stays inside for every ring element r.
 On top of the basic predicates this module computes the product family C (all
-finite products of elements, length >= 1) and its sum closure U (all finite
-sums of members of C), the classifications built from them, the special
+finite products of elements, length >= 1), the classifications built from it
+and from its sum closure U (all finite sums of members of C), the special
 element sets (nilpotents, units, weak zero divisors, i-sets), and the
 ideal-level arithmetic (sum, product, raw power) the verification checks use.
 
@@ -186,17 +186,7 @@ def radical(ring: FiniteHyperring, imask: int) -> int:
     return out if hit else ring.full
 
 
-def power_members_D(ring: FiniteHyperring, imask: int) -> int:
-    """Elements r with r^k inside the hyperideal for some exponent k >= 1."""
-    out = 0
-    for r in ring.elements:
-        prof = ring.power_profile(r)
-        if any(is_subset(p, imask) for p in prof.powers):
-            out |= 1 << r
-    return out
-
-
-# -- product family C, sum closure U, and the classifications ------------------
+# -- product family C and the classifications ------------------------------------
 
 
 def product_class_C(ring: FiniteHyperring) -> list[int]:
@@ -217,28 +207,6 @@ def product_class_C(ring: FiniteHyperring) -> list[int]:
         cached = tuple(sorted(seen))
         ring._cache["classC"] = cached
     return list(cached)
-
-
-def sums_class_U(ring: FiniteHyperring) -> list[int]:
-    """All finite Minkowski sums of members of C.
-
-    Exponential in the worst case (fixpoint over subsets); fine at the small
-    orders used for cross-checks and demos.  The classification predicates
-    below avoid this via the N-coset equivalence (module docstring).
-    """
-    base = product_class_C(ring)
-    seen = set(base)
-    frontier = list(base)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for c in base:
-                total = ring.minkowski_sum(s, c)
-                if total not in seen:
-                    seen.add(total)
-                    nxt.append(total)
-        frontier = nxt
-    return sorted(seen)
 
 
 def cooccurrence_subgroup(ring: FiniteHyperring) -> int:

@@ -101,6 +101,39 @@ def test_altered_cell_breaks_axioms_with_witness():
     assert witness is not None and all(0 <= x < 4 for x in witness)
 
 
+def _edited_zx4(add_cells=(), mul_cells=()):
+    """zx(4;1) with the given addition cells and product cells overwritten."""
+    base = make_zx_mod(4, [1])
+    add = [list(row) for row in base.add]
+    mul = [list(row) for row in base.mul]
+    for (a, b), value in add_cells:
+        add[a][b] = value
+    for (a, b), xs in mul_cells:
+        mul[a][b] = mask_of(xs)
+    return FiniteHyperring.from_masks(add, mul)
+
+
+@pytest.mark.parametrize(
+    "law, edits, witness",
+    [
+        ("zero_identity", dict(add_cells=[((0, 1), 0)]), None),
+        ("add_commutative", dict(add_cells=[((1, 2), 0)]), (1, 2)),
+        ("add_associative", dict(add_cells=[((1, 2), 0), ((2, 1), 0)]), (1, 1, 2)),
+        ("add_inverse", dict(add_cells=[((3, 1), 2)]), (3,)),
+        ("mul_commutative", dict(mul_cells=[((1, 2), [0])]), (1, 2)),
+        ("mul_associative", dict(mul_cells=[((2, 3), [0]), ((3, 2), [0])]), (2, 3, 3)),
+        ("left_distributive_inclusion", dict(mul_cells=[((1, 1), [1, 3])]), (1, 2, 3)),
+        ("right_distributive_inclusion", dict(mul_cells=[((2, 1), [0])]), (1, 1, 1)),
+        ("sign_rule", dict(mul_cells=[((1, 3), [1]), ((3, 1), [1])]), (1, 1)),
+    ],
+)
+def test_each_law_reports_its_first_witness(law, edits, witness):
+    """The witness is the lexicographically first violating tuple."""
+    check = validate_axioms(_edited_zx4(**edits))[law]
+    assert not check.ok
+    assert check.witness == witness
+
+
 def test_from_masks_rejects_empty_cells_and_bad_shapes():
     with pytest.raises(MalformedTables):
         FiniteHyperring.from_masks([[0, 1], [1, 0]], [[1, 1], [1, 0]])

@@ -2,8 +2,8 @@
 
 import pytest
 
-from hyperring_lab import CHECKS, Check, CheckParams, UnknownCheckId, get_check, make_zx_mod
-from hyperring_lab.checks import Counterexample, RingOutcome
+from hyperring_lab import CHECKS, CheckParams, UnknownCheckId, get_check, make_zx_mod
+from hyperring_lab.checks import Counterexample, _check
 from hyperring_lab.harness import (
     SuiteConfig,
     counterexample_to_dict,
@@ -114,15 +114,10 @@ def test_corrupted_check_is_reported():
     """A deliberately wrong statement must surface as a failing report."""
 
     def bogus(ring, params):
-        out = RingOutcome()
         zero_ideal = 1 << ring.zero
-        out.case(
-            ring.order % 2 == 1,
-            lambda: Counterexample("BOGUS", ring, (zero_ideal,), (), None, "even order"),
-        )
-        return out
+        yield (ring.order % 2 == 1, (zero_ideal,), (), None, "even order", ())
 
-    fake = Check("BOGUS", "Every instance has odd order.", bogus)
+    fake = _check("BOGUS", "Every instance has odd order.", bogus)
     report = run_suite(SuiteConfig(), instances=[make_zx_mod(3, [1]), make_zx_mod(4, [1])], checks=(fake,))
     assert not report.ok
     ce = report.reports[0].counterexample
@@ -144,6 +139,17 @@ def test_parallel_merge_equals_sequential():
     ids = ("T2_3", "R2_rad", "D3_w", "L3_15")
     seq = run_suite(SuiteConfig(check_ids=ids, threads=1), instances=instances)
     par = run_suite(SuiteConfig(check_ids=ids, threads=2), instances=instances)
+    assert canonical_json(seq.to_dict()) == canonical_json(par.to_dict())
+
+
+def test_full_registry_parallel_equals_sequential():
+    """Every registered check survives pickling, so threads > 1 runs them all."""
+    instances = [r for r in generate_instances(SuiteConfig()) if r.order <= 4]
+    assert any(r.meta.get("family") == "product" for r in instances)
+    seq = run_suite(SuiteConfig(threads=1), instances=instances)
+    par = run_suite(SuiteConfig(threads=2), instances=instances)
+    assert [r.check_id for r in seq.reports] == ALL_IDS
+    assert {r.check_id: r for r in seq.reports}["T2_9"].notes
     assert canonical_json(seq.to_dict()) == canonical_json(par.to_dict())
 
 

@@ -41,7 +41,6 @@ from hyperring_lab.ideals import (
     n_absorbing_witness,
     product_class_C,
     subgroup_closure,
-    sums_class_U,
 )
 
 import oracles as orc
@@ -166,7 +165,7 @@ def test_absorbing_witness_is_genuine():
 def test_class_C_and_cooccurrence_frozen():
     r = make_zx_mod(4, [1, 3])
     assert sorted(members(c) for c in product_class_C(r)) == [[0], [1], [1, 3], [2], [3]]
-    assert sorted(members(u) for u in sums_class_U(r)) == [[0], [0, 2], [1], [1, 3], [2], [3]]
+    assert sorted(sorted(u) for u in orc.class_U(*orc.tables(r))) == [[0], [0, 2], [1], [1, 3], [2], [3]]
     assert members(cooccurrence_subgroup(r)) == [0, 2]
     assert members(cooccurrence_subgroup(make_zx_mod(4, [1]))) == [0]
 
@@ -180,6 +179,17 @@ def test_C_and_strong_C_frozen():
     r6 = make_zx_mod(6, [3])
     for q in proper_hyperideals(r6):
         assert is_C_hyperideal(r6, q) and is_strong_C_hyperideal(r6, q)
+
+
+def test_strong_C_agrees_with_sum_closure_definition():
+    """Strong C: every finite sum of products that meets the ideal lies inside it."""
+    for ring in [make_zx_mod(m, xs) for m, xs in [(4, [1, 3]), (6, [3]), (4, [1]), (8, [2]), (6, [2, 3])]]:
+        n, add, mul = orc.tables(ring)
+        sums = orc.class_U(n, add, mul)
+        for q in enumerate_hyperideals(ring):
+            Q = frozenset(members(q))
+            expected = all(E <= Q for E in sums if E & Q)
+            assert is_strong_C_hyperideal(ring, q) == expected, (ring.name, members(q))
 
 
 def test_element_subsets_frozen():

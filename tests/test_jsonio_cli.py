@@ -190,6 +190,17 @@ def test_cli_verify_reports_failures(capsys, tmp_path):
     assert stored["reports"][0]["counterexample"]["sn"] == [2, 1]
 
 
+def test_cli_verify_rejects_negative_thread_count(capsys):
+    assert main(["verify", "--checks", "R2_rad", "--threads", "-4"]) == 2
+    assert "threads must be a positive integer" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_non_integer_thread_environment(monkeypatch, capsys):
+    monkeypatch.setenv("HYPERRING_LAB_THREADS", "abc")
+    assert main(["verify", "--checks", "R2_rad"]) == 2
+    assert "HYPERRING_LAB_THREADS must be a positive integer" in capsys.readouterr().err
+
+
 def test_cli_verify_canonical_reports_are_byte_identical(tmp_path):
     base = ["verify", "--checks", "D3_w", "--zx-max-modulus", "4",
             "--product-factor-max-order", "2", "--random", "3", "--seed", "11"]
