@@ -221,15 +221,17 @@ class FiniteHyperring:
             raise AxiomFailure("no additive identity in %r" % self)
         return z
 
-    def neg(self, a: int) -> int:
+    def neg_table(self) -> list[int]:
+        """Additive inverse of every element, indexed by element."""
         table = self._cache.get("neg")
         if table is None:
             table = _find_negs(self.add, self.order, self.zero)
+            if None in table:
+                raise AxiomFailure(
+                    "element %d has no additive inverse" % table.index(None)
+                )
             self._cache["neg"] = table
-        b = table[a]
-        if b is None:
-            raise AxiomFailure("element %d has no additive inverse" % a)
-        return b
+        return table
 
     @property
     def full(self) -> int:
@@ -247,9 +249,6 @@ class FiniteHyperring:
         return report
 
     # -- set-level operations ------------------------------------------------
-
-    def product_mask(self, a: int, b: int) -> int:
-        return self.mul[a][b]
 
     def row_product(self, amask: int, b: int) -> int:
         """Union of x*b over x in amask."""
@@ -278,12 +277,6 @@ class FiniteHyperring:
             row = add[x]
             for y in iter_bits(bmask):
                 out |= 1 << row[y]
-        return out
-
-    def neg_set(self, amask: int) -> int:
-        out = 0
-        for x in iter_bits(amask):
-            out |= 1 << self.neg(x)
         return out
 
     # -- hyperpowers ----------------------------------------------------------
@@ -567,14 +560,6 @@ def product_ring(r1: FiniteHyperring, r2: FiniteHyperring) -> FiniteHyperring:
     ring = FiniteHyperring.from_masks(add, mul, name=name, meta=meta)
     ring._cache["factors"] = (r1, r2)
     return ring
-
-
-def pair_index(r2_order: int, x1: int, x2: int) -> int:
-    return x1 * r2_order + x2
-
-
-def pair_split(r2_order: int, x: int) -> tuple[int, int]:
-    return divmod(x, r2_order)
 
 
 def factor_mask(

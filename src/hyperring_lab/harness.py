@@ -21,6 +21,7 @@ from typing import Optional
 from .bitsets import members
 from .checks import CHECKS, Check, CheckParams, Counterexample, get_check
 from .core import FiniteHyperring, make_zx_mod, product_ring
+from .ideals import ENUMERATION_ORDER_BOUND
 from .jsonio import ring_to_dict
 
 THREADS_ENV = "HYPERRING_LAB_THREADS"
@@ -162,7 +163,16 @@ def random_zx_instances(cfg: SuiteConfig, taken: set) -> list[FiniteHyperring]:
 
 
 def generate_instances(cfg: SuiteConfig) -> list[FiniteHyperring]:
-    """Deterministic instance stream, sorted by (order, name)."""
+    """Deterministic instance stream, sorted by (order, name).
+
+    A `max_order` the checks could not enumerate is refused before any ring
+    is built.
+    """
+    if cfg.max_order > ENUMERATION_ORDER_BOUND:
+        raise ValueError(
+            "max_order %d exceeds the hyperideal enumeration cap of order %d"
+            % (cfg.max_order, ENUMERATION_ORDER_BOUND)
+        )
     base = [r for r in zx_instances(cfg) if r.order <= cfg.max_order]
     factors = [r for r in base if r.order <= cfg.product_factor_max_order]
     products = []
@@ -234,9 +244,15 @@ def run_suite(
         checks = _selected_checks(cfg)
     params = cfg.params()
     if threads > 1 and len(instances) > 1:
-        work = [(ring, checks, params) for ring in instances]
+        # Largest rings first, one per task, so no worker is left with the
+        # order-16 tail; results go back into stream order for the merge.
+        schedule = sorted(range(len(instances)), key=lambda i: -instances[i].order)
+        work = [(instances[i], checks, params) for i in schedule]
+        per_instance = [None] * len(instances)
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            per_instance = list(pool.map(_run_instance_packed, work, chunksize=4))
+            done = pool.map(_run_instance_packed, work, chunksize=1)
+            for i, results in zip(schedule, done):
+                per_instance[i] = results
     else:
         per_instance = [_run_instance(ring, checks, params) for ring in instances]
 

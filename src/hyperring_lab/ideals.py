@@ -46,11 +46,12 @@ def subgroup_closure(ring: FiniteHyperring, amask: int) -> int:
     """Smallest additive subgroup containing the given set."""
     cur = amask | 1 << ring.zero
     add = ring.add
+    neg = ring.neg_table()
     while True:
         nxt = cur
         xs = members(cur)
         for a in xs:
-            nxt |= 1 << ring.neg(a)
+            nxt |= 1 << neg[a]
             row = add[a]
             for b in xs:
                 nxt |= 1 << row[b]
@@ -64,10 +65,12 @@ def is_hyperideal(ring: FiniteHyperring, imask: int) -> bool:
         return False
     add = ring.add
     mul = ring.mul
+    neg = ring.neg_table()
     xs = members(imask)
     for a in xs:
+        row = add[a]
         for b in xs:
-            if not imask >> add[a][ring.neg(b)] & 1:
+            if not imask >> row[neg[b]] & 1:
                 return False
     for a in xs:
         for r in ring.elements:
@@ -98,8 +101,17 @@ def enumerate_hyperideals(
 ) -> list[int]:
     """All hyperideals, ascending by size then member list.
 
-    Additive subgroups are generated breadth-first (every subgroup arises by
-    repeatedly adjoining one generator), then filtered for absorption.
+    Every hyperideal is the sum of the principal hyperideals of its members,
+    so the lattice is the closure of the distinct principal hyperideals under
+    sums.  It is built breadth-first from {0}: a principal P is added to a
+    found sum I only when P is not inside I, and I + P is formed as the union
+    of the cosets j + I for j in P.
+
+    Completeness assumes the hyperring axioms: an abelian addition makes
+    every sum a subgroup and a union of cosets, and inclusion distributivity
+    (r*(i + j) lies in r*i + r*j) makes every sum a hyperideal.  The final
+    absorption filter means nothing but hyperideals is ever returned, even
+    on tables that fail the axioms.
     """
     if ring.order > order_bound:
         raise OrderTooLarge(
@@ -108,21 +120,30 @@ def enumerate_hyperideals(
     cached = ring._cache.get("ideals")
     if cached is not None:
         return list(cached)
-    zero_group = 1 << ring.zero
-    subgroups = {zero_group}
-    frontier = [zero_group]
+    principals = {generate_hyperideal(ring, 1 << x) for x in ring.elements}
+    add = ring.add
+    zero_ideal = 1 << ring.zero
+    found = {zero_ideal}
+    frontier = [zero_ideal]
     while frontier:
         nxt = []
-        for sg in frontier:
-            for x in ring.elements:
-                if sg >> x & 1:
+        for ideal in frontier:
+            xs = members(ideal)
+            for p in principals:
+                rest = p & ~ideal
+                if not rest:
                     continue
-                bigger = subgroup_closure(ring, sg | 1 << x)
-                if bigger not in subgroups:
-                    subgroups.add(bigger)
-                    nxt.append(bigger)
+                total = ideal
+                while rest:
+                    row = add[(rest & -rest).bit_length() - 1]
+                    for x in xs:
+                        total |= 1 << row[x]
+                    rest &= ~total
+                if total not in found:
+                    found.add(total)
+                    nxt.append(total)
         frontier = nxt
-    ideals = [sg for sg in subgroups if is_hyperideal(ring, sg)]
+    ideals = [m for m in found if is_hyperideal(ring, m)]
     ideals.sort(key=lambda m: (size(m), members(m)))
     ring._cache["ideals"] = tuple(ideals)
     return ideals
@@ -214,11 +235,12 @@ def cooccurrence_subgroup(ring: FiniteHyperring) -> int:
     n = ring._cache.get("cooccN")
     if n is None:
         diffs = 1 << ring.zero
+        neg = ring.neg_table()
         for s in product_class_C(ring):
             xs = members(s)
             base = xs[0]
             for other in xs[1:]:
-                diffs |= 1 << ring.add[other][ring.neg(base)]
+                diffs |= 1 << ring.add[other][neg[base]]
         n = subgroup_closure(ring, diffs)
         ring._cache["cooccN"] = n
     return n
@@ -243,49 +265,78 @@ def is_strong_C_hyperideal(ring: FiniteHyperring, imask: int) -> bool:
 # -- n-absorbing ----------------------------------------------------------------
 
 
-def _multiset_products(ring: FiniteHyperring, length: int) -> dict:
-    """Product mask of every nondecreasing element tuple up to `length` factors."""
-    key = ("msprods", length)
-    cached = ring._cache.get(key)
-    if cached is not None:
-        return cached
-    table: dict[tuple, int] = {}
-    level = {(a,): 1 << a for a in ring.elements}
-    table.update(level)
-    for _ in range(length - 1):
-        nxt = {}
-        for tup, prod in level.items():
-            last = tup[-1]
-            for a in range(last, ring.order):
-                nxt[tup + (a,)] = ring.row_product(prod, a)
-        table.update(nxt)
-        level = nxt
-    ring._cache[key] = table
-    return table
+def _multiset_products(ring: FiniteHyperring, length: int) -> list:
+    """Level k groups the nondecreasing (k+1)-tuples of elements by product.
+
+    Whether a tuple witnesses that an ideal is not absorbing depends only on
+    its class: its product mask and the set of its drop-one subproducts.  The
+    class of u + (a,), for a at least the last entry of u, follows from u's:
+    the product is prod(u)*a, and the subproducts are prod(u) and m*a for
+    each subproduct m of u.  So tuples are never listed.  For each class of
+    the top level and each last entry the table keeps the lexicographically
+    first tuple, and it extends a class by a from the least of those whose
+    last entry is at most a.  A group lists the (first tuple, subproducts)
+    pair of each of its classes in lexicographic order.  One table per ring,
+    grown on demand.
+    """
+    table = ring._cache.get("msprods")
+    if table is None:
+        # A one-factor tuple's only subproduct is the empty product, which
+        # times a is {a}; the marker 0 stands for it.
+        first = {(1 << a, frozenset((0,))): {a: (a,)} for a in ring.elements}
+        times = [{0: 1 << a} for a in ring.elements]
+        table = ring._cache["msprods"] = {
+            "classes": first, "levels": [{}], "times": times,
+        }
+    levels = table["levels"]
+    times = table["times"]  # times[a][m] is m*a
+    while len(levels) < length:
+        classes: dict[tuple, dict] = {}
+        for (prod, subs), by_last in table["classes"].items():
+            best = None
+            for a in range(min(by_last), ring.order):
+                t = by_last.get(a)
+                if best is None or t is not None and t < best:
+                    best = t
+                row = times[a]
+                for m in (prod, *subs):
+                    if m not in row:
+                        row[m] = ring.row_product(m, a)
+                key = (row[prod], frozenset([prod, *map(row.__getitem__, subs)]))
+                slot = classes.setdefault(key, {})
+                if a not in slot or best < slot[a]:
+                    slot[a] = best + (a,)
+        groups: dict[int, list] = {}
+        for (prod, subs), by_last in classes.items():
+            groups.setdefault(prod, []).append((min(by_last.values()), subs))
+        levels.append({p: sorted(g) for p, g in groups.items()})
+        table["classes"] = classes
+    return levels
 
 
 def n_absorbing_witness(
     ring: FiniteHyperring, imask: int, n: int
 ) -> Optional[tuple[int, ...]]:
-    """First (n+1)-tuple whose product lands in I with no n-subproduct inside."""
+    """First (n+1)-tuple whose product lands in I with no n-subproduct inside.
+
+    Groups whose product mask is not inside I are skipped whole; the others
+    are scanned in lexicographic order up to their first witness, and the
+    least of those is returned.
+    """
     _require_proper(ring, imask)
     if n < 1:
         raise ValueError("absorbing degree starts at 1")
-    table = _multiset_products(ring, n + 1)
-    for tup in sorted(t for t in table if len(t) == n + 1):
-        if not is_subset(table[tup], imask):
+    best = None
+    for prod, cases in _multiset_products(ring, n + 1)[n].items():
+        if not is_subset(prod, imask):
             continue
-        ok = False
-        for i in range(n + 1):
-            if i > 0 and tup[i] == tup[i - 1]:
-                continue
-            sub = tup[:i] + tup[i + 1 :]
-            if is_subset(table[sub], imask):
-                ok = True
+        for tup, subs in cases:
+            if best is not None and tup >= best:
                 break
-        if not ok:
-            return tup
-    return None
+            if not any(is_subset(sub, imask) for sub in subs):
+                best = tup
+                break
+    return best
 
 
 def is_n_absorbing(ring: FiniteHyperring, imask: int, n: int) -> bool:

@@ -5,7 +5,7 @@ no caching, no periodicity shortcuts -- so agreement with the package is a
 meaningful check and not a tautology.  Only intended for small orders.
 """
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 TAGS = ("frozenset oracle",)
 
@@ -128,6 +128,56 @@ def all_ideals(n, add, mul):
             if is_ideal(n, add, mul, frozenset(combo)):
                 found.append(frozenset(combo))
     return found
+
+
+def subgroup_walk_ideals(n, add, mul):
+    """Every ideal, ascending by size then members, from the additive subgroups.
+
+    Subgroups are found breadth-first from {0} by adjoining one element at a
+    time (every subgroup arises that way), then filtered for absorption.  The
+    subgroup generated by a subgroup S and x is the union of the cosets
+    S + kx for k = 0, 1, .. up to the first multiple of x inside S.
+    """
+    zero = find_zero(n, add)
+    start = frozenset([zero])
+    groups = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for group in frontier:
+            for x in range(n):
+                if x in group:
+                    continue
+                bigger = set(group)
+                kx = x
+                while kx not in group:
+                    bigger |= {add[kx][g] for g in group}
+                    kx = add[kx][x]
+                bigger = frozenset(bigger)
+                if bigger not in groups:
+                    groups.add(bigger)
+                    nxt.append(bigger)
+        frontier = nxt
+    ideals = [sorted(g) for g in groups if is_ideal(n, add, mul, g)]
+    return sorted(ideals, key=lambda xs: (len(xs), xs))
+
+
+def first_absorbing_witness(n, mul, Q, deg):
+    """Lexicographically first nondecreasing (deg+1)-tuple with its product in Q
+    and no product of deg of its entries in Q, or None."""
+
+    def prod(tup):
+        acc = frozenset([tup[0]])
+        for x in tup[1:]:
+            acc = set_product(mul, acc, frozenset([x]))
+        return acc
+
+    for tup in combinations_with_replacement(range(n), deg + 1):
+        if prod(tup) <= Q and not any(
+            prod(tup[:i] + tup[i + 1:]) <= Q for i in range(deg + 1)
+        ):
+            return tup
+    return None
 
 
 def is_prime_ideal(n, add, mul, Q):
@@ -256,3 +306,12 @@ def Regular_subsets(n, add, mul, a, s, n_exp):
             if pn <= set_product(mul, ps, frozenset(combo)):
                 return True
     return False
+
+
+def pair_index(r2_order, x1, x2):
+    """Carrier index of the pair (x1, x2) in a direct product."""
+    return x1 * r2_order + x2
+
+
+def pair_split(r2_order, x):
+    return divmod(x, r2_order)

@@ -1,17 +1,23 @@
 """Hyperideal enumeration, classification, arithmetic, and derived subsets."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from hyperring_lab import (
+    AxiomFailure,
     EmptyOperand,
+    FiniteHyperring,
     NotAHyperideal,
     OrderTooLarge,
     ProperIdealRequired,
+    SuiteConfig,
     WellDefinednessFailure,
     classify_ideal,
     enumerate_hyperideals,
     find_i_sets,
     generate_hyperideal,
+    generate_instances,
     has_i_set,
     ideal_power,
     ideal_product,
@@ -37,6 +43,7 @@ from hyperring_lab import (
     weak_zero_divisors,
 )
 from hyperring_lab.ideals import (
+    _multiset_products,
     cooccurrence_subgroup,
     n_absorbing_witness,
     product_class_C,
@@ -64,6 +71,61 @@ def test_enumerate_matches_subset_filter_oracle():
         n, add, mul = orc.tables(ring)
         engine = {frozenset(members(m)) for m in enumerate_hyperideals(ring)}
         assert engine == set(orc.all_ideals(n, add, mul)), ring.name
+
+
+def test_lattice_matches_subgroup_walk_up_to_order_32():
+    """Ordered lattice on each default ring, its order-2n product target, and
+    its quotients, against the subgroup walk of the reference."""
+    partner = make_zx_mod(2, [1])
+    for ring in generate_instances(SuiteConfig()):
+        target = product_ring(ring, partner)
+        cases = [(ring, enumerate_hyperideals(ring)),
+                 (target, enumerate_hyperideals(target, order_bound=64))]
+        for p in proper_hyperideals(ring):
+            quot, _ = quotient_by_ideal(ring, p)
+            cases.append((quot, enumerate_hyperideals(quot)))
+        for r, found in cases:
+            assert masks_to_sets(found) == orc.subgroup_walk_ideals(*orc.tables(r)), r.name
+
+
+def test_absorbing_witness_matches_brute_force():
+    rings = [r for r in generate_instances(SuiteConfig()) if r.order <= 8]
+    assert len(rings) == 94
+    for ring in rings:
+        n, _, mul = orc.tables(ring)
+        for q in proper_hyperideals(ring):
+            Q = frozenset(members(q))
+            for deg in (1, 2, 3):
+                expect = orc.first_absorbing_witness(n, mul, Q, deg)
+                assert n_absorbing_witness(ring, q, deg) == expect, (ring.name, Q, deg)
+
+
+def test_absorbing_table_keeps_least_tuple_of_each_class():
+    """The witness search reads one tuple per (product, drop-one subproducts)
+    class; it must be the lexicographically least tuple of that class."""
+    for ring in [r for r in generate_instances(SuiteConfig()) if r.order <= 6]:
+        n, _, mul = orc.tables(ring)
+
+        def prod(tup):
+            acc = frozenset([tup[0]])
+            for x in tup[1:]:
+                acc = orc.set_product(mul, acc, frozenset([x]))
+            return mask_of(acc)
+
+        levels = _multiset_products(ring, 4)
+        for k in (1, 2, 3):
+            least = {}
+            for tup in combinations_with_replacement(range(n), k + 1):
+                subs = frozenset(prod(tup[:i] + tup[i + 1:]) for i in range(k + 1))
+                least.setdefault((prod(tup), subs), tup)
+            table = {(p, subs): tup for p, group in levels[k].items() for tup, subs in group}
+            assert table == least, (ring.name, k)
+
+
+def test_negation_needs_every_inverse():
+    r = FiniteHyperring([[0, 1], [1, 1]], [[[0], [0]], [[0], [0]]])
+    with pytest.raises(AxiomFailure, match="element 1 has no additive inverse"):
+        subgroup_closure(r, mask_of([1]))
 
 
 def test_enumeration_is_sorted_and_cached():

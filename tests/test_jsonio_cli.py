@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hyperring_lab import MalformedTables, make_zx_mod, mask_of, members, product_ring
+from hyperring_lab import MalformedTables, harness, make_zx_mod, mask_of, members, product_ring
 from hyperring_lab.catalog import Catalog, content_id
 from hyperring_lab.cli import main
 from hyperring_lab.closedness import closed_profile
@@ -199,6 +199,17 @@ def test_cli_verify_rejects_non_integer_thread_environment(monkeypatch, capsys):
     monkeypatch.setenv("HYPERRING_LAB_THREADS", "abc")
     assert main(["verify", "--checks", "R2_rad"]) == 2
     assert "HYPERRING_LAB_THREADS must be a positive integer" in capsys.readouterr().err
+
+
+def test_cli_verify_refuses_max_order_above_enumeration_cap(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(harness, "make_zx_mod", lambda *args: built.append(args))
+    monkeypatch.setattr(harness, "product_ring", lambda *args: built.append(args))
+    assert main(["verify", "--max-order", "20"]) == 2
+    assert "max_order 20 exceeds the hyperideal enumeration cap of order 16" in (
+        capsys.readouterr().err
+    )
+    assert built == []
 
 
 def test_cli_verify_canonical_reports_are_byte_identical(tmp_path):

@@ -104,7 +104,7 @@ def test_ideal_sums_and_intersections_stay_ideals(ring):
 def test_canonical_identity_is_least_weak_identity(ring):
     e = canonical_identity(ring)
     if e is not None:
-        assert all(a in members(ring.product_mask(a, e)) for a in range(ring.order))
+        assert all(a in members(ring.mul[a][e]) for a in range(ring.order))
 
 
 @settings(max_examples=40, deadline=None)
