@@ -162,19 +162,20 @@ def subgroup_walk_ideals(n, add, mul):
     return sorted(ideals, key=lambda xs: (len(xs), xs))
 
 
+def tuple_product(mul, tup):
+    """Left-to-right product of the elements of a nonempty tuple."""
+    acc = frozenset([tup[0]])
+    for x in tup[1:]:
+        acc = set_product(mul, acc, frozenset([x]))
+    return acc
+
+
 def first_absorbing_witness(n, mul, Q, deg):
     """Lexicographically first nondecreasing (deg+1)-tuple with its product in Q
     and no product of deg of its entries in Q, or None."""
-
-    def prod(tup):
-        acc = frozenset([tup[0]])
-        for x in tup[1:]:
-            acc = set_product(mul, acc, frozenset([x]))
-        return acc
-
     for tup in combinations_with_replacement(range(n), deg + 1):
-        if prod(tup) <= Q and not any(
-            prod(tup[:i] + tup[i + 1:]) <= Q for i in range(deg + 1)
+        if tuple_product(mul, tup) <= Q and not any(
+            tuple_product(mul, tup[:i] + tup[i + 1:]) <= Q for i in range(deg + 1)
         ):
             return tup
     return None

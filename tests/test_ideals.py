@@ -107,10 +107,7 @@ def test_absorbing_table_keeps_least_tuple_of_each_class():
         n, _, mul = orc.tables(ring)
 
         def prod(tup):
-            acc = frozenset([tup[0]])
-            for x in tup[1:]:
-                acc = orc.set_product(mul, acc, frozenset([x]))
-            return mask_of(acc)
+            return mask_of(orc.tuple_product(mul, tup))
 
         levels = _multiset_products(ring, 4)
         for k in (1, 2, 3):
