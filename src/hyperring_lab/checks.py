@@ -30,11 +30,13 @@ from .bitsets import is_subset, iter_bits, least, members
 from .closedness import (
     big_omega_unchecked,
     land_mask,
+    land_row,
     omega_unchecked,
     open_mask,
     tough_zero_mask,
     weakly_open_mask,
     zero_in_mask,
+    zero_in_row,
 )
 from .core import (
     FiniteHyperring,
@@ -195,11 +197,12 @@ def _absorbing_closed(ring, p):
     for q in proper_hyperideals(ring):
         if not is_C_hyperideal(ring, q):
             continue
+        land = land_row(ring, q, max(ks, p.absorbing_max_n))
         for n in range(1, p.absorbing_max_n + 1):
             if not is_n_absorbing(ring, q, n):
                 continue
             for s in range(1, ks + 1):
-                w = least(open_mask(ring, q, s, n))
+                w = least(land[s] & ~land[n])
                 yield (
                     w is None,
                     (q,),
@@ -212,15 +215,17 @@ def _absorbing_closed(ring, p):
 
 def _prime_products(ring, p):
     primes = prime_hyperideals(ring)
+    top = max(p.smax, p.nmax)
     for t in range(1, p.tuple_max + 1):
         for combo in combinations_with_replacement(primes, t):
             prod = combo[0]
             for q in combo[1:]:
                 prod = ideal_product(ring, prod, q)
             ideals = combo + (prod,)
+            land = land_row(ring, prod, top)
             for s in range(1, p.smax + 1):
                 for n in range(min(s, t), p.nmax + 1):
-                    w = least(open_mask(ring, prod, s, n))
+                    w = least(land[s] & ~land[n])
                     yield (
                         w is None,
                         ideals,
@@ -233,6 +238,11 @@ def _prime_products(ring, p):
 
 def _closed_combinations(ring, p, part):
     propers = proper_hyperideals(ring)
+    top = max(p.smax, p.nmax)
+    omegas = {
+        q: [None] + [omega_unchecked(ring, q, s) for s in range(1, p.smax + 1)]
+        for q in propers
+    }
     for t in range(1, p.tuple_max + 1):
         for combo in combinations_with_replacement(propers, t):
             if part == "product":
@@ -244,11 +254,12 @@ def _closed_combinations(ring, p, part):
                 for q in combo:
                     agg &= q
             ideals = combo + (agg,)
+            land = land_row(ring, agg, top)
             for s in range(1, p.smax + 1):
-                nis = [omega_unchecked(ring, q, s) for q in combo]
+                nis = [omegas[q][s] for q in combo]
                 low = min(s, sum(nis) if part == "product" else max(nis))
                 for n in range(max(1, low), p.nmax + 1):
-                    w = least(open_mask(ring, agg, s, n))
+                    w = least(land[s] & ~land[n])
                     yield (
                         w is None,
                         ideals,
@@ -261,16 +272,20 @@ def _closed_combinations(ring, p, part):
 
 def _intersection_closed(ring, p):
     propers = proper_hyperideals(ring)
+    top = max(p.smax, p.nmax)
+    window = _window(p)
     for t in range(2, p.tuple_max + 1):
         for combo in combinations(propers, t):
             inter = ring.full
             for q in combo:
                 inter &= q
             ideals = combo + (inter,)
-            for s, n in _window(p):
-                if any(open_mask(ring, q, s, n) for q in combo):
+            rows = [land_row(ring, q, top) for q in combo]
+            land = land_row(ring, inter, top)
+            for s, n in window:
+                if any(row[s] & ~row[n] for row in rows):
                     continue
-                w = least(open_mask(ring, inter, s, n))
+                w = least(land[s] & ~land[n])
                 yield (
                     w is None,
                     ideals,
@@ -283,6 +298,8 @@ def _intersection_closed(ring, p):
 
 def _coprime_products(ring, p):
     propers = proper_hyperideals(ring)
+    top = max(p.smax, p.nmax)
+    window = _window(p)
     for t in range(2, p.tuple_max + 1):
         for combo in combinations(propers, t):
             if not all(
@@ -294,10 +311,12 @@ def _coprime_products(ring, p):
             for q in combo[1:]:
                 prod = ideal_product(ring, prod, q)
             ideals = combo + (prod,)
-            for s, n in _window(p):
-                if any(open_mask(ring, q, s, n) for q in combo):
+            rows = [land_row(ring, q, top) for q in combo]
+            land = land_row(ring, prod, top)
+            for s, n in window:
+                if any(row[s] & ~row[n] for row in rows):
                     continue
-                w = least(open_mask(ring, prod, s, n))
+                w = least(land[s] & ~land[n])
                 yield (
                     w is None,
                     ideals,
@@ -350,11 +369,13 @@ def _class_ring_transfer(ring, p):
 
 def _radical_characterization(ring, p):
     bound = ring.power_bound()
+    kk = _kmax(ring, p)
     for q in proper_hyperideals(ring):
+        land = land_row(ring, q, kk)
         for s, n in _window(p):
             if s > n:
                 continue
-            w = least(open_mask(ring, q, s, n))
+            w = least(land[s] & ~land[n])
             yield (
                 w is None,
                 (q,),
@@ -364,7 +385,7 @@ def _radical_characterization(ring, p):
                 (w,),
             )
         radical_fixed = radical(ring, q) == q
-        always_closed = is_subset(land_mask(ring, q, bound), q)
+        always_closed = is_subset(land[bound], q)
         yield (
             radical_fixed == always_closed,
             (q,),
@@ -376,13 +397,16 @@ def _radical_characterization(ring, p):
 
 
 def _step_down(ring, p):
+    top = max(p.smax, p.nmax) + 1
+    window = _window(p)
     for q in proper_hyperideals(ring):
-        for s, n in _window(p):
+        land = land_row(ring, q, top)
+        for s, n in window:
             if s == n:
                 continue
-            if open_mask(ring, q, s, n) or open_mask(ring, q, s + 1, n + 1):
+            if land[s] & ~land[n] or land[s + 1] & ~land[n + 1]:
                 continue
-            w = least(open_mask(ring, q, s + 1, n))
+            w = least(land[s + 1] & ~land[n])
             yield (
                 w is None,
                 (q,),
@@ -395,16 +419,18 @@ def _step_down(ring, p):
 
 def _pair_monotone(ring, p):
     kk = _kmax(ring, p)
+    window = _window(p)
     for q in proper_hyperideals(ring):
-        for s, n in _window(p):
-            if open_mask(ring, q, s, n):
+        land = land_row(ring, q, kk)
+        for s, n in window:
+            if land[s] & ~land[n]:
                 continue
             bad = next(
                 (
                     (s2, n2)
                     for s2 in range(1, s + 1)
                     for n2 in range(n, kk + 1)
-                    if open_mask(ring, q, s2, n2)
+                    if land[s2] & ~land[n2]
                 ),
                 None,
             )
@@ -423,11 +449,12 @@ def _two_absorbing_spread(ring, p):
     for q in proper_hyperideals(ring):
         if not is_C_hyperideal(ring, q):
             continue
+        land = land_row(ring, q, kk + 1)
         for n in range(3, kk + 1):
-            if open_mask(ring, q, n, 2) or open_mask(ring, q, n + 1, 2):
+            if land[n] & ~land[2] or land[n + 1] & ~land[2]:
                 continue
             bad = next(
-                (t for t in range(1, kk + 1) if open_mask(ring, q, t, 2)),
+                (t for t in range(1, kk + 1) if land[t] & ~land[2]),
                 None,
             )
             yield (
@@ -445,12 +472,13 @@ def _half_exponent_spread(ring, p):
     for q in proper_hyperideals(ring):
         if not is_C_hyperideal(ring, q):
             continue
+        land = land_row(ring, q, kk)
         for s in range(1, kk + 1):
             for n in range(1, p.nmax + 1):
-                if 2 * n > s or open_mask(ring, q, s, n):
+                if 2 * n > s or land[s] & ~land[n]:
                     continue
                 bad = next(
-                    (t for t in range(1, kk + 1) if open_mask(ring, q, t, n)),
+                    (t for t in range(1, kk + 1) if land[t] & ~land[n]),
                     None,
                 )
                 yield (
@@ -467,8 +495,10 @@ def _order_comparisons(ring, p):
     kk = _kmax(ring, p)
     propers = proper_hyperideals(ring)
     for pm, qm in permutations(propers, 2):
+        pl = land_row(ring, pm, kk)
+        ql = land_row(ring, qm, kk)
         cont = all(
-            open_mask(ring, pm, s, n) or not open_mask(ring, qm, s, n)
+            pl[s] & ~pl[n] or not ql[s] & ~ql[n]
             for s in range(1, kk + 1)
             for n in range(1, kk + 1)
         )
@@ -558,9 +588,9 @@ def _intersection_bounds(ring, p):
 
 
 def _pairset_equal(ring, pm, qm, im, kk):
+    pl, ql, il = [land_row(ring, q, kk) for q in (pm, qm, im)]
     return all(
-        (not open_mask(ring, pm, s, n) and not open_mask(ring, qm, s, n))
-        == (not open_mask(ring, im, s, n))
+        (not pl[s] & ~pl[n] and not ql[s] & ~ql[n]) == (not il[s] & ~il[n])
         for s in range(1, kk + 1)
         for n in range(1, kk + 1)
     )
@@ -635,13 +665,18 @@ def _invariant_equivalence(ring, p):
 
 def _weakly_basics(ring, p):
     propers = proper_hyperideals(ring)
+    top = max(p.smax, p.nmax + 1)
+    window = _window(p)
+    zin = zero_in_row(ring, top)
     for pm, qm in combinations(propers, 2):
         im = pm & qm
         ideals = (pm, qm, im)
-        for s, n in _window(p):
-            if weakly_open_mask(ring, pm, s, n) or weakly_open_mask(ring, qm, s, n):
+        pl, ql, il = [land_row(ring, q, top) for q in ideals]
+        for s, n in window:
+            free = ~zin[s]
+            if pl[s] & free & ~pl[n] or ql[s] & free & ~ql[n]:
                 continue
-            w = least(weakly_open_mask(ring, im, s, n))
+            w = least(il[s] & free & ~il[n])
             yield (
                 w is None,
                 ideals,
@@ -651,10 +686,12 @@ def _weakly_basics(ring, p):
                 (s, n, w),
             )
     for q in propers:
-        for s, n in _window(p):
-            if weakly_open_mask(ring, q, s, n):
+        land = land_row(ring, q, top)
+        for s, n in window:
+            trigger = land[s] & ~zin[s]
+            if trigger & ~land[n]:
                 continue
-            w = least(weakly_open_mask(ring, q, s, n + 1))
+            w = least(trigger & ~land[n + 1])
             yield (
                 w is None,
                 (q,),
@@ -665,11 +702,11 @@ def _weakly_basics(ring, p):
             )
         if not is_C_hyperideal(ring, q):
             continue
-        for s, n in _window(p):
-            if weakly_open_mask(ring, q, s, n):
+        for s, n in window:
+            if land[s] & ~zin[s] & ~land[n]:
                 continue
-            tough = tough_zero_mask(ring, q, s, n)
-            not_closed = open_mask(ring, q, s, n) != 0
+            tough = zin[s] & ~land[n]
+            not_closed = land[s] & ~land[n] != 0
             yield (
                 not_closed == bool(tough),
                 (q,),
@@ -870,8 +907,12 @@ def _hom_pool(ring):
 
 
 def _hom_transport(ring, p):
+    top = max(p.smax, p.nmax)
+    window = _window(p)
+    zin = zero_in_row(ring, top)
     for f in _hom_pool(ring):
         target = f.target
+        tzin = zero_in_row(target, top)
         injective = len(set(f.table)) == ring.order
         if injective:
             for q2 in enumerate_hyperideals(target, order_bound=64):
@@ -886,10 +927,12 @@ def _hom_transport(ring, p):
                     continue
                 assert is_hyperideal(ring, pre)
                 shown = members(q2)
-                for s, n in _window(p):
-                    if weakly_open_mask(target, q2, s, n):
+                tland = land_row(target, q2, top)
+                land = land_row(ring, pre, top)
+                for s, n in window:
+                    if tland[s] & ~tzin[s] & ~tland[n]:
                         continue
-                    w = least(weakly_open_mask(ring, pre, s, n))
+                    w = least(land[s] & ~zin[s] & ~land[n])
                     yield (
                         w is None,
                         (pre,),
@@ -907,10 +950,12 @@ def _hom_transport(ring, p):
                 img = f.image_mask(q1)
                 assert img != target.full and is_hyperideal(target, img)
                 shown = members(img)
-                for s, n in _window(p):
-                    if weakly_open_mask(ring, q1, s, n):
+                land = land_row(ring, q1, top)
+                tland = land_row(target, img, top)
+                for s, n in window:
+                    if land[s] & ~zin[s] & ~land[n]:
                         continue
-                    w = least(weakly_open_mask(target, img, s, n))
+                    w = least(tland[s] & ~tzin[s] & ~tland[n])
                     yield (
                         w is None,
                         (q1,),
@@ -924,6 +969,9 @@ def _hom_transport(ring, p):
 
 def _quotient_transport(ring, p):
     propers = proper_hyperideals(ring)
+    top = max(p.smax, p.nmax)
+    window = _window(p)
+    zin = zero_in_row(ring, top)
     for pm in propers:
         quot = None
         proj = None
@@ -932,11 +980,13 @@ def _quotient_transport(ring, p):
                 continue
             if quot is None:
                 quot, proj = quotient_by_ideal(ring, pm)
-            img = proj.image_mask(qm)
-            for s, n in _window(p):
-                if weakly_open_mask(ring, qm, s, n):
+                qzin = zero_in_row(quot, top)
+            land = land_row(ring, qm, top)
+            qland = land_row(quot, proj.image_mask(qm), top)
+            for s, n in window:
+                if land[s] & ~zin[s] & ~land[n]:
                     continue
-                w = least(weakly_open_mask(quot, img, s, n))
+                w = least(qland[s] & ~qzin[s] & ~qland[n])
                 yield (
                     w is None,
                     (pm, qm),

@@ -8,11 +8,14 @@ contain 0.  Everything here reduces to two per-exponent element masks:
 * land(k)    -- elements a with a^k entirely inside Q,
 * zero_in(k) -- elements a with 0 a member of a^k.
 
-land(k) is nondecreasing in k (Q absorbs products, so a^k inside Q drags
-every higher power in) and constant once k reaches the power bound L, which
-makes the "for every exponent" questions decidable on a finite window.  No
-monotonicity is assumed for zero_in; it is read off the eventually periodic
-power profiles exactly.
+Both are kept as rows indexed by exponent: one land row per (ring, set) and
+one zero-in row per ring, grown on demand to the largest exponent asked for.
+Every entry is read off the eventually periodic power profiles, so a row is
+exact for any mask and any exponent; nothing assumes monotonicity.  For a
+hyperideal, land(k) is nondecreasing in k (Q absorbs products, so a^k inside
+Q drags every higher power in) and constant once k reaches the power bound
+L, which makes the "for every exponent" questions decidable on a finite
+window.
 """
 
 from __future__ import annotations
@@ -41,80 +44,111 @@ def _require_proper_ideal(ring: FiniteHyperring, imask: int) -> None:
         raise ProperIdealRequired("closedness is defined for proper hyperideals")
 
 
+# -- exponent-indexed rows ------------------------------------------------------------
+#
+# A row is a list whose entry k is the mask for exponent k; entry 0 is None, so
+# reading it fails loudly.  The rows take exponents on trust: a negative index
+# would read the wrong entry, so every mask-level function below checks its
+# exponents first.
+
+
+def _grow(
+    ring: FiniteHyperring, row: list, k: int, outside: int, flip: int = 0
+) -> None:
+    """Extend `row` to exponent k with the masks {a : a^j misses `outside`} ^ flip."""
+    top = len(row)
+    row.extend([flip] * (k + 1 - top))
+    for a in ring.elements:
+        power = ring.power_profile(a).power
+        bit = 1 << a
+        for j in range(top, k + 1):
+            if not power(j) & outside:
+                row[j] ^= bit
+
+
+def land_row(ring: FiniteHyperring, imask: int, k: int) -> list:
+    """Land row of the given set: entry j is land(j), present for every j <= k."""
+    row = ring._cache.get(("land", imask))
+    if row is None:
+        row = ring._cache[("land", imask)] = [None]
+    if len(row) <= k:
+        _grow(ring, row, k, ~imask)
+    return row
+
+
+def zero_in_row(ring: FiniteHyperring, k: int) -> list:
+    """Zero-in row of the ring: entry j is zero_in(j), present for every j <= k."""
+    row = ring._cache.get("zin")
+    if row is None:
+        row = ring._cache["zin"] = [None]
+    if len(row) <= k:
+        # 0 lies in a^j exactly when a^j does not miss {0}.
+        _grow(ring, row, k, 1 << ring.zero, ring.full)
+    return row
+
+
 def land_mask(ring: FiniteHyperring, imask: int, k: int) -> int:
     """Elements whose k-th hyperpower is contained in the given set."""
     _require_exponent(k)
-    key = ("land", imask, k)
-    cached = ring._cache.get(key)
-    if cached is None:
-        cached = 0
-        for a in ring.elements:
-            if is_subset(ring.power(a, k), imask):
-                cached |= 1 << a
-        ring._cache[key] = cached
-    return cached
+    return land_row(ring, imask, k)[k]
 
 
 def zero_in_mask(ring: FiniteHyperring, k: int) -> int:
     """Elements whose k-th hyperpower contains 0."""
     _require_exponent(k)
-    key = ("zin", k)
-    cached = ring._cache.get(key)
-    if cached is None:
-        zero = ring.zero
-        cached = 0
-        for a in ring.elements:
-            if ring.power(a, k) >> zero & 1:
-                cached |= 1 << a
-        ring._cache[key] = cached
-    return cached
+    return zero_in_row(ring, k)[k]
 
 
 # -- mask-level formulas -----------------------------------------------------------
 #
-# These take the ideal on trust: no hyperideal or exponent validation beyond
-# what land_mask does.  The check registry calls them in its inner loops, where
-# the hypotheses already guarantee proper hyperideals; the public functions
-# further down validate their input and then delegate here.
+# These take the ideal on trust: no hyperideal validation, only the exponent
+# check.  The check registry calls them where the hypotheses already guarantee
+# proper hyperideals, and reads the rows directly in its inner loops; the
+# public functions further down validate their input and then delegate here.
 
 
 def open_mask(ring: FiniteHyperring, imask: int, s: int, n: int) -> int:
     """Elements breaking (s,n)-closedness: a^s inside the ideal, a^n not."""
-    return land_mask(ring, imask, s) & ~land_mask(ring, imask, n)
+    _require_exponent(min(s, n))
+    land = land_row(ring, imask, max(s, n))
+    return land[s] & ~land[n]
 
 
 def weakly_open_mask(ring: FiniteHyperring, imask: int, s: int, n: int) -> int:
     """Elements breaking weak (s,n)-closedness: a^s inside and free of 0, a^n not."""
-    return (
-        land_mask(ring, imask, s)
-        & ~zero_in_mask(ring, s)
-        & ~land_mask(ring, imask, n)
-    )
+    _require_exponent(min(s, n))
+    land = land_row(ring, imask, max(s, n))
+    return land[s] & ~zero_in_row(ring, s)[s] & ~land[n]
 
 
 def tough_zero_mask(ring: FiniteHyperring, imask: int, s: int, n: int) -> int:
     """Elements x with 0 in x^s but x^n not inside the ideal."""
-    return zero_in_mask(ring, s) & ~land_mask(ring, imask, n)
+    _require_exponent(min(s, n))
+    return zero_in_row(ring, s)[s] & ~land_row(ring, imask, n)[n]
 
 
 def omega_unchecked(ring: FiniteHyperring, imask: int, s: int) -> int:
     """Least n with the ideal (s,n)-closed; always within 1..s."""
-    ls = land_mask(ring, imask, s)
+    _require_exponent(s)
+    land = land_row(ring, imask, s)
+    ls = land[s]
     for n in range(1, s + 1):
-        if is_subset(ls, land_mask(ring, imask, n)):
+        if is_subset(ls, land[n]):
             return n
     raise AssertionError("unreachable: (s,s) is always closed")
 
 
 def big_omega_unchecked(ring: FiniteHyperring, imask: int, n: int) -> float:
     """Greatest s with the ideal (s,n)-closed; inf when every s works."""
+    _require_exponent(n)
     bound = ring.power_bound()
-    ln = land_mask(ring, imask, n)
-    if is_subset(land_mask(ring, imask, bound), ln):
+    land = land_row(ring, imask, max(bound, n))
+    ln = land[n]
+    if is_subset(land[bound], ln):
         return INF
     best = 1
     for s in range(1, bound + 1):
-        if is_subset(land_mask(ring, imask, s), ln):
+        if is_subset(land[s], ln):
             best = s
     return float(best)
 

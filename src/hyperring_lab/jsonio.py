@@ -49,19 +49,24 @@ def ring_from_dict(data: dict) -> FiniteHyperring:
         mul_rows = data["mul"]
     except KeyError as missing:
         raise MalformedTables("missing key %s" % missing) from None
-    if not isinstance(order, int) or order < 1:
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise MalformedTables("order must be a positive integer")
-    if len(add_rows) != order or len(mul_rows) != order:
-        raise MalformedTables("tables must have exactly %d rows" % order)
-    add = []
-    for i, row in enumerate(add_rows):
-        if len(row) != order:
-            raise MalformedTables("add row %d has %d entries" % (i, len(row)))
-        add.append([_check_index(v, order, "add[%d][%d]" % (i, j)) for j, v in enumerate(row)])
+    for key, rows in (("add", add_rows), ("mul", mul_rows)):
+        if not isinstance(rows, list):
+            raise MalformedTables("%s must be a list of rows" % key)
+        if len(rows) != order:
+            raise MalformedTables("tables must have exactly %d rows" % order)
+        for i, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise MalformedTables("%s row %d must be a list" % (key, i))
+            if len(row) != order:
+                raise MalformedTables("%s row %d has %d entries" % (key, i, len(row)))
+    add = [
+        [_check_index(v, order, "add[%d][%d]" % (i, j)) for j, v in enumerate(row)]
+        for i, row in enumerate(add_rows)
+    ]
     mul = []
     for i, row in enumerate(mul_rows):
-        if len(row) != order:
-            raise MalformedTables("mul row %d has %d entries" % (i, len(row)))
         cells = []
         for j, cell in enumerate(row):
             where = "mul[%d][%d]" % (i, j)
@@ -73,8 +78,12 @@ def ring_from_dict(data: dict) -> FiniteHyperring:
             cells.append(mask_of(vals))
         mul.append(cells)
     name = data.get("name")
-    meta = data.get("meta") or {}
-    if not isinstance(meta, dict):
+    if name is not None and not isinstance(name, str):
+        raise MalformedTables("name must be a string")
+    meta = data.get("meta")
+    if meta is None:
+        meta = {}
+    elif not isinstance(meta, dict):
         raise MalformedTables("meta must be an object")
     return FiniteHyperring.from_masks(add, mul, name=name, meta=meta)
 

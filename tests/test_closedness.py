@@ -6,10 +6,13 @@ import pytest
 
 from hyperring_lab import (
     ProperIdealRequired,
+    SuiteConfig,
     ZxResidueModel,
     big_omega,
     closed_profile,
+    enumerate_hyperideals,
     find_tough_zero,
+    generate_instances,
     is_sn_Regular,
     is_sn_closed,
     is_sn_regular,
@@ -25,7 +28,17 @@ from hyperring_lab import (
     zx_residue_closed,
     zx_residue_weakly_closed,
 )
-from hyperring_lab.closedness import land_mask, zero_in_mask
+from hyperring_lab.closedness import (
+    big_omega_unchecked,
+    land_mask,
+    land_row,
+    omega_unchecked,
+    open_mask,
+    tough_zero_mask,
+    weakly_open_mask,
+    zero_in_mask,
+    zero_in_row,
+)
 
 import oracles as orc
 
@@ -68,6 +81,56 @@ def test_exponent_and_properness_validation():
         is_sn_closed(r, mask_of([0]), 0, 1)
     with pytest.raises(ProperIdealRequired):
         is_sn_closed(r, r.full, 2, 1)
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_mask_functions_refuse_exponents_below_one(bad):
+    """The rows are lists, so an unchecked exponent of -1 would read the last entry."""
+    r = make_zx_mod(8, [2])
+    q = mask_of([0])
+    land_row(r, q, 6)
+    zero_in_row(r, 6)
+    calls = [
+        lambda: land_mask(r, q, bad),
+        lambda: zero_in_mask(r, bad),
+        lambda: open_mask(r, q, bad, 2),
+        lambda: open_mask(r, q, 2, bad),
+        lambda: weakly_open_mask(r, q, bad, 2),
+        lambda: weakly_open_mask(r, q, 2, bad),
+        lambda: tough_zero_mask(r, q, bad, 2),
+        lambda: tough_zero_mask(r, q, 2, bad),
+        lambda: omega_unchecked(r, q, bad),
+        lambda: big_omega_unchecked(r, q, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_rows_grown_out_of_order_match_oracle_powers():
+    """Each row is first grown to power bound + 3 and read at every lower exponent,
+    then grown again by two.
+
+    The masks are every hyperideal and every singleton.  Singletons are mostly
+    not ideals, and their land masks need not grow with k, so this also
+    checks that the rows assume no monotonicity.
+    """
+    for ring in generate_instances(SuiteConfig()):
+        if ring.order > 8:
+            continue
+        n, add, mul = orc.tables(ring)
+        zero = orc.find_zero(n, add)
+        top = ring.power_bound() + 3
+        order = [top] + list(range(1, top)) + [top + 2, top + 1]
+        powers = {(a, k): orc.power(mul, a, k) for a in range(n) for k in order}
+        for k in order:
+            expect = [a for a in range(n) if zero in powers[a, k]]
+            assert members(zero_in_mask(ring, k)) == expect, (ring.name, k)
+        for q in list(enumerate_hyperideals(ring)) + [1 << a for a in range(n)]:
+            inside = set(members(q))
+            for k in order:
+                expect = [a for a in range(n) if powers[a, k] <= inside]
+                assert members(land_mask(ring, q, k)) == expect, (ring.name, members(q), k)
 
 
 def test_land_and_zero_in_masks_frozen():

@@ -128,6 +128,25 @@ def test_cli_validate_missing_and_malformed_files(tmp_path, capsys):
     assert main(["validate", str(schema)]) == 2
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"add": 5}, "add must be a list of rows"),
+        ({"add": [5, 5]}, "add row 0 must be a list"),
+        ({"mul": 3}, "mul must be a list of rows"),
+        ({"name": 7}, "name must be a string"),
+        ({"order": True}, "order must be a positive integer"),
+        ({"meta": []}, "meta must be an object"),
+    ],
+)
+def test_cli_validate_rejects_mistyped_tables_and_name(tmp_path, capsys, edit, message):
+    """Wrongly typed fields are schema errors with exit 2, not tracebacks or silently read."""
+    path = tmp_path / "typed.json"
+    write_json(str(path), {**ring_to_dict(make_zx_mod(2, [1])), **edit})
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_cli_classify_and_profile(tmp_path, capsys):
     path = _write_ring(tmp_path, make_zx_mod(4, [1]))
     assert main(["classify", path, "--ideal", "0,2"]) == 0
