@@ -29,6 +29,8 @@ from typing import Callable, Optional
 from .bitsets import is_subset, iter_bits, least, members
 from .closedness import (
     big_omega_unchecked,
+    is_sn_Regular,
+    is_sn_regular,
     land_mask,
     land_row,
     omega_unchecked,
@@ -56,6 +58,7 @@ from .ideals import (
     has_i_set,
     ideal_product,
     is_C_hyperideal,
+    is_coprime,
     is_hyperideal,
     is_n_absorbing,
     is_strong_C_hyperideal,
@@ -148,31 +151,6 @@ def _set_power_cached(ring, mask, s):
         cached = set_power(ring, mask, s)
         ring._cache[key] = cached
     return cached
-
-
-def _regular_rows(ring, a, s):
-    """Masks a^s * b for every single element b."""
-    key = ("regrow", a, s)
-    cached = ring._cache.get(key)
-    if cached is None:
-        base = ring.power(a, s)
-        cached = tuple(ring.row_product(base, b) for b in ring.elements)
-        ring._cache[key] = cached
-    return cached
-
-
-def _regular(ring, a, s, n):
-    an = ring.power(a, n)
-    return any(is_subset(an, row) for row in _regular_rows(ring, a, s))
-
-
-def _Regular(ring, a, s, n):
-    key = ("regall", a, s)
-    cached = ring._cache.get(key)
-    if cached is None:
-        cached = ring.hyper_product(ring.power(a, s), ring.full)
-        ring._cache[key] = cached
-    return is_subset(ring.power(a, n), cached)
 
 
 def _box_mask(m1, m2, n2):
@@ -302,10 +280,7 @@ def _coprime_products(ring, p):
     window = _window(p)
     for t in range(2, p.tuple_max + 1):
         for combo in combinations(propers, t):
-            if not all(
-                ring.minkowski_sum(a, b) == ring.full
-                for a, b in combinations(combo, 2)
-            ):
+            if not all(is_coprime(ring, a, b) for a, b in combinations(combo, 2)):
                 continue
             prod = combo[0]
             for q in combo[1:]:
@@ -798,10 +773,10 @@ def _nilpotent_ideal_criterion(ring, p):
 def _regular_implies_Regular(ring, p):
     for a in ring.elements:
         for s, n in _window(p):
-            if not _regular(ring, a, s, n):
+            if not is_sn_regular(ring, a, s, n):
                 continue
             yield (
-                _Regular(ring, a, s, n),
+                is_sn_Regular(ring, a, s, n),
                 (),
                 (a,),
                 (s, n),
@@ -819,7 +794,7 @@ def _regular_iff_small_exponent(ring, p):
     pool = ring.full & ~(um | zw)
     for a in members(pool):
         for s, n in _window(p):
-            regular = _regular(ring, a, s, n)
+            regular = is_sn_regular(ring, a, s, n)
             yield (
                 regular == (s <= n),
                 (),
@@ -833,10 +808,10 @@ def _regular_iff_small_exponent(ring, p):
 def _regular_step(ring, p):
     for a in ring.elements:
         for s, n in _window(p):
-            if s <= n or not _regular(ring, a, s, n):
+            if s <= n or not is_sn_regular(ring, a, s, n):
                 continue
             yield (
-                _Regular(ring, a, s + 1, n),
+                is_sn_Regular(ring, a, s + 1, n),
                 (),
                 (a,),
                 (s + 1, n),
@@ -852,7 +827,7 @@ def _units_Regular(ring, p):
     for a in members(um):
         for s, n in _window(p):
             yield (
-                _Regular(ring, a, s, n),
+                is_sn_Regular(ring, a, s, n),
                 (),
                 (a,),
                 (s, n),
@@ -871,7 +846,7 @@ def _every_ideal_weakly(ring, p):
             continue
         every_weak = not any(weakly_open_mask(ring, q, s, n) for q in propers)
         rhs = (ups & ~zero_in_mask(ring, s)) == 0 and all(
-            _Regular(ring, a, s, n) for a in members(ring.full & ~ups)
+            is_sn_Regular(ring, a, s, n) for a in members(ring.full & ~ups)
         )
         yield (
             every_weak == rhs,
@@ -890,19 +865,18 @@ def _every_ideal_weakly(ring, p):
 def _hom_pool(ring):
     cached = ring._cache.get("homPool")
     if cached is None:
-        pool = [identity_hom(ring)]
-        for pm in proper_hyperideals(ring):
-            _, proj = quotient_by_ideal(ring, pm)
-            pool.append(proj)
+        ident = identity_hom(ring)
         partner = make_zx_mod(2, [1])
         target = product_ring(ring, partner)
         emb = HomMap(ring, target, tuple(2 * x for x in range(ring.order)))
-        pool.append(emb)
-        for f in pool:
+        for f in (ident, emb):
             ok, wit = check_good_hom(f)
             assert ok, ("hom pool member is not a good homomorphism", wit)
-        cached = tuple(pool)
-        ring._cache["homPool"] = cached
+        # coset_ring checks every pair of a quotient projection against the
+        # class tables, which is the check_good_hom test, so they are not
+        # checked again here.
+        projs = [quotient_by_ideal(ring, pm)[1] for pm in proper_hyperideals(ring)]
+        cached = ring._cache["homPool"] = (ident, *projs, emb)
     return cached
 
 

@@ -24,8 +24,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bitsets import is_subset, least, members
-from .core import FiniteHyperring, NotAHyperideal, ProperIdealRequired
+from .bitsets import is_subset, least
+from .core import FiniteHyperring
+from .ideals import require_proper
 
 INF = math.inf
 
@@ -33,15 +34,6 @@ INF = math.inf
 def _require_exponent(k: int) -> None:
     if k < 1:
         raise ValueError("exponents start at 1")
-
-
-def _require_proper_ideal(ring: FiniteHyperring, imask: int) -> None:
-    from .ideals import is_hyperideal
-
-    if not is_hyperideal(ring, imask):
-        raise NotAHyperideal("subset %r is not a hyperideal" % members(imask))
-    if imask == ring.full:
-        raise ProperIdealRequired("closedness is defined for proper hyperideals")
 
 
 # -- exponent-indexed rows ------------------------------------------------------------
@@ -160,7 +152,7 @@ def sn_closed_witness(
     ring: FiniteHyperring, imask: int, s: int, n: int
 ) -> Optional[int]:
     """Least element breaking (s,n)-closedness, or None."""
-    _require_proper_ideal(ring, imask)
+    require_proper(ring, imask)
     _require_exponent(s)
     _require_exponent(n)
     return least(open_mask(ring, imask, s, n))
@@ -174,7 +166,7 @@ def weakly_sn_closed_witness(
     ring: FiniteHyperring, imask: int, s: int, n: int
 ) -> Optional[int]:
     """Least element breaking weak (s,n)-closedness, or None."""
-    _require_proper_ideal(ring, imask)
+    require_proper(ring, imask)
     _require_exponent(s)
     _require_exponent(n)
     return least(weakly_open_mask(ring, imask, s, n))
@@ -192,7 +184,7 @@ def find_tough_zero(
     When Q is a C-hyperideal, 0 in x^s already forces x^s inside Q (the
     power set meets Q at 0), so such an x directly breaks (s,n)-closedness.
     """
-    _require_proper_ideal(ring, imask)
+    require_proper(ring, imask)
     _require_exponent(s)
     _require_exponent(n)
     return least(tough_zero_mask(ring, imask, s, n))
@@ -200,14 +192,14 @@ def find_tough_zero(
 
 def omega(ring: FiniteHyperring, imask: int, s: int) -> int:
     """Least n with the ideal (s,n)-closed; always within 1..s."""
-    _require_proper_ideal(ring, imask)
+    require_proper(ring, imask)
     _require_exponent(s)
     return omega_unchecked(ring, imask, s)
 
 
 def big_omega(ring: FiniteHyperring, imask: int, n: int) -> float:
     """Greatest s with the ideal (s,n)-closed; inf when every s works."""
-    _require_proper_ideal(ring, imask)
+    require_proper(ring, imask)
     _require_exponent(n)
     return big_omega_unchecked(ring, imask, n)
 
@@ -263,11 +255,13 @@ def is_sn_regular(ring: FiniteHyperring, a: int, s: int, n: int) -> bool:
     """a^n inside a^s * b for a single element b."""
     _require_exponent(s)
     _require_exponent(n)
+    key = ("regrow", a, s)
+    rows = ring._cache.get(key)
+    if rows is None:
+        base = ring.power(a, s)
+        rows = ring._cache[key] = tuple(ring.row_product(base, b) for b in ring.elements)
     an = ring.power(a, n)
-    as_ = ring.power(a, s)
-    return any(
-        is_subset(an, ring.hyper_product(as_, 1 << b)) for b in ring.elements
-    )
+    return any(is_subset(an, row) for row in rows)
 
 
 def is_sn_Regular(ring: FiniteHyperring, a: int, s: int, n: int) -> bool:
@@ -278,9 +272,11 @@ def is_sn_Regular(ring: FiniteHyperring, a: int, s: int, n: int) -> bool:
     """
     _require_exponent(s)
     _require_exponent(n)
-    an = ring.power(a, n)
-    as_ = ring.power(a, s)
-    return is_subset(an, ring.hyper_product(as_, ring.full))
+    key = ("regall", a, s)
+    whole = ring._cache.get(key)
+    if whole is None:
+        whole = ring._cache[key] = ring.hyper_product(ring.power(a, s), ring.full)
+    return is_subset(ring.power(a, n), whole)
 
 
 # -- integer residue model ----------------------------------------------------------

@@ -40,7 +40,7 @@ class MalformedTables(HyperringError):
 
 
 class AxiomFailure(HyperringError):
-    """An operation needed a structural fact (zero, negation) that is absent."""
+    """An operation needed a law the tables break (zero, negation, a class-ring law)."""
 
 
 class EmptyOperand(HyperringError):

@@ -5,52 +5,61 @@ finite products of elements; the transitive closure partitions the carrier,
 and class-wise addition and multiplication turn the partition into an
 ordinary commutative ring (every product of classes is a single class).
 
-The partition itself is computed without enumerating sums-of-products: the
-classes are exactly the cosets of the additive subgroup N generated by
-differences within single product sets (see the derivation in `ideals`).
-Multiplication well-definedness -- every product cell a*b landing inside one
-class, independent of representatives -- is still verified exhaustively and
-raises if violated, as is every commutative-ring axiom of the quotient.
+The classes are exactly the cosets of the additive subgroup N generated by
+differences within single product sets (see the derivation in `ideals`), so
+the class ring is `ideals.coset_ring` on N: the same builder, and the same
+representative-pair well-definedness check, as the quotient by a hyperideal.
+On top of that every product of classes must be a single class, and every
+commutative-ring law is checked on the class tables; a failure raises with
+the law and its witness.
+
+An ideal's image is taken through the coset projection, and its class-ring
+closedness is ordinary closedness in the quotient, whose products are
+singletons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
-from .bitsets import is_subset, iter_bits, members
+from .bitsets import least, members
+from .closedness import open_mask
 from .core import (
+    AxiomFailure,
     FiniteHyperring,
-    NotAHyperideal,
-    ProperIdealRequired,
+    HomMap,
     WellDefinednessFailure,
 )
-from .ideals import cooccurrence_subgroup, is_hyperideal
+from .ideals import (
+    coset_partition,
+    coset_ring,
+    cooccurrence_subgroup,
+    is_hyperideal,
+    require_proper,
+)
 
 
 def gamma_star_classes(ring: FiniteHyperring) -> list[int]:
     """Co-occurrence classes as element masks, ordered by least member."""
-    n = cooccurrence_subgroup(ring)
-    seen = 0
-    classes = []
-    for a in ring.elements:
-        if seen >> a & 1:
-            continue
-        coset = ring.minkowski_sum(1 << a, n)
-        classes.append(coset)
-        seen |= coset
-    return classes
+    return coset_partition(ring, cooccurrence_subgroup(ring))[0]
 
 
 @dataclass(frozen=True)
 class FundamentalRing:
-    """Ordinary commutative ring of co-occurrence classes."""
+    """Ordinary commutative ring of co-occurrence classes.
+
+    `projection` maps the source onto the class quotient built by
+    `coset_ring`; the tables here are that quotient's, with each singleton
+    product cell read as its class index.
+    """
 
     source: FiniteHyperring
     classes: tuple[int, ...]
     class_of: tuple[int, ...]
     add: tuple[tuple[int, ...], ...]
     mul: tuple[tuple[int, ...], ...]
+    projection: HomMap
 
     @property
     def order(self) -> int:
@@ -60,31 +69,34 @@ class FundamentalRing:
     def zero(self) -> int:
         return self.class_of[self.source.zero]
 
-    def power(self, i: int, k: int) -> int:
-        if k < 1:
-            raise ValueError("powers start at exponent 1")
-        out = i
-        for _ in range(k - 1):
-            out = self.mul[out][i]
-        return out
+
+def _broken(law: str, *witness: int) -> NoReturn:
+    raise AxiomFailure("class ring breaks %s at classes %s" % (law, witness))
 
 
 def _verify_ring_axioms(fr: FundamentalRing) -> None:
-    n = fr.order
+    """Raise `AxiomFailure` at the first commutative-ring law the tables break."""
     add, mul, zero = fr.add, fr.mul, fr.zero
-    rng = range(n)
+    rng = range(fr.order)
     for a in rng:
-        assert add[a][zero] == a
-        assert mul[a][zero] == zero
+        if add[a][zero] != a:
+            _broken("zero_identity", a)
+        if mul[a][zero] != zero:
+            _broken("zero_absorbs", a)
+        if zero not in add[a]:
+            _broken("add_inverse", a)
         for b in rng:
-            assert add[a][b] == add[b][a]
-            assert mul[a][b] == mul[b][a]
+            if add[a][b] != add[b][a]:
+                _broken("add_commutative", a, b)
+            if mul[a][b] != mul[b][a]:
+                _broken("mul_commutative", a, b)
             for c in rng:
-                assert add[add[a][b]][c] == add[a][add[b][c]]
-                assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
-                assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
-    for a in rng:
-        assert any(add[a][b] == zero for b in rng)
+                if add[add[a][b]][c] != add[a][add[b][c]]:
+                    _broken("add_associative", a, b, c)
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    _broken("mul_associative", a, b, c)
+                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                    _broken("distributive", a, b, c)
 
 
 def fundamental_ring(ring: FiniteHyperring) -> FundamentalRing:
@@ -92,60 +104,26 @@ def fundamental_ring(ring: FiniteHyperring) -> FundamentalRing:
     cached = ring._cache.get("fundamental")
     if cached is not None:
         return cached
-    classes = gamma_star_classes(ring)
-    class_of = [-1] * ring.order
-    for i, c in enumerate(classes):
-        for x in iter_bits(c):
-            class_of[x] = i
-    order = len(classes)
-    add = [[0] * order for _ in range(order)]
-    mul = [[0] * order for _ in range(order)]
-    reps = [members(c)[0] for c in classes]
-    for i in range(order):
-        for j in range(order):
-            add[i][j] = class_of[ring.add[reps[i]][reps[j]]]
-            cell = ring.mul[reps[i]][reps[j]]
-            targets = {class_of[x] for x in iter_bits(cell)}
-            if len(targets) != 1:
+    name = "%s/gamma*" % (ring.name or "ring")
+    quot, proj = coset_ring(ring, cooccurrence_subgroup(ring), name, "fundamental")
+    for i, row in enumerate(quot.mul):
+        for j, cell in enumerate(row):
+            if cell & (cell - 1):
                 raise WellDefinednessFailure(
-                    "product of representatives (%d,%d) straddles classes"
-                    % (reps[i], reps[j])
-                )
-            mul[i][j] = targets.pop()
-    for a in ring.elements:
-        for b in ring.elements:
-            i, j = class_of[a], class_of[b]
-            if class_of[ring.add[a][b]] != add[i][j]:
-                raise WellDefinednessFailure(
-                    "class sum differs at representatives (%d,%d)" % (a, b)
-                )
-            targets = {class_of[x] for x in iter_bits(ring.mul[a][b])}
-            if targets != {mul[i][j]}:
-                raise WellDefinednessFailure(
-                    "class product differs at representatives (%d,%d)" % (a, b)
+                    "product of classes (%d,%d) straddles classes %s"
+                    % (i, j, members(cell))
                 )
     fr = FundamentalRing(
         source=ring,
-        classes=tuple(classes),
-        class_of=tuple(class_of),
-        add=tuple(tuple(row) for row in add),
-        mul=tuple(tuple(row) for row in mul),
+        classes=tuple(proj.preimage_mask(1 << i) for i in quot.elements),
+        class_of=proj.table,
+        add=tuple(tuple(row) for row in quot.add),
+        mul=tuple(tuple(least(cell) for cell in row) for row in quot.mul),
+        projection=proj,
     )
     _verify_ring_axioms(fr)
     ring._cache["fundamental"] = fr
     return fr
-
-
-def ring_ideal_closed(
-    fr: FundamentalRing, jmask: int, s: int, n: int
-) -> bool:
-    """(s,n)-closedness of an ideal in the class ring (powers single-valued)."""
-    if jmask == (1 << fr.order) - 1:
-        raise ProperIdealRequired("closedness needs a proper ideal")
-    for x in range(fr.order):
-        if jmask >> fr.power(x, s) & 1 and not jmask >> fr.power(x, n) & 1:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -165,23 +143,6 @@ class TransferResult:
         return self.first_mismatch is None and not self.skipped
 
 
-def _image_is_ring_ideal(fr: FundamentalRing, jmask: int) -> bool:
-    xs = [i for i in range(fr.order) if jmask >> i & 1]
-    neg = {}
-    for i in range(fr.order):
-        for j in range(fr.order):
-            if fr.add[i][j] == fr.zero:
-                neg[i] = j
-    for a in xs:
-        for b in xs:
-            if not jmask >> fr.add[a][neg[b]] & 1:
-                return False
-        for r in range(fr.order):
-            if not jmask >> fr.mul[r][a] & 1:
-                return False
-    return bool(jmask)
-
-
 def ideal_in_fundamental(
     ring: FiniteHyperring, qmask: int, smax: int = 6, nmax: int = 6
 ) -> TransferResult:
@@ -190,18 +151,12 @@ def ideal_in_fundamental(
     When the image collapses to the whole class ring, ring-side closedness is
     undefined and the comparison is marked skipped rather than failed.
     """
-    from .closedness import is_sn_closed
-
-    if not is_hyperideal(ring, qmask):
-        raise NotAHyperideal("subset %r is not a hyperideal" % members(qmask))
-    if qmask == ring.full:
-        raise ProperIdealRequired("transfer comparison needs a proper hyperideal")
-    fr = fundamental_ring(ring)
-    image = 0
-    for q in iter_bits(qmask):
-        image |= 1 << fr.class_of[q]
-    image_is_ideal = _image_is_ring_ideal(fr, image)
-    image_proper = image != (1 << fr.order) - 1
+    require_proper(ring, qmask)
+    proj = fundamental_ring(ring).projection
+    quot = proj.target
+    image = proj.image_mask(qmask)
+    image_is_ideal = is_hyperideal(quot, image)
+    image_proper = image != quot.full
     if not image_proper or not image_is_ideal:
         reason = (
             "image is the whole class ring"
@@ -221,8 +176,8 @@ def ideal_in_fundamental(
     first = None
     for s in range(1, smax + 1):
         for n in range(1, nmax + 1):
-            hyper = is_sn_closed(ring, qmask, s, n)
-            ringside = ring_ideal_closed(fr, image, s, n)
+            hyper = not open_mask(ring, qmask, s, n)
+            ringside = not open_mask(quot, image, s, n)
             pairs.append((s, n, hyper, ringside))
             if hyper != ringside and first is None:
                 first = (s, n)

@@ -5,8 +5,11 @@ subgroup) that absorbs products: r*a stays inside for every ring element r.
 On top of the basic predicates this module computes the product family C (all
 finite products of elements, length >= 1), the classifications built from it
 and from its sum closure U (all finite sums of members of C), the special
-element sets (nilpotents, units, weak zero divisors, i-sets), and the
-ideal-level arithmetic (sum, product, raw power) the verification checks use.
+element sets (nilpotents, units, weak zero divisors, i-sets), the
+ideal-level arithmetic (sum, product, raw power) the verification checks use,
+and `coset_ring`, the one builder of class rings: the cosets of an additive
+subgroup with the induced sum and class-set product.  The quotient G/P by a
+hyperideal and the fundamental ring are both built by it.
 
 The strong-C test does not enumerate U.  Writing N for the additive subgroup
 generated by all differences u - v with u, v inside a single member of C, two
@@ -18,15 +21,15 @@ facts hold for any hyperring built here:
   C-members, hence in U) whenever u, v lie in P in C.
 
 So "meeting E in U forces containing E" is equivalent to being a union of
-N-cosets, which is a single Minkowski-sum test.  The same subgroup N drives
-the fundamental-ring partition; see `fundamental`.
+N-cosets, which is a single Minkowski-sum test.  The fundamental ring is
+`coset_ring` on the same subgroup N; see `fundamental`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .bitsets import is_subset, iter_bits, members, size
+from .bitsets import is_subset, iter_bits, least, members, size
 from .core import (
     EmptyOperand,
     FiniteHyperring,
@@ -153,7 +156,8 @@ def proper_hyperideals(ring: FiniteHyperring) -> list[int]:
     return [m for m in enumerate_hyperideals(ring) if m != ring.full]
 
 
-def _require_proper(ring: FiniteHyperring, imask: int) -> None:
+def require_proper(ring: FiniteHyperring, imask: int) -> None:
+    """Raise unless the set is a proper hyperideal."""
     if not is_hyperideal(ring, imask):
         raise NotAHyperideal("subset %r is not a hyperideal" % members(imask))
     if imask == ring.full:
@@ -161,7 +165,7 @@ def _require_proper(ring: FiniteHyperring, imask: int) -> None:
 
 
 def is_prime(ring: FiniteHyperring, pmask: int) -> bool:
-    _require_proper(ring, pmask)
+    require_proper(ring, pmask)
     mul = ring.mul
     for a in ring.elements:
         if pmask >> a & 1:
@@ -185,7 +189,7 @@ def prime_hyperideals(ring: FiniteHyperring) -> list[int]:
 
 
 def is_maximal(ring: FiniteHyperring, pmask: int) -> bool:
-    _require_proper(ring, pmask)
+    require_proper(ring, pmask)
     for j in enumerate_hyperideals(ring):
         if j != pmask and j != ring.full and is_subset(pmask, j):
             return False
@@ -323,7 +327,7 @@ def n_absorbing_witness(
     are scanned in lexicographic order up to their first witness, and the
     least of those is returned.
     """
-    _require_proper(ring, imask)
+    require_proper(ring, imask)
     if n < 1:
         raise ValueError("absorbing degree starts at 1")
     best = None
@@ -469,62 +473,70 @@ def ideal_power(ring: FiniteHyperring, imask: int, s: int) -> int:
 # -- quotients -----------------------------------------------------------------------
 
 
-def quotient_by_ideal(
-    ring: FiniteHyperring, pmask: int
-) -> tuple[FiniteHyperring, HomMap]:
-    """Cosets of a proper hyperideal with the induced class-set product.
-
-    Class arithmetic is built from least representatives and then checked
-    against every representative pair, so a failure of well-definedness (not
-    expected for genuine hyperideals) raises instead of miscomputing.
-    """
-    _require_proper(ring, pmask)
-    cached = ring._cache.get(("quot", pmask))
-    if cached is not None:
-        return cached
-    n = ring.order
-    class_of = [-1] * n
+def coset_partition(ring: FiniteHyperring, subgroup: int) -> tuple[list[int], list[int]]:
+    """Cosets x + N of an additive subgroup, ordered by least member, and the
+    index of each element's coset."""
+    class_of = [-1] * ring.order
     classes: list[int] = []
-    for a in range(n):
+    for a in ring.elements:
         if class_of[a] >= 0:
             continue
-        coset = ring.minkowski_sum(1 << a, pmask)
-        idx = len(classes)
-        classes.append(coset)
+        coset = ring.minkowski_sum(1 << a, subgroup)
         for x in iter_bits(coset):
-            class_of[x] = idx
+            class_of[x] = len(classes)
+        classes.append(coset)
+    return classes, class_of
+
+
+def coset_ring(
+    ring: FiniteHyperring, subgroup: int, name: str, family: str
+) -> tuple[FiniteHyperring, HomMap]:
+    """Cosets of an additive subgroup with the induced sum and class-set product.
+
+    Class arithmetic is read at least representatives and then checked
+    against every representative pair, so a failure of well-definedness
+    raises instead of miscomputing.  That pair check is the add/mul
+    compatibility test of `check_good_hom`, so the returned projection is a
+    good homomorphism.
+    """
+    classes, class_of = coset_partition(ring, subgroup)
     order = len(classes)
-    reps = [members(c)[0] for c in classes]
-    add = [[0] * order for _ in range(order)]
-    mul = [[0] * order for _ in range(order)]
-    for i in range(order):
-        for j in range(order):
-            add[i][j] = class_of[ring.add[reps[i]][reps[j]]]
-            cell = 0
-            for c in iter_bits(ring.mul[reps[i]][reps[j]]):
-                cell |= 1 << class_of[c]
-            mul[i][j] = cell
-    for a in range(n):
-        for b in range(n):
-            i, j = class_of[a], class_of[b]
+    reps = [least(c) for c in classes]
+
+    def class_set(cell: int) -> int:
+        out = 0
+        for c in iter_bits(cell):
+            out |= 1 << class_of[c]
+        return out
+
+    add = [[class_of[ring.add[a][b]] for b in reps] for a in reps]
+    mul = [[class_set(ring.mul[a][b]) for b in reps] for a in reps]
+    for a in ring.elements:
+        i = class_of[a]
+        for b in ring.elements:
+            j = class_of[b]
             if class_of[ring.add[a][b]] != add[i][j]:
                 raise WellDefinednessFailure(
                     "coset addition differs at representatives (%d,%d)" % (a, b)
                 )
-            cell = 0
-            for c in iter_bits(ring.mul[a][b]):
-                cell |= 1 << class_of[c]
-            if cell != mul[i][j]:
+            if class_set(ring.mul[a][b]) != mul[i][j]:
                 raise WellDefinednessFailure(
                     "coset product differs at representatives (%d,%d)" % (a, b)
                 )
-    name = "%s/%s" % (ring.name or "ring", "".join(str(x) for x in members(pmask)))
-    quot = FiniteHyperring.from_masks(
-        add, mul, name=name, meta={"family": "quotient"}
-    )
-    proj = HomMap(ring, quot, tuple(class_of))
-    ring._cache[("quot", pmask)] = (quot, proj)
-    return quot, proj
+    quot = FiniteHyperring.from_masks(add, mul, name=name, meta={"family": family})
+    return quot, HomMap(ring, quot, tuple(class_of))
+
+
+def quotient_by_ideal(
+    ring: FiniteHyperring, pmask: int
+) -> tuple[FiniteHyperring, HomMap]:
+    """Cosets of a proper hyperideal with the induced class-set product."""
+    require_proper(ring, pmask)
+    cached = ring._cache.get(("quot", pmask))
+    if cached is None:
+        name = "%s/%s" % (ring.name or "ring", "".join(str(x) for x in members(pmask)))
+        cached = ring._cache[("quot", pmask)] = coset_ring(ring, pmask, name, "quotient")
+    return cached
 
 
 def classify_ideal(ring: FiniteHyperring, imask: int) -> dict:

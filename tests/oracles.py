@@ -7,6 +7,8 @@ meaningful check and not a tautology.  Only intended for small orders.
 
 from itertools import combinations, combinations_with_replacement
 
+from hyperring_lab import ProperIdealRequired
+
 TAGS = ("frozenset oracle",)
 
 
@@ -268,6 +270,44 @@ def gamma_star_partition(n, add, mul):
     for x in range(n):
         groups.setdefault(root(x), set()).add(x)
     return sorted(frozenset(g) for g in groups.values())
+
+
+def class_ring_tables(n, add, mul):
+    """Classes of `gamma_star_partition` ordered by least member, with the
+    class sum and class product read at every pair of members; each must be
+    one class, the same for every pair."""
+    classes = sorted(gamma_star_partition(n, add, mul), key=min)
+    of = {x: i for i, c in enumerate(classes) for x in c}
+    k = len(classes)
+    cadd = [[None] * k for _ in range(k)]
+    cmul = [[None] * k for _ in range(k)]
+    for a in range(n):
+        for b in range(n):
+            i, j = of[a], of[b]
+            (prod,) = {of[x] for x in mul[a][b]}
+            assert cadd[i][j] in (None, of[add[a][b]]), (a, b)
+            assert cmul[i][j] in (None, prod), (a, b)
+            cadd[i][j], cmul[i][j] = of[add[a][b]], prod
+    return classes, cadd, cmul
+
+
+def ring_power(mul, x, k):
+    """k-th power of x in an ordinary ring given by a single-valued table."""
+    out = x
+    for _ in range(k - 1):
+        out = mul[out][x]
+    return out
+
+
+def ring_ideal_closed(mul, J, s, n_exp):
+    """(s,n)-closedness of an ideal J, a set of elements of an ordinary ring."""
+    if len(J) == len(mul):
+        raise ProperIdealRequired("closedness needs a proper ideal")
+    return all(
+        ring_power(mul, x, n_exp) in J
+        for x in range(len(mul))
+        if ring_power(mul, x, s) in J
+    )
 
 
 def is_i_set(n, add, mul, xs, zero):

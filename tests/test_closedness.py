@@ -213,6 +213,22 @@ def test_Regular_subset_quantifier_collapses():
                     assert is_sn_regular(ring, a, s, k) == orc.regular(n, add, mul, a, s, k)
 
 
+def test_regularity_predicates_match_brute_force():
+    """Both predicates against their definitions on the default rings of
+    order <= 6, with the cached rows of each (a, s) read at every n; Regular
+    is compared with the existence over every nonempty subset B."""
+    rings = [r for r in generate_instances(SuiteConfig()) if r.order <= 6]
+    assert len(rings) == 39
+    for ring in rings:
+        n, add, mul = orc.tables(ring)
+        for a in range(n):
+            for s in range(1, 7):
+                for k in range(1, 7):
+                    where = (ring.name, a, s, k)
+                    assert is_sn_regular(ring, a, s, k) == orc.regular(n, add, mul, a, s, k), where
+                    assert is_sn_Regular(ring, a, s, k) == orc.Regular_subsets(n, add, mul, a, s, k), where
+
+
 def test_residue_model_matches_finite_reduction():
     """dZ inside the multiplier model reduces exactly to {0} inside zx(d;X)."""
     for d, xs in [(4, [2]), (6, [2, 3]), (8, [2]), (9, [3])]:

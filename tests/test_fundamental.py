@@ -5,8 +5,10 @@ import pytest
 from hyperring_lab import (
     NotAHyperideal,
     ProperIdealRequired,
+    SuiteConfig,
     fundamental_ring,
     gamma_star_classes,
+    generate_instances,
     ideal_in_fundamental,
     make_zx_mod,
     mask_of,
@@ -14,7 +16,6 @@ from hyperring_lab import (
     product_ring,
     proper_hyperideals,
 )
-from hyperring_lab.fundamental import ring_ideal_closed
 
 import oracles as orc
 
@@ -41,7 +42,7 @@ def test_fundamental_ring_frozen_tables():
     assert fr.mul == ((0, 0), (0, 1))
     assert fr.order == 2 and fr.zero == 0
     assert fr.class_of == (0, 1, 0, 1)
-    assert fr.power(1, 5) == 1 and fr.power(0, 2) == 0
+    assert orc.ring_power(fr.mul, 1, 5) == 1 and orc.ring_power(fr.mul, 0, 2) == 0
 
 
 def test_fundamental_ring_collapses_singleton_classes():
@@ -104,6 +105,48 @@ def test_transfer_validates_input():
 
 def test_ring_ideal_closed_basics():
     fr = fundamental_ring(make_zx_mod(4, [1, 3]))
-    assert ring_ideal_closed(fr, mask_of([0]), 2, 1)
+    assert orc.ring_ideal_closed(fr.mul, {0}, 2, 1)
     with pytest.raises(ProperIdealRequired):
-        ring_ideal_closed(fr, mask_of([0, 1]), 2, 1)
+        orc.ring_ideal_closed(fr.mul, {0, 1}, 2, 1)
+
+
+def small_default_rings():
+    rings = [r for r in generate_instances(SuiteConfig()) if r.order <= 8]
+    assert len(rings) == 94
+    return rings
+
+
+def test_class_ring_tables_match_partition_oracle():
+    for ring in small_default_rings():
+        classes, cadd, cmul = orc.class_ring_tables(*orc.tables(ring))
+        fr = fundamental_ring(ring)
+        assert [frozenset(members(c)) for c in fr.classes] == classes, ring.name
+        assert fr.add == tuple(map(tuple, cadd)), ring.name
+        assert fr.mul == tuple(map(tuple, cmul)), ring.name
+
+
+def test_transfer_verdicts_match_class_ring_oracle():
+    """Image, its ideal test and every verdict of both sides, against
+    frozenset references on the oracle's class ring."""
+    for ring in small_default_rings():
+        n, add, mul = orc.tables(ring)
+        classes, cadd, cmul = orc.class_ring_tables(n, add, mul)
+        k = len(classes)
+        cmul_sets = [[frozenset([c]) for c in row] for row in cmul]
+        for q in proper_hyperideals(ring):
+            Q = frozenset(members(q))
+            image = frozenset(i for i, c in enumerate(classes) if c & Q)
+            is_ideal = orc.is_ideal(k, cadd, cmul_sets, image)
+            tr = ideal_in_fundamental(ring, q, 6, 6)
+            where = (ring.name, sorted(Q))
+            assert frozenset(members(tr.image)) == image, where
+            assert tr.image_is_ideal == is_ideal, where
+            assert tr.skipped == (len(image) == k or not is_ideal), where
+            if tr.skipped:
+                continue
+            assert [(s, e) for s, e, _, _ in tr.pairs] == [
+                (s, e) for s in range(1, 7) for e in range(1, 7)
+            ], where
+            for s, e, hyper, ringside in tr.pairs:
+                assert hyper == orc.sn_closed(n, add, mul, Q, s, e), where + (s, e)
+                assert ringside == orc.ring_ideal_closed(cmul, image, s, e), where + (s, e)

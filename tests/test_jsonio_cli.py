@@ -1,9 +1,12 @@
 """JSON round-trips, strict decoding, the catalog store, and the CLI."""
 
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperring_lab import MalformedTables, harness, make_zx_mod, mask_of, members, product_ring
 from hyperring_lab.catalog import Catalog, content_id
@@ -169,6 +172,53 @@ def test_cli_fundamental_and_closed(tmp_path, capsys):
     assert main(["closed", path, "--ideal", "0", "--s", "2", "--n", "1"]) == 1
     assert "no" in capsys.readouterr().out
     assert main(["closed", path, "--ideal", "0", "--s", "2", "--n", "1", "--weakly"]) == 0
+
+
+def test_cli_fundamental_names_the_broken_class_ring_law(tmp_path, capsys):
+    """zx(5;2) with 1 + 1 = 0 has well-defined classes but a broken class ring."""
+    doc = ring_to_dict(make_zx_mod(5, [2]))
+    doc["add"][1][1] = 0
+    path = tmp_path / "broken.json"
+    write_json(str(path), doc)
+    assert main(["fundamental", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: class ring breaks distributive at classes (1, 1, 1)\n"
+
+
+@st.composite
+def corrupted_zx_docs(draw):
+    """A zx table of order <= 6 with one or two add/mul cells overwritten."""
+    m = draw(st.integers(2, 6))
+    xs = draw(st.sets(st.integers(1, m - 1), min_size=1, max_size=2))
+    doc = ring_to_dict(make_zx_mod(m, sorted(xs)))
+    for _ in range(draw(st.integers(1, 2))):
+        a, b = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        if draw(st.booleans()):
+            doc["add"][a][b] = draw(st.integers(0, m - 1))
+        else:
+            cell = draw(st.sets(st.integers(0, m - 1), min_size=1))
+            doc["mul"][a][b] = sorted(cell)
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(corrupted_zx_docs(), st.integers(1, 4), st.integers(1, 4))
+def test_cli_survives_corrupted_tables(tmp_path_factory, doc, s, n):
+    """Every ring command exits 0, 1 or 2 on a corrupted table, never raising."""
+    path = tmp_path_factory.getbasetemp() / "corrupted.json"
+    write_json(str(path), doc)
+    commands = (
+        ["validate", str(path)],
+        ["classify", str(path)],
+        ["profile", str(path)],
+        ["fundamental", str(path)],
+        ["closed", str(path), "--s", str(s), "--n", str(n)],
+    )
+    for argv in commands:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
 
 
 def test_cli_zx_sweep(capsys):
