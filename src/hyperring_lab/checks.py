@@ -8,11 +8,17 @@ Scan order is deterministic -- ideals ascending as enumerated, elements
 ascending, exponent pairs in lexicographic order -- so across an instance
 stream the first counterexample reported is the least one.
 
-A check is written as a generator of cases.  Each case is a plain tuple
-``(ok, ideals, elements, sn, fmt, args)``; a yielded ``str`` is a note.  One
-runner, `_collect`, counts the cases and turns the first failing one into a
-`Counterexample` whose detail is ``fmt % args``, so only that one detail
-string is ever formatted.
+A check is written as a generator that pays per verdict, not per case.  It
+yields only its failing cases, each as a plain tuple
+``(ideals, elements, sn, fmt, args)``, and its notes as ``str``; it returns
+the number of cases it examined, and a hypothesis guard that rules the whole
+ring out returns 0.  A case computes its verdict as a mask and forms a
+witness (``least``) only when that mask is nonzero.  Where a check quantifies
+over the exponent window, the verdicts of one ideal are a bitmask over the
+window positions (`_pair_mask`), so a case that holds costs one bit.  One
+runner, `_collect`, takes the count from the generator's return value and
+turns the first failing case into a `Counterexample` whose detail is
+``fmt % args``; a generator that returns no count raises `TypeError`.
 
 Statements quantified over all exponents are decided on a finite window:
 every element's hyperpowers are eventually periodic, so containment masks
@@ -29,13 +35,11 @@ from typing import Callable, Optional
 from .bitsets import is_subset, iter_bits, least, members
 from .closedness import (
     big_omega_unchecked,
-    is_sn_Regular,
-    is_sn_regular,
     land_mask,
     land_row,
     omega_unchecked,
     open_mask,
-    tough_zero_mask,
+    regularity_rows,
     weakly_open_mask,
     zero_in_mask,
     zero_in_row,
@@ -113,18 +117,25 @@ class Check:
 def _collect(check_id, gen, ring, p):
     """Run one case generator over one hyperring to a finished outcome."""
     out = RingOutcome()
-    applicable = 0
-    for case in gen(ring, p):
+    failures = gen(ring, p)
+    while True:
+        try:
+            case = next(failures)
+        except StopIteration as stop:
+            count = stop.value
+            break
         if type(case) is str:
             out.notes.append(case)
-            continue
-        applicable += 1
-        if not case[0] and out.counterexample is None:
-            _, ideals, elements, sn, fmt, args = case
+        elif out.counterexample is None:
+            ideals, elements, sn, fmt, args = case
             out.counterexample = Counterexample(
                 check_id, ring, ideals, elements, sn, fmt % args
             )
-    out.applicable = applicable
+    if type(count) is not int:
+        raise TypeError(
+            "check %s returned %r instead of its case count" % (check_id, count)
+        )
+    out.applicable = count
     return out
 
 
@@ -144,6 +155,35 @@ def _window(p):
     return [(s, n) for s in range(1, p.smax + 1) for n in range(1, p.nmax + 1)]
 
 
+def _pair_mask(land, window, zin=None):
+    """Bit i set when the row's set is (s,n)-closed at window[i] = (s,n).
+
+    With the ring's zero-in row it is weak closedness instead: only elements
+    whose s-th power misses 0 can break the pair.
+    """
+    out = 0
+    bit = 1
+    for s, n in window:
+        trigger = land[s] if zin is None else land[s] & ~zin[s]
+        if not trigger & ~land[n]:
+            out |= bit
+        bit <<= 1
+    return out
+
+
+def _pair_memo(ring, top, window, zin=None):
+    """`_pair_mask` of the sets of one ring, memoized by set."""
+    memo = {}
+
+    def pairs(q):
+        got = memo.get(q)
+        if got is None:
+            got = memo[q] = _pair_mask(land_row(ring, q, top), window, zin)
+        return got
+
+    return pairs
+
+
 def _set_power_cached(ring, mask, s):
     key = ("setpow", mask, s)
     cached = ring._cache.get(key)
@@ -157,9 +197,7 @@ def _box_mask(m1, m2, n2):
     """Pairs mask of m1 x m2 under the (a1, a2) -> a1*n2 + a2 encoding."""
     out = 0
     for a1 in iter_bits(m1):
-        base = a1 * n2
-        for a2 in iter_bits(m2):
-            out |= 1 << (base + a2)
+        out |= m2 << a1 * n2
     return out
 
 
@@ -172,6 +210,7 @@ def _product_factors(ring):
 
 def _absorbing_closed(ring, p):
     ks = max(ring.power_bound(), p.smax)
+    count = 0
     for q in proper_hyperideals(ring):
         if not is_C_hyperideal(ring, q):
             continue
@@ -179,39 +218,48 @@ def _absorbing_closed(ring, p):
         for n in range(1, p.absorbing_max_n + 1):
             if not is_n_absorbing(ring, q, n):
                 continue
+            count += ks
+            ln = land[n]
             for s in range(1, ks + 1):
-                w = least(land[s] & ~land[n])
-                yield (
-                    w is None,
-                    (q,),
-                    (w,),
-                    (s, n),
-                    "%d-absorbing C-hyperideal not (%d,%d)-closed at %d",
-                    (n, s, n, w),
-                )
+                bad = land[s] & ~ln
+                if bad:
+                    w = least(bad)
+                    yield (
+                        (q,),
+                        (w,),
+                        (s, n),
+                        "%d-absorbing C-hyperideal not (%d,%d)-closed at %d",
+                        (n, s, n, w),
+                    )
+    return count
 
 
 def _prime_products(ring, p):
     primes = prime_hyperideals(ring)
     top = max(p.smax, p.nmax)
+    count = 0
     for t in range(1, p.tuple_max + 1):
         for combo in combinations_with_replacement(primes, t):
             prod = combo[0]
             for q in combo[1:]:
                 prod = ideal_product(ring, prod, q)
-            ideals = combo + (prod,)
             land = land_row(ring, prod, top)
             for s in range(1, p.smax + 1):
-                for n in range(min(s, t), p.nmax + 1):
-                    w = least(land[s] & ~land[n])
-                    yield (
-                        w is None,
-                        ideals,
-                        (w,),
-                        (s, n),
-                        "product of %d primes not (%d,%d)-closed at %d",
-                        (len(combo), s, n, w),
-                    )
+                ls = land[s]
+                ns = range(min(s, t), p.nmax + 1)
+                count += len(ns)
+                for n in ns:
+                    bad = ls & ~land[n]
+                    if bad:
+                        w = least(bad)
+                        yield (
+                            combo + (prod,),
+                            (w,),
+                            (s, n),
+                            "product of %d primes not (%d,%d)-closed at %d",
+                            (len(combo), s, n, w),
+                        )
+    return count
 
 
 def _closed_combinations(ring, p, part):
@@ -221,6 +269,7 @@ def _closed_combinations(ring, p, part):
         q: [None] + [omega_unchecked(ring, q, s) for s in range(1, p.smax + 1)]
         for q in propers
     }
+    count = 0
     for t in range(1, p.tuple_max + 1):
         for combo in combinations_with_replacement(propers, t):
             if part == "product":
@@ -231,79 +280,90 @@ def _closed_combinations(ring, p, part):
                 agg = ring.full
                 for q in combo:
                     agg &= q
-            ideals = combo + (agg,)
             land = land_row(ring, agg, top)
             for s in range(1, p.smax + 1):
                 nis = [omegas[q][s] for q in combo]
                 low = min(s, sum(nis) if part == "product" else max(nis))
-                for n in range(max(1, low), p.nmax + 1):
-                    w = least(land[s] & ~land[n])
-                    yield (
-                        w is None,
-                        ideals,
-                        (w,),
-                        (s, n),
-                        "%s of (s=%d, omega)-closed ideals not (%d,%d)-closed at %d",
-                        (part, s, s, n, w),
-                    )
+                ls = land[s]
+                ns = range(max(1, low), p.nmax + 1)
+                count += len(ns)
+                for n in ns:
+                    bad = ls & ~land[n]
+                    if bad:
+                        w = least(bad)
+                        yield (
+                            combo + (agg,),
+                            (w,),
+                            (s, n),
+                            "%s of (s=%d, omega)-closed ideals not (%d,%d)-closed "
+                            "at %d",
+                            (part, s, s, n, w),
+                        )
+    return count
+
+
+def _closed_combos_of_pairs(ring, p, combos, fmt):
+    """Cases (combo, (s,n)) with every member (s,n)-closed; the aggregate of
+    the combo, its last entry, must be (s,n)-closed too."""
+    top = max(p.smax, p.nmax)
+    window = _window(p)
+    closed_pairs = _pair_memo(ring, top, window)
+    count = 0
+    for ideals in combos:
+        hyp = -1
+        for q in ideals[:-1]:
+            hyp &= closed_pairs(q)
+        count += hyp.bit_count()
+        agg = ideals[-1]
+        land = land_row(ring, agg, top)
+        for i in iter_bits(hyp & ~closed_pairs(agg)):
+            s, n = window[i]
+            w = least(land[s] & ~land[n])
+            yield (ideals, (w,), (s, n), fmt, (s, n, w))
+    return count
 
 
 def _intersection_closed(ring, p):
     propers = proper_hyperideals(ring)
-    top = max(p.smax, p.nmax)
-    window = _window(p)
-    for t in range(2, p.tuple_max + 1):
-        for combo in combinations(propers, t):
-            inter = ring.full
-            for q in combo:
-                inter &= q
-            ideals = combo + (inter,)
-            rows = [land_row(ring, q, top) for q in combo]
-            land = land_row(ring, inter, top)
-            for s, n in window:
-                if any(row[s] & ~row[n] for row in rows):
-                    continue
-                w = least(land[s] & ~land[n])
-                yield (
-                    w is None,
-                    ideals,
-                    (w,),
-                    (s, n),
-                    "intersection of (%d,%d)-closed ideals open at %d",
-                    (s, n, w),
-                )
+
+    def combos():
+        for t in range(2, p.tuple_max + 1):
+            for combo in combinations(propers, t):
+                inter = ring.full
+                for q in combo:
+                    inter &= q
+                yield combo + (inter,)
+
+    return (
+        yield from _closed_combos_of_pairs(
+            ring, p, combos(), "intersection of (%d,%d)-closed ideals open at %d"
+        )
+    )
 
 
 def _coprime_products(ring, p):
     propers = proper_hyperideals(ring)
-    top = max(p.smax, p.nmax)
-    window = _window(p)
-    for t in range(2, p.tuple_max + 1):
-        for combo in combinations(propers, t):
-            if not all(is_coprime(ring, a, b) for a, b in combinations(combo, 2)):
-                continue
-            prod = combo[0]
-            for q in combo[1:]:
-                prod = ideal_product(ring, prod, q)
-            ideals = combo + (prod,)
-            rows = [land_row(ring, q, top) for q in combo]
-            land = land_row(ring, prod, top)
-            for s, n in window:
-                if any(row[s] & ~row[n] for row in rows):
+
+    def combos():
+        for t in range(2, p.tuple_max + 1):
+            for combo in combinations(propers, t):
+                if not all(is_coprime(ring, a, b) for a, b in combinations(combo, 2)):
                     continue
-                w = least(land[s] & ~land[n])
-                yield (
-                    w is None,
-                    ideals,
-                    (w,),
-                    (s, n),
-                    "product of coprime (%d,%d)-closed ideals open at %d",
-                    (s, n, w),
-                )
+                prod = combo[0]
+                for q in combo[1:]:
+                    prod = ideal_product(ring, prod, q)
+                yield combo + (prod,)
+
+    return (
+        yield from _closed_combos_of_pairs(
+            ring, p, combos(), "product of coprime (%d,%d)-closed ideals open at %d"
+        )
+    )
 
 
 def _square_sum(ring, p):
     all_ideals = enumerate_hyperideals(ring)
+    count = 0
     for q in proper_hyperideals(ring):
         if not is_strong_C_hyperideal(ring, q):
             continue
@@ -313,67 +373,70 @@ def _square_sum(ring, p):
             for pm in all_ideals:
                 if not is_subset(_set_power_cached(ring, pm, s), q):
                     continue
+                count += 1
                 p2 = _set_power_cached(ring, pm, 2)
-                concl = ring.minkowski_sum(p2, p2)
-                yield (
-                    is_subset(concl, q),
-                    (q, pm),
-                    (),
-                    (s, 2),
-                    "P^%d inside Q but P^2+P^2 escapes Q",
-                    (s,),
-                )
+                if not is_subset(ring.minkowski_sum(p2, p2), q):
+                    yield (
+                        (q, pm),
+                        (),
+                        (s, 2),
+                        "P^%d inside Q but P^2+P^2 escapes Q",
+                        (s,),
+                    )
+    return count
 
 
 def _class_ring_transfer(ring, p):
+    count = 0
     for q in proper_hyperideals(ring):
         tr = ideal_in_fundamental(ring, q, p.smax, p.nmax)
         if tr.skipped:
             yield "skip ideal %s: %s" % (members(q), tr.note)
             continue
+        count += len(tr.pairs)
         for s, n, hyper, ringside in tr.pairs:
-            yield (
-                hyper == ringside,
-                (q,),
-                (),
-                (s, n),
-                "hyperring side %s but class-ring side %s",
-                (hyper, not hyper),
-            )
+            if hyper != ringside:
+                yield (
+                    (q,),
+                    (),
+                    (s, n),
+                    "hyperring side %s but class-ring side %s",
+                    (hyper, not hyper),
+                )
+    return count
 
 
 def _radical_characterization(ring, p):
     bound = ring.power_bound()
     kk = _kmax(ring, p)
+    window = _window(p)
+    # Window positions with s <= n, the pairs claimed closed for every ideal.
+    upper = sum(1 << i for i, (s, n) in enumerate(window) if s <= n)
+    count = 0
     for q in proper_hyperideals(ring):
         land = land_row(ring, q, kk)
-        for s, n in _window(p):
-            if s > n:
-                continue
+        count += upper.bit_count() + 1
+        for i in iter_bits(upper & ~_pair_mask(land, window)):
+            s, n = window[i]
             w = least(land[s] & ~land[n])
-            yield (
-                w is None,
-                (q,),
-                (w,),
-                (s, n),
-                "pair with s <= n not closed at %d",
-                (w,),
-            )
+            yield ((q,), (w,), (s, n), "pair with s <= n not closed at %d", (w,))
         radical_fixed = radical(ring, q) == q
         always_closed = is_subset(land[bound], q)
-        yield (
-            radical_fixed == always_closed,
-            (q,),
-            (),
-            None,
-            "radical-fixed %s but closed-for-all-pairs %s",
-            (radical_fixed, not radical_fixed),
-        )
+        if radical_fixed != always_closed:
+            yield (
+                (q,),
+                (),
+                None,
+                "radical-fixed %s but closed-for-all-pairs %s",
+                (radical_fixed, not radical_fixed),
+            )
+    return count
 
 
 def _step_down(ring, p):
     top = max(p.smax, p.nmax) + 1
     window = _window(p)
+    count = 0
     for q in proper_hyperideals(ring):
         land = land_row(ring, q, top)
         for s, n in window:
@@ -381,185 +444,210 @@ def _step_down(ring, p):
                 continue
             if land[s] & ~land[n] or land[s + 1] & ~land[n + 1]:
                 continue
-            w = least(land[s + 1] & ~land[n])
-            yield (
-                w is None,
-                (q,),
-                (w,),
-                (s + 1, n),
-                "(%d,%d) and (%d,%d) closed but (%d,%d) open at %d",
-                (s, n, s + 1, n + 1, s + 1, n, w),
-            )
+            count += 1
+            bad = land[s + 1] & ~land[n]
+            if bad:
+                w = least(bad)
+                yield (
+                    (q,),
+                    (w,),
+                    (s + 1, n),
+                    "(%d,%d) and (%d,%d) closed but (%d,%d) open at %d",
+                    (s, n, s + 1, n + 1, s + 1, n, w),
+                )
+    return count
 
 
 def _pair_monotone(ring, p):
     kk = _kmax(ring, p)
     window = _window(p)
+    count = 0
     for q in proper_hyperideals(ring):
         land = land_row(ring, q, kk)
+        # Some (s2,n2) with s2 <= s and n2 >= n is open exactly when the
+        # union of land(1..s) is not inside the meet of land(n..kk).
+        union = [0] * (kk + 1)
+        for s in range(1, kk + 1):
+            union[s] = union[s - 1] | land[s]
+        meet = [0] * (kk + 2)
+        meet[kk + 1] = -1
+        for n in range(kk, 0, -1):
+            meet[n] = meet[n + 1] & land[n]
         for s, n in window:
             if land[s] & ~land[n]:
                 continue
-            bad = next(
-                (
+            count += 1
+            if union[s] & ~meet[n]:
+                bad = next(
                     (s2, n2)
                     for s2 in range(1, s + 1)
                     for n2 in range(n, kk + 1)
                     if land[s2] & ~land[n2]
-                ),
-                None,
-            )
-            yield (
-                bad is None,
-                (q,),
-                (),
-                bad,
-                "(%d,%d) closed but weaker pair %s open",
-                (s, n, bad),
-            )
+                )
+                yield (
+                    (q,),
+                    (),
+                    bad,
+                    "(%d,%d) closed but weaker pair %s open",
+                    (s, n, bad),
+                )
+    return count
+
+
+def _first_open(land, n, kk):
+    """Least t <= kk with (t,n) open, or None."""
+    return next((t for t in range(1, kk + 1) if land[t] & ~land[n]), None)
 
 
 def _two_absorbing_spread(ring, p):
     kk = _kmax(ring, p)
+    count = 0
     for q in proper_hyperideals(ring):
         if not is_C_hyperideal(ring, q):
             continue
         land = land_row(ring, q, kk + 1)
+        bad = _first_open(land, 2, kk)
         for n in range(3, kk + 1):
             if land[n] & ~land[2] or land[n + 1] & ~land[2]:
                 continue
-            bad = next(
-                (t for t in range(1, kk + 1) if land[t] & ~land[2]),
-                None,
-            )
-            yield (
-                bad is None,
-                (q,),
-                (),
-                (bad, 2),
-                "(%d,2),(%d,2) closed but (%d,2) open",
-                (n, n + 1, bad),
-            )
+            count += 1
+            if bad is not None:
+                yield (
+                    (q,),
+                    (),
+                    (bad, 2),
+                    "(%d,2),(%d,2) closed but (%d,2) open",
+                    (n, n + 1, bad),
+                )
+    return count
 
 
 def _half_exponent_spread(ring, p):
     kk = _kmax(ring, p)
+    count = 0
     for q in proper_hyperideals(ring):
         if not is_C_hyperideal(ring, q):
             continue
         land = land_row(ring, q, kk)
+        bads = [None] + [_first_open(land, n, kk) for n in range(1, p.nmax + 1)]
         for s in range(1, kk + 1):
             for n in range(1, p.nmax + 1):
                 if 2 * n > s or land[s] & ~land[n]:
                     continue
-                bad = next(
-                    (t for t in range(1, kk + 1) if land[t] & ~land[n]),
-                    None,
-                )
-                yield (
-                    bad is None,
-                    (q,),
-                    (),
-                    (bad, n),
-                    "(%d,%d) closed with 2n <= s but (%d,%d) open",
-                    (s, n, bad, n),
-                )
+                count += 1
+                bad = bads[n]
+                if bad is not None:
+                    yield (
+                        (q,),
+                        (),
+                        (bad, n),
+                        "(%d,%d) closed with 2n <= s but (%d,%d) open",
+                        (s, n, bad, n),
+                    )
+    return count
 
 
 def _order_comparisons(ring, p):
     kk = _kmax(ring, p)
     propers = proper_hyperideals(ring)
+    square = [(s, n) for s in range(1, kk + 1) for n in range(1, kk + 1)]
+    closed = {q: _pair_mask(land_row(ring, q, kk), square) for q in propers}
+    om = {q: [omega_unchecked(ring, q, s) for s in range(1, kk + 1)] for q in propers}
+    big = {
+        q: [big_omega_unchecked(ring, q, n) for n in range(1, kk + 1)]
+        for q in propers
+    }
+    count = 0
     for pm, qm in permutations(propers, 2):
-        pl = land_row(ring, pm, kk)
-        ql = land_row(ring, qm, kk)
-        cont = all(
-            pl[s] & ~pl[n] or not ql[s] & ~ql[n]
-            for s in range(1, kk + 1)
-            for n in range(1, kk + 1)
-        )
-        by_omega = all(
-            omega_unchecked(ring, qm, s) <= omega_unchecked(ring, pm, s)
-            for s in range(1, kk + 1)
-        )
-        by_Omega = all(
-            big_omega_unchecked(ring, pm, n) <= big_omega_unchecked(ring, qm, n)
-            for n in range(1, kk + 1)
-        )
-        yield (
-            cont == by_omega == by_Omega,
-            (pm, qm),
-            (),
-            None,
-            "containment %s, omega comparison %s, Omega comparison %s",
-            (cont, by_omega, by_Omega),
-        )
+        count += 1
+        cont = not closed[pm] & ~closed[qm]
+        by_omega = all(x <= y for x, y in zip(om[qm], om[pm]))
+        by_Omega = all(x <= y for x, y in zip(big[pm], big[qm]))
+        if not (cont == by_omega == by_Omega):
+            yield (
+                (pm, qm),
+                (),
+                None,
+                "containment %s, omega comparison %s, Omega comparison %s",
+                (cont, by_omega, by_Omega),
+            )
+    return count
 
 
 def _omega_jump(ring, p):
     kk = _kmax(ring, p)
+    count = 0
     for q in proper_hyperideals(ring):
         for s in range(1, kk + 1):
             w = omega_unchecked(ring, q, s)
             if w >= s:
                 continue
+            count += 1
             w2 = omega_unchecked(ring, q, s + 1)
-            yield (
-                w2 == w or w2 >= w + 2,
-                (q,),
-                (),
-                (s, w),
-                "omega(%d)=%d but omega(%d)=%d",
-                (s, w, s + 1, w2),
-            )
+            if not (w2 == w or w2 >= w + 2):
+                yield (
+                    (q,),
+                    (),
+                    (s, w),
+                    "omega(%d)=%d but omega(%d)=%d",
+                    (s, w, s + 1, w2),
+                )
+    return count
 
 
 def _Omega_jump(ring, p):
     kk = _kmax(ring, p)
+    count = 0
     for q in proper_hyperideals(ring):
         for n in range(1, kk + 1):
             big = big_omega_unchecked(ring, q, n)
             if big <= n:
                 continue
+            count += 1
             big2 = big_omega_unchecked(ring, q, n + 1)
-            yield (
-                big2 == big or big2 >= big + 2,
-                (q,),
-                (),
-                None,
-                "Omega(%d)=%s but Omega(%d)=%s",
-                (n, big, n + 1, big2),
-            )
+            if not (big2 == big or big2 >= big + 2):
+                yield (
+                    (q,),
+                    (),
+                    None,
+                    "Omega(%d)=%s but Omega(%d)=%s",
+                    (n, big, n + 1, big2),
+                )
+    return count
 
 
 def _intersection_bounds(ring, p):
     kk = _kmax(ring, p)
+    count = 0
     for pm, qm in combinations(proper_hyperideals(ring), 2):
         im = pm & qm
         ideals = (pm, qm, im)
+        count += 2 * kk
         for s in range(1, kk + 1):
             bound = max(omega_unchecked(ring, pm, s), omega_unchecked(ring, qm, s))
             got = omega_unchecked(ring, im, s)
-            yield (
-                got <= bound,
-                ideals,
-                (),
-                (s, bound),
-                "omega of intersection %d exceeds pointwise max %d",
-                (got, bound),
-            )
+            if got > bound:
+                yield (
+                    ideals,
+                    (),
+                    (s, bound),
+                    "omega of intersection %d exceeds pointwise max %d",
+                    (got, bound),
+                )
         for n in range(1, kk + 1):
             bound = min(
                 big_omega_unchecked(ring, pm, n), big_omega_unchecked(ring, qm, n)
             )
             got = big_omega_unchecked(ring, im, n)
-            yield (
-                bound <= got,
-                ideals,
-                (),
-                None,
-                "Omega of intersection %s below pointwise min %s",
-                (got, bound),
-            )
+            if not bound <= got:
+                yield (
+                    ideals,
+                    (),
+                    None,
+                    "Omega of intersection %s below pointwise min %s",
+                    (got, bound),
+                )
+    return count
 
 
 def _pairset_equal(ring, pm, qm, im, kk):
@@ -587,52 +675,44 @@ def _Omega_is_min(ring, pm, qm, im, kk):
     )
 
 
-def _omega_exactness(ring, p):
+def _intersection_equivalence(ring, p, lhs_fn, rhs_fn, fmt):
+    """One case per pair of proper ideals: two intersection criteria agree."""
     kk = _kmax(ring, p)
+    count = 0
     for pm, qm in combinations(proper_hyperideals(ring), 2):
         im = pm & qm
-        lhs = _omega_is_max(ring, pm, qm, im, kk)
-        rhs = _pairset_equal(ring, pm, qm, im, kk)
-        yield (
-            lhs == rhs,
-            (pm, qm, im),
-            (),
-            None,
+        count += 1
+        lhs = lhs_fn(ring, pm, qm, im, kk)
+        if lhs != rhs_fn(ring, pm, qm, im, kk):
+            yield ((pm, qm, im), (), None, fmt, (lhs, not lhs))
+    return count
+
+
+def _omega_exactness(ring, p):
+    return (
+        yield from _intersection_equivalence(
+            ring, p, _omega_is_max, _pairset_equal,
             "omega equality %s but pair-set equality %s",
-            (lhs, not lhs),
         )
+    )
 
 
 def _Omega_exactness(ring, p):
-    kk = _kmax(ring, p)
-    for pm, qm in combinations(proper_hyperideals(ring), 2):
-        im = pm & qm
-        lhs = _Omega_is_min(ring, pm, qm, im, kk)
-        rhs = _pairset_equal(ring, pm, qm, im, kk)
-        yield (
-            lhs == rhs,
-            (pm, qm, im),
-            (),
-            None,
+    return (
+        yield from _intersection_equivalence(
+            ring, p, _Omega_is_min, _pairset_equal,
             "Omega equality %s but pair-set equality %s",
-            (lhs, not lhs),
         )
+    )
 
 
 def _invariant_equivalence(ring, p):
-    kk = _kmax(ring, p)
-    for pm, qm in combinations(proper_hyperideals(ring), 2):
-        im = pm & qm
-        via_omega = _omega_is_max(ring, pm, qm, im, kk)
-        via_Omega = _Omega_is_min(ring, pm, qm, im, kk)
-        yield (
-            via_omega == via_Omega,
-            (pm, qm, im),
-            (),
-            None,
+    return (
+        yield from _intersection_equivalence(
+            ring, p, _omega_is_max, _Omega_is_min,
             "omega equality %s but Omega equality %s",
-            (via_omega, not via_omega),
         )
+    )
 
 
 # -- weakly closed hyperideals ----------------------------------------------------
@@ -643,18 +723,18 @@ def _weakly_basics(ring, p):
     top = max(p.smax, p.nmax + 1)
     window = _window(p)
     zin = zero_in_row(ring, top)
+    weak_pairs = _pair_memo(ring, top, window, zin)
+    count = 0
     for pm, qm in combinations(propers, 2):
         im = pm & qm
-        ideals = (pm, qm, im)
-        pl, ql, il = [land_row(ring, q, top) for q in ideals]
-        for s, n in window:
-            free = ~zin[s]
-            if pl[s] & free & ~pl[n] or ql[s] & free & ~ql[n]:
-                continue
-            w = least(il[s] & free & ~il[n])
+        hyp = weak_pairs(pm) & weak_pairs(qm)
+        count += hyp.bit_count()
+        il = land_row(ring, im, top)
+        for i in iter_bits(hyp & ~weak_pairs(im)):
+            s, n = window[i]
+            w = least(il[s] & ~zin[s] & ~il[n])
             yield (
-                w is None,
-                ideals,
+                (pm, qm, im),
                 (w,),
                 (s, n),
                 "intersection of weakly (%d,%d)-closed ideals open at %d",
@@ -662,80 +742,92 @@ def _weakly_basics(ring, p):
             )
     for q in propers:
         land = land_row(ring, q, top)
-        for s, n in window:
-            trigger = land[s] & ~zin[s]
-            if trigger & ~land[n]:
-                continue
-            w = least(trigger & ~land[n + 1])
-            yield (
-                w is None,
-                (q,),
-                (w,),
-                (s, n + 1),
-                "weakly (%d,%d)-closed but weakly (%d,%d) open at %d",
-                (s, n, s, n + 1, w),
-            )
+        hyp = weak_pairs(q)
+        count += hyp.bit_count()
+        for i in iter_bits(hyp):
+            s, n = window[i]
+            bad = land[s] & ~zin[s] & ~land[n + 1]
+            if bad:
+                w = least(bad)
+                yield (
+                    (q,),
+                    (w,),
+                    (s, n + 1),
+                    "weakly (%d,%d)-closed but weakly (%d,%d) open at %d",
+                    (s, n, s, n + 1, w),
+                )
         if not is_C_hyperideal(ring, q):
             continue
-        for s, n in window:
-            if land[s] & ~zin[s] & ~land[n]:
-                continue
+        count += hyp.bit_count()
+        for i in iter_bits(hyp):
+            s, n = window[i]
             tough = zin[s] & ~land[n]
             not_closed = land[s] & ~land[n] != 0
-            yield (
-                not_closed == bool(tough),
-                (q,),
-                tuple(members(tough)[:1]),
-                (s, n),
-                "not-closed %s but tough-zero existence %s",
-                (not_closed, bool(tough)),
-            )
+            if not_closed != bool(tough):
+                yield (
+                    (q,),
+                    tuple(members(tough)[:1]),
+                    (s, n),
+                    "not-closed %s but tough-zero existence %s",
+                    (not_closed, bool(tough)),
+                )
+    return count
 
 
 def _tough_zero_shift(ring, p):
+    top = max(p.smax, p.nmax)
+    zin = zero_in_row(ring, top)
+    add = ring.add
+    count = 0
     for q in proper_hyperideals(ring):
         if not is_strong_C_hyperideal(ring, q):
             continue
+        land = land_row(ring, q, top)
+        inside = members(q)
         for s, n in _window(p):
-            if weakly_open_mask(ring, q, s, n):
+            zs = zin[s]
+            if land[s] & ~zs & ~land[n]:
                 continue
-            for x in members(tough_zero_mask(ring, q, s, n)):
-                bad = next(
-                    (
-                        a
-                        for a in members(q)
-                        if not ring.zero_in_power(ring.add[x][a], s)
-                    ),
-                    None,
-                )
-                yield (
-                    bad is None,
-                    (q,),
-                    (x, bad),
-                    (s, n),
-                    "tough zero %d but 0 not in (%d+%d)^%d",
-                    (x, x, bad, s),
-                )
+            for x in iter_bits(zs & ~land[n]):
+                count += 1
+                row = add[x]
+                bad = next((a for a in inside if not zs >> row[a] & 1), None)
+                if bad is not None:
+                    yield (
+                        (q,),
+                        (x, bad),
+                        (s, n),
+                        "tough zero %d but 0 not in (%d+%d)^%d",
+                        (x, x, bad, s),
+                    )
+    return count
 
 
 def _weakly_nilpotent(ring, p):
+    top = max(p.smax, p.nmax)
+    zin = zero_in_row(ring, top)
     ups = nilpotents(ring)
+    count = 0
     for q in proper_hyperideals(ring):
         if not is_strong_C_hyperideal(ring, q):
             continue
+        land = land_row(ring, q, top)
         escape = q & ~ups
-        shown = members(escape)[:1]
         for s, n in _window(p):
-            if weakly_open_mask(ring, q, s, n) or not open_mask(ring, q, s, n):
+            opened = land[s] & ~land[n]
+            if not opened or opened & ~zin[s]:
                 continue
-            yield (
-                escape == 0,
-                (q,),
-                tuple(shown),
-                (s, n),
-                "weakly-not-closed ideal contains non-nilpotent %s",
-                (shown,),
-            )
+            count += 1
+            if escape:
+                shown = members(escape)[:1]
+                yield (
+                    (q,),
+                    tuple(shown),
+                    (s, n),
+                    "weakly-not-closed ideal contains non-nilpotent %s",
+                    (shown,),
+                )
+    return count
 
 
 def _nilpotent_ideal_criterion(ring, p):
@@ -746,117 +838,147 @@ def _nilpotent_ideal_criterion(ring, p):
         or e == ring.zero
         or not has_i_set(ring)
     ):
-        return
+        return 0
     ups = nilpotents(ring)
     inside = [
         q for q in proper_hyperideals(ring) if is_subset(q, ups)
     ]
+    count = 0
     for s, n in _window(p):
         if s <= n:
             continue
+        count += 1
         every_weak = not any(weakly_open_mask(ring, q, s, n) for q in inside)
         zeros = (ups & ~zero_in_mask(ring, s)) == 0
-        yield (
-            every_weak == zeros,
-            (),
-            (),
-            (s, n),
-            "all nilpotent-contained ideals weakly closed %s but "
-            "0 in x^s for all nilpotent x %s",
-            (every_weak, not every_weak),
-        )
+        if every_weak != zeros:
+            yield (
+                (),
+                (),
+                (s, n),
+                "all nilpotent-contained ideals weakly closed %s but "
+                "0 in x^s for all nilpotent x %s",
+                (every_weak, not every_weak),
+            )
+    return count
 
 
 # -- regular elements ----------------------------------------------------------------
+#
+# Entry s of an element's regularity rows is the pair (regular, Regular) of
+# exponent masks: bit n is set when the element is (s,n)-regular, resp.
+# (s,n)-Regular.  `exps` below is the mask of the window's n.
 
 
 def _regular_implies_Regular(ring, p):
+    top = max(p.smax, p.nmax)
+    exps = (1 << p.nmax + 1) - 2
+    count = 0
     for a in ring.elements:
-        for s, n in _window(p):
-            if not is_sn_regular(ring, a, s, n):
-                continue
-            yield (
-                is_sn_Regular(ring, a, s, n),
-                (),
-                (a,),
-                (s, n),
-                "element (%d,%d)-regular but not (%d,%d)-Regular",
-                (s, n, s, n),
-            )
+        rows = regularity_rows(ring, a, top)
+        for s in range(1, p.smax + 1):
+            regular, Regular = rows[s]
+            count += (regular & exps).bit_count()
+            for n in iter_bits(regular & ~Regular & exps):
+                yield (
+                    (),
+                    (a,),
+                    (s, n),
+                    "element (%d,%d)-regular but not (%d,%d)-Regular",
+                    (s, n, s, n),
+                )
+    return count
 
 
 def _regular_iff_small_exponent(ring, p):
     e = scalar_identity(ring)
     if not is_strongly_distributive(ring) or e is None:
-        return
+        return 0
     um = units(ring)
     zw = weak_zero_divisors(ring)
     pool = ring.full & ~(um | zw)
+    top = max(p.smax, p.nmax)
+    exps = (1 << p.nmax + 1) - 2
+    count = 0
     for a in members(pool):
-        for s, n in _window(p):
-            regular = is_sn_regular(ring, a, s, n)
-            yield (
-                regular == (s <= n),
-                (),
-                (a,),
-                (s, n),
-                "regularity %s but s <= n is %s",
-                (regular, s <= n),
-            )
+        rows = regularity_rows(ring, a, top)
+        for s in range(1, p.smax + 1):
+            count += p.nmax
+            at_least_s = exps & ~((1 << s) - 1)
+            regular = rows[s][0]
+            for n in iter_bits((regular ^ at_least_s) & exps):
+                yield (
+                    (),
+                    (a,),
+                    (s, n),
+                    "regularity %s but s <= n is %s",
+                    (bool(regular >> n & 1), s <= n),
+                )
+    return count
 
 
 def _regular_step(ring, p):
+    top = max(p.smax + 1, p.nmax)
+    exps = (1 << p.nmax + 1) - 2
+    count = 0
     for a in ring.elements:
-        for s, n in _window(p):
-            if s <= n or not is_sn_regular(ring, a, s, n):
-                continue
-            yield (
-                is_sn_Regular(ring, a, s + 1, n),
-                (),
-                (a,),
-                (s + 1, n),
-                "(%d,%d)-regular element not (%d,%d)-Regular",
-                (s, n, s + 1, n),
-            )
+        rows = regularity_rows(ring, a, top)
+        for s in range(2, p.smax + 1):
+            below_s = (1 << s) - 2
+            hyp = rows[s][0] & below_s & exps
+            count += hyp.bit_count()
+            for n in iter_bits(hyp & ~rows[s + 1][1]):
+                yield (
+                    (),
+                    (a,),
+                    (s + 1, n),
+                    "(%d,%d)-regular element not (%d,%d)-Regular",
+                    (s, n, s + 1, n),
+                )
+    return count
 
 
 def _units_Regular(ring, p):
     um = units(ring)
     if um is None:
-        return
+        return 0
+    top = max(p.smax, p.nmax)
+    exps = (1 << p.nmax + 1) - 2
+    count = 0
     for a in members(um):
-        for s, n in _window(p):
-            yield (
-                is_sn_Regular(ring, a, s, n),
-                (),
-                (a,),
-                (s, n),
-                "unit not (%d,%d)-Regular",
-                (s, n),
-            )
+        rows = regularity_rows(ring, a, top)
+        for s in range(1, p.smax + 1):
+            count += p.nmax
+            for n in iter_bits(exps & ~rows[s][1]):
+                yield ((), (a,), (s, n), "unit not (%d,%d)-Regular", (s, n))
+    return count
 
 
 def _every_ideal_weakly(ring, p):
     if not is_strongly_distributive(ring) or not has_i_set(ring):
-        return
+        return 0
     ups = nilpotents(ring)
     propers = proper_hyperideals(ring)
+    top = max(p.smax, p.nmax)
+    rows = [regularity_rows(ring, a, top) for a in members(ring.full & ~ups)]
+    count = 0
     for s, n in _window(p):
         if s <= n:
             continue
+        count += 1
         every_weak = not any(weakly_open_mask(ring, q, s, n) for q in propers)
         rhs = (ups & ~zero_in_mask(ring, s)) == 0 and all(
-            is_sn_Regular(ring, a, s, n) for a in members(ring.full & ~ups)
+            row[s][1] >> n & 1 for row in rows
         )
-        yield (
-            every_weak == rhs,
-            (),
-            (),
-            (s, n),
-            "all proper ideals weakly closed %s but Regular/nilpotent "
-            "criterion %s",
-            (every_weak, not every_weak),
-        )
+        if every_weak != rhs:
+            yield (
+                (),
+                (),
+                (s, n),
+                "all proper ideals weakly closed %s but Regular/nilpotent "
+                "criterion %s",
+                (every_weak, not every_weak),
+            )
+    return count
 
 
 # -- transport along homomorphisms, quotients, and products ---------------------------
@@ -884,9 +1006,12 @@ def _hom_transport(ring, p):
     top = max(p.smax, p.nmax)
     window = _window(p)
     zin = zero_in_row(ring, top)
+    weak_pairs = _pair_memo(ring, top, window, zin)
+    count = 0
     for f in _hom_pool(ring):
         target = f.target
         tzin = zero_in_row(target, top)
+        target_pairs = _pair_memo(target, top, window, tzin)
         injective = len(set(f.table)) == ring.order
         if injective:
             for q2 in enumerate_hyperideals(target, order_bound=64):
@@ -900,21 +1025,22 @@ def _hom_transport(ring, p):
                     )
                     continue
                 assert is_hyperideal(ring, pre)
-                shown = members(q2)
-                tland = land_row(target, q2, top)
+                hyp = target_pairs(q2)
+                count += hyp.bit_count()
+                fail = hyp & ~weak_pairs(pre)
+                if not fail:
+                    continue
                 land = land_row(ring, pre, top)
-                for s, n in window:
-                    if tland[s] & ~tzin[s] & ~tland[n]:
-                        continue
+                for i in iter_bits(fail):
+                    s, n = window[i]
                     w = least(land[s] & ~zin[s] & ~land[n])
                     yield (
-                        w is None,
                         (pre,),
                         (w,),
                         (s, n),
                         "preimage of weakly (%d,%d)-closed ideal %s in %s "
                         "open at %d",
-                        (s, n, shown, target.name, w),
+                        (s, n, members(q2), target.name, w),
                     )
         if f.is_surjective():
             ker = f.kernel_mask()
@@ -923,46 +1049,52 @@ def _hom_transport(ring, p):
                     continue
                 img = f.image_mask(q1)
                 assert img != target.full and is_hyperideal(target, img)
-                shown = members(img)
-                land = land_row(ring, q1, top)
+                hyp = weak_pairs(q1)
+                count += hyp.bit_count()
+                fail = hyp & ~target_pairs(img)
+                if not fail:
+                    continue
                 tland = land_row(target, img, top)
-                for s, n in window:
-                    if land[s] & ~zin[s] & ~land[n]:
-                        continue
+                for i in iter_bits(fail):
+                    s, n = window[i]
                     w = least(tland[s] & ~tzin[s] & ~tland[n])
                     yield (
-                        w is None,
                         (q1,),
                         (),
                         (s, n),
                         "image %s of weakly (%d,%d)-closed ideal in %s "
                         "open at %d",
-                        (shown, s, n, target.name, w),
+                        (members(img), s, n, target.name, w),
                     )
+    return count
 
 
 def _quotient_transport(ring, p):
     propers = proper_hyperideals(ring)
     top = max(p.smax, p.nmax)
     window = _window(p)
-    zin = zero_in_row(ring, top)
+    weak_pairs = _pair_memo(ring, top, window, zero_in_row(ring, top))
+    count = 0
     for pm in propers:
         quot = None
-        proj = None
         for qm in propers:
             if not is_subset(pm, qm):
                 continue
             if quot is None:
                 quot, proj = quotient_by_ideal(ring, pm)
                 qzin = zero_in_row(quot, top)
-            land = land_row(ring, qm, top)
-            qland = land_row(quot, proj.image_mask(qm), top)
-            for s, n in window:
-                if land[s] & ~zin[s] & ~land[n]:
-                    continue
+                quot_pairs = _pair_memo(quot, top, window, qzin)
+            image = proj.image_mask(qm)
+            hyp = weak_pairs(qm)
+            count += hyp.bit_count()
+            fail = hyp & ~quot_pairs(image)
+            if not fail:
+                continue
+            qland = land_row(quot, image, top)
+            for i in iter_bits(fail):
+                s, n = window[i]
                 w = least(qland[s] & ~qzin[s] & ~qland[n])
                 yield (
-                    w is None,
                     (pm, qm),
                     (),
                     (s, n),
@@ -970,6 +1102,7 @@ def _quotient_transport(ring, p):
                     "open at class %d",
                     (s, n, w),
                 )
+    return count
 
 
 def _scalar_identity_factors(ring):
@@ -986,9 +1119,13 @@ def _scalar_identity_factors(ring):
 def _box_equivalence(ring, p):
     factors = _scalar_identity_factors(ring)
     if factors is None:
-        return
+        return 0
     f1, f2 = factors
     n2 = f2.order
+    top = max(p.smax, p.nmax)
+    window = _window(p)
+    zin = zero_in_row(ring, top)
+    count = 0
     for side, fac in enumerate(factors):
         for q in proper_hyperideals(fac):
             if not is_C_hyperideal(fac, q):
@@ -997,39 +1134,44 @@ def _box_equivalence(ring, p):
                 box = _box_mask(q, f2.full, n2)
             else:
                 box = _box_mask(f1.full, q, n2)
-            for s, n in _window(p):
-                i = not weakly_open_mask(ring, box, s, n)
-                ii = not open_mask(fac, q, s, n)
-                iii = not open_mask(ring, box, s, n)
+            count += len(window)
+            box_land = land_row(ring, box, top)
+            i = _pair_mask(box_land, window, zin)
+            ii = _pair_mask(land_row(fac, q, top), window)
+            iii = _pair_mask(box_land, window)
+            for k in iter_bits((i ^ ii) | (ii ^ iii)):
+                s, n = window[k]
                 yield (
-                    i == ii == iii,
                     (box, q),
                     (),
                     (s, n),
                     "box weakly %s, factor closed %s, box closed %s",
-                    (i, ii, iii),
+                    (bool(i >> k & 1), bool(ii >> k & 1), bool(iii >> k & 1)),
                 )
+    return count
 
 
 def _box_C_hyperideal(ring, p):
     factors = _product_factors(ring)
     if not factors:
-        return
+        return 0
     f1, f2 = factors
     n2 = f2.order
+    count = 0
     for i1 in enumerate_hyperideals(f1):
         for i2 in enumerate_hyperideals(f2):
             box = _box_mask(i1, i2, n2)
+            count += 1
             lhs = is_C_hyperideal(f1, i1) and is_C_hyperideal(f2, i2)
-            rhs = is_C_hyperideal(ring, box)
-            yield (
-                lhs == rhs,
-                (box,),
-                (),
-                None,
-                "factors C-hyperideals %s but box C-hyperideal %s",
-                (lhs, not lhs),
-            )
+            if lhs != is_C_hyperideal(ring, box):
+                yield (
+                    (box,),
+                    (),
+                    None,
+                    "factors C-hyperideals %s but box C-hyperideal %s",
+                    (lhs, not lhs),
+                )
+    return count
 
 
 def _weak_not_closed_condition(fa, qa, fb, qb, s, n):
@@ -1049,14 +1191,17 @@ def _weak_not_closed_condition(fa, qa, fb, qb, s, n):
 def _box_decomposition(ring, p):
     factors = _scalar_identity_factors(ring)
     if factors is None:
-        return
+        return 0
     f1, f2 = factors
     n2 = f2.order
+    window = _window(p)
+    count = 0
     for q in proper_hyperideals(ring):
         q1 = factor_mask(q, n2, 0)
         q2 = factor_mask(q, n2, 1)
         decomposes = _box_mask(q1, q2, n2) == q
-        for s, n in _window(p):
+        count += len(window)
+        for s, n in window:
             lhs = (
                 is_C_hyperideal(ring, q)
                 and not weakly_open_mask(ring, q, s, n)
@@ -1071,15 +1216,16 @@ def _box_decomposition(ring, p):
                     or _weak_not_closed_condition(f2, q2, f1, q1, s, n)
                 )
             )
-            yield (
-                lhs == rhs,
-                (q,),
-                (),
-                (s, n),
-                "weakly-not-closed C-hyperideal %s but decomposition "
-                "criterion %s",
-                (lhs, not lhs),
-            )
+            if lhs != rhs:
+                yield (
+                    (q,),
+                    (),
+                    (s, n),
+                    "weakly-not-closed C-hyperideal %s but decomposition "
+                    "criterion %s",
+                    (lhs, not lhs),
+                )
+    return count
 
 
 CHECKS: tuple[Check, ...] = (

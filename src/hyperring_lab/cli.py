@@ -94,7 +94,15 @@ def cmd_classify(args):
     return 0
 
 
+def _require_positive(**flags):
+    """Refuse a window bound below 1 before any work is done."""
+    for flag, value in flags.items():
+        if value < 1:
+            raise ValueError("--%s must be at least 1, got %d" % (flag, value))
+
+
 def cmd_profile(args):
+    _require_positive(smax=args.smax, nmax=args.nmax)
     ring = _load_ring(args.ring)
     rows = []
     for mask in _ideal_masks(ring, args.ideal):
@@ -140,6 +148,7 @@ def cmd_closed(args):
 
 
 def cmd_zx(args):
+    _require_positive(smax=args.smax)
     multipliers = [int(x) for x in args.multipliers.split(",") if x.strip() != ""]
     model = ZxResidueModel(args.modulus, multipliers)
     label = "weakly closed" if args.weakly else "closed"

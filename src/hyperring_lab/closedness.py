@@ -16,6 +16,13 @@ hyperideal, land(k) is nondecreasing in k (Q absorbs products, so a^k inside
 Q drags every higher power in) and constant once k reaches the power bound
 L, which makes the "for every exponent" questions decidable on a finite
 window.
+
+Element regularity is kept the same way: one pair of regularity rows per
+(ring, element), grown on demand.  Entry s holds two exponent masks over n:
+the n with a^n inside a^s * b for a single element b (regular), and the n
+with a^n inside a^s * G (Regular).  `is_sn_regular` and `is_sn_Regular`
+read one bit of them, and the regularity checks fetch an element's rows
+once and test bits.
 """
 
 from __future__ import annotations
@@ -251,17 +258,54 @@ def closed_profile(
 # -- element regularity -----------------------------------------------------------
 
 
+def regularity_rows(ring: FiniteHyperring, a: int, k: int) -> list:
+    """Regularity rows of one element, present for every s <= k.
+
+    Entry s is the pair (regular, Regular) of exponent masks: bit n of
+    `regular` is set when a^n lies inside a^s * b for a single element b, and
+    bit n of `Regular` when a^n lies inside a^s * G, the union of those
+    per-b products.  Every entry covers n up to the row's last index.  One
+    cache entry per (ring, element), grown on demand like the land rows:
+    growing to k adds the new n to the old entries and the new entries
+    whole.  Entry 0 is None, so reading it fails loudly.
+    """
+    rows = ring._cache.get(("reg", a))
+    if rows is None:
+        rows = ring._cache[("reg", a)] = [None]
+    top = len(rows) - 1
+    if top >= k:
+        return rows
+    power = ring.power_profile(a).power
+    powers = [None] + [power(n) for n in range(1, k + 1)]
+    rows.extend([(0, 0)] * (k - top))
+    products: dict[int, tuple] = {}  # a^s -> (the cells a^s * b, a^s * G)
+    for s in range(1, k + 1):
+        base = powers[s]
+        found = products.get(base)
+        if found is None:
+            cells = {ring.row_product(base, b) for b in ring.elements}
+            whole = 0
+            for cell in cells:
+                whole |= cell
+            found = products[base] = (cells, whole)
+        cells, whole = found
+        regular, Regular = rows[s]
+        for n in range(1 if s > top else top + 1, k + 1):
+            an = powers[n]
+            # Each a^s * b lies inside a^s * G, so regular implies Regular.
+            if not an & ~whole:
+                Regular |= 1 << n
+                if any(not an & ~cell for cell in cells):
+                    regular |= 1 << n
+        rows[s] = (regular, Regular)
+    return rows
+
+
 def is_sn_regular(ring: FiniteHyperring, a: int, s: int, n: int) -> bool:
     """a^n inside a^s * b for a single element b."""
     _require_exponent(s)
     _require_exponent(n)
-    key = ("regrow", a, s)
-    rows = ring._cache.get(key)
-    if rows is None:
-        base = ring.power(a, s)
-        rows = ring._cache[key] = tuple(ring.row_product(base, b) for b in ring.elements)
-    an = ring.power(a, n)
-    return any(is_subset(an, row) for row in rows)
+    return bool(regularity_rows(ring, a, max(s, n))[s][0] >> n & 1)
 
 
 def is_sn_Regular(ring: FiniteHyperring, a: int, s: int, n: int) -> bool:
@@ -272,11 +316,7 @@ def is_sn_Regular(ring: FiniteHyperring, a: int, s: int, n: int) -> bool:
     """
     _require_exponent(s)
     _require_exponent(n)
-    key = ("regall", a, s)
-    whole = ring._cache.get(key)
-    if whole is None:
-        whole = ring._cache[key] = ring.hyper_product(ring.power(a, s), ring.full)
-    return is_subset(ring.power(a, n), whole)
+    return bool(regularity_rows(ring, a, max(s, n))[s][1] >> n & 1)
 
 
 # -- integer residue model ----------------------------------------------------------

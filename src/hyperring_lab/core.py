@@ -539,21 +539,22 @@ def product_ring(r1: FiniteHyperring, r2: FiniteHyperring) -> FiniteHyperring:
     n = n1 * n2
     add = [[0] * n for _ in range(n)]
     mul = [[0] * n for _ in range(n)]
+    # The cell of (a1, a2)*(b1, b2) is the box m1 x m2, the union of the
+    # copies of m2 = a2*b2 shifted by c1*n2 for each c1 in m1 = a1*b1.
+    shifts = [[[c1 * n2 for c1 in iter_bits(m1)] for m1 in row] for row in r1.mul]
     for a1 in range(n1):
         for a2 in range(n2):
             a = a1 * n2 + a2
             for b1 in range(n1):
                 s1 = r1.add[a1][b1]
-                m1 = r1.mul[a1][b1]
+                box = shifts[a1][b1]
                 for b2 in range(n2):
                     b = b1 * n2 + b2
                     add[a][b] = s1 * n2 + r2.add[a2][b2]
-                    cell = 0
                     m2 = r2.mul[a2][b2]
-                    for c1 in iter_bits(m1):
-                        base = c1 * n2
-                        for c2 in iter_bits(m2):
-                            cell |= 1 << (base + c2)
+                    cell = 0
+                    for base in box:
+                        cell |= m2 << base
                     mul[a][b] = cell
     name = "%sx%s" % (r1.name or "?", r2.name or "?")
     meta = {"family": "product"}

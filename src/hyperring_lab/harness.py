@@ -26,6 +26,15 @@ from .jsonio import ring_to_dict
 
 THREADS_ENV = "HYPERRING_LAB_THREADS"
 
+# Least allowed value of each window and count field of SuiteConfig.
+_COUNT_FLOORS = (
+    ("s_max", 1),
+    ("n_max", 1),
+    ("tuple_max", 1),
+    ("absorbing_max_n", 1),
+    ("random_count", 0),
+)
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -43,6 +52,16 @@ class SuiteConfig:
     seed: int = 0
     check_ids: Optional[tuple[str, ...]] = None
     threads: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        # A degenerate window would pass most checks vacuously, so it is
+        # refused here, before any ring is built.
+        for name, low in _COUNT_FLOORS:
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(
+                    "%s must be an integer >= %d, got %r" % (name, low, value)
+                )
 
     def params(self) -> CheckParams:
         return CheckParams(

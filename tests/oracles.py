@@ -108,6 +108,18 @@ def axiom_report(n, add, mul):
     return report
 
 
+def subgroup_closure(n, add, subset):
+    """Least set holding the subset and 0 that is closed under addition and
+    negation, by adding sums and negatives until nothing changes."""
+    neg = neg_table(n, add)
+    cur = frozenset(subset) | {find_zero(n, add)}
+    while True:
+        nxt = cur | {neg[a] for a in cur} | {add[a][b] for a in cur for b in cur}
+        if nxt == cur:
+            return cur
+        cur = frozenset(nxt)
+
+
 def is_ideal(n, add, mul, subset):
     if not subset:
         return False

@@ -1,14 +1,18 @@
 """Tables, axioms, constructions, powers, and structure maps."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from hyperring_lab import (
     AxiomReport,
+    SuiteConfig,
     FiniteHyperring,
     HomMap,
     MalformedTables,
     canonical_identity,
     check_good_hom,
+    generate_instances,
     is_strongly_distributive,
     make_zx_mod,
     mask_of,
@@ -237,3 +241,37 @@ def test_hom_masks():
     assert members(f.preimage_mask(mask_of([3]))) == [1]
     assert members(f.kernel_mask()) == [0]
     assert f.is_surjective()
+
+
+def test_product_ring_cells_follow_the_pair_encoding():
+    """Every sum and product cell of the default product rings against the
+    oracle's pair encoding, one member pair at a time."""
+    factors = [
+        r for r in generate_instances(SuiteConfig())
+        if r.meta.get("family") == "zx_mod" and r.order <= 6
+    ]
+    pairs = [
+        (r1, r2) for r1, r2 in combinations_with_replacement(factors, 2)
+        if r1.order * r2.order <= 16
+    ]
+    assert len(pairs) == 110
+    for r1, r2 in pairs:
+        ring = product_ring(r1, r2)
+        n1, add1, mul1 = orc.tables(r1)
+        n2, add2, mul2 = orc.tables(r2)
+        for x1 in range(n1):
+            for x2 in range(n2):
+                a = orc.pair_index(n2, x1, x2)
+                for y1 in range(n1):
+                    for y2 in range(n2):
+                        b = orc.pair_index(n2, y1, y2)
+                        where = (ring.name, x1, x2, y1, y2)
+                        assert ring.add[a][b] == orc.pair_index(
+                            n2, add1[x1][y1], add2[x2][y2]
+                        ), where
+                        cell = {
+                            orc.pair_index(n2, c1, c2)
+                            for c1 in mul1[x1][y1]
+                            for c2 in mul2[x2][y2]
+                        }
+                        assert set(members(ring.mul[a][b])) == cell, where

@@ -114,8 +114,9 @@ def test_corrupted_check_is_reported():
     """A deliberately wrong statement must surface as a failing report."""
 
     def bogus(ring, params):
-        zero_ideal = 1 << ring.zero
-        yield (ring.order % 2 == 1, (zero_ideal,), (), None, "even order", ())
+        if ring.order % 2 == 0:
+            yield ((1 << ring.zero,), (), None, "even order", ())
+        return 1
 
     fake = _check("BOGUS", "Every instance has odd order.", bogus)
     report = run_suite(SuiteConfig(), instances=[make_zx_mod(3, [1]), make_zx_mod(4, [1])], checks=(fake,))
@@ -123,6 +124,18 @@ def test_corrupted_check_is_reported():
     ce = report.reports[0].counterexample
     assert ce["instance"] == "zx(4;1)"
     assert ce["detail"] == "even order"
+    assert report.reports[0].applicable == 2
+
+
+def test_collect_refuses_a_generator_without_a_case_count():
+    """A forgotten `return count` must not read as a check with 0 cases."""
+
+    def uncounted(ring, params):
+        yield "a note"
+
+    fake = _check("UNCOUNTED", "Returns no case count.", uncounted)
+    with pytest.raises(TypeError, match="UNCOUNTED returned None"):
+        fake.fn(make_zx_mod(3, [1]), CheckParams())
 
 
 def test_counterexample_dict_carries_full_tables():

@@ -1,5 +1,6 @@
 """Hyperideal enumeration, classification, arithmetic, and derived subsets."""
 
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -123,6 +124,52 @@ def test_negation_needs_every_inverse():
     r = FiniteHyperring([[0, 1], [1, 1]], [[[0], [0]], [[0], [0]]])
     with pytest.raises(AxiomFailure, match="element 1 has no additive inverse"):
         subgroup_closure(r, mask_of([1]))
+
+
+def test_subgroup_closure_matches_fixpoint_oracle():
+    """The join of cyclic pieces against the frozenset fixpoint, on every
+    subset of every default ring of order <= 8."""
+    rings = [r for r in generate_instances(SuiteConfig()) if r.order <= 8]
+    assert len(rings) == 94
+    expected = {}  # rings with one addition table share the oracle's answers
+    for ring in rings:
+        n, add, _ = orc.tables(ring)
+        key = tuple(map(tuple, add))
+        if key not in expected:
+            expected[key] = [
+                mask_of(orc.subgroup_closure(n, add, members(m))) for m in range(1 << n)
+            ]
+        got = [subgroup_closure(ring, m) for m in range(1 << n)]
+        assert got == expected[key], ring.name
+
+
+def _corrupted_products(ring, rng):
+    """The ring with one or two product cells, each with its mirror cell,
+    overwritten by a random nonempty set.  The table stays commutative, so
+    r*a and a*r agree, but it mostly breaks associativity or distributivity."""
+    n = ring.order
+    mul = [list(row) for row in ring.mul]
+    for _ in range(rng.randint(1, 2)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        mul[a][b] = mul[b][a] = rng.randrange(1, 1 << n)
+    return FiniteHyperring.from_masks(ring.add, mul, name=ring.name + "*")
+
+
+def test_is_hyperideal_matches_oracle_on_and_off_the_axioms():
+    """The absorption-table test against the oracle on every nonempty subset
+    of the default rings of order <= 6 and of seeded corruptions of them."""
+    rings = [r for r in generate_instances(SuiteConfig()) if r.order <= 6]
+    assert len(rings) == 39
+    rng = random.Random(6)
+    broken = 0
+    for ring in rings:
+        for r in [ring] + [_corrupted_products(ring, rng) for _ in range(3)]:
+            broken += not r.validate().ok
+            n, add, mul = orc.tables(r)
+            for m in range(1, 1 << n):
+                want = orc.is_ideal(n, add, mul, frozenset(members(m)))
+                assert is_hyperideal(r, m) == want, (r.name, r.mul, members(m))
+    assert broken >= 39 * 3 // 2
 
 
 def test_enumeration_is_sorted_and_cached():

@@ -186,6 +186,49 @@ def test_cli_fundamental_names_the_broken_class_ring_law(tmp_path, capsys):
     assert captured.err == "error: class ring breaks distributive at classes (1, 1, 1)\n"
 
 
+def test_cli_fundamental_names_the_element_shared_by_overlapping_cosets(tmp_path, capsys):
+    """zx(6;1,3) with 1 + 2 = 5: the cosets of N = {0,2,4} are {0,2,4},
+    {1,5} and {1,3,5}, which meet at 1 instead of partitioning the carrier."""
+    doc = ring_to_dict(make_zx_mod(6, [1, 3]))
+    doc["add"][1][2] = 5
+    path = tmp_path / "overlap.json"
+    write_json(str(path), doc)
+    assert main(["fundamental", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coset of 3 meets the coset of 1 at element 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--smax", "0"], "s_max must be an integer >= 1, got 0"),
+        (["verify", "--nmax", "-2"], "n_max must be an integer >= 1, got -2"),
+        (["verify", "--tuple-max", "0"], "tuple_max must be an integer >= 1, got 0"),
+        (["verify", "--absorbing-max-n", "0"],
+         "absorbing_max_n must be an integer >= 1, got 0"),
+        (["verify", "--random", "-1"], "random_count must be an integer >= 0, got -1"),
+        (["instances", "--random", "-3"], "random_count must be an integer >= 0, got -3"),
+        (["profile", "RING", "--smax", "0"], "--smax must be at least 1, got 0"),
+        (["profile", "RING", "--nmax", "-1"], "--nmax must be at least 1, got -1"),
+        (["zx", "105", "2,4", "--n", "3", "--smax", "0"], "--smax must be at least 1, got 0"),
+    ],
+)
+def test_cli_refuses_degenerate_windows_and_negative_counts(
+    argv, message, tmp_path, monkeypatch, capsys
+):
+    """A window bound below 1 or a negative count exits 2 before any ring is built."""
+    path = _write_ring(tmp_path, make_zx_mod(4, [1]))
+    built = []
+    monkeypatch.setattr(harness, "make_zx_mod", lambda *args: built.append(args))
+    monkeypatch.setattr(harness, "product_ring", lambda *args: built.append(args))
+    assert main([path if arg == "RING" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+    assert built == []
+
+
 @st.composite
 def corrupted_zx_docs(draw):
     """A zx table of order <= 6 with one or two add/mul cells overwritten."""
