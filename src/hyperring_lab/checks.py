@@ -263,12 +263,27 @@ def _prime_products(ring, p):
 
 
 def _closed_combinations(ring, p, part):
+    """Cases (combo, (s,n)) with n >= min(s, the sum or max of the members'
+    omega(s)); the aggregate, the combo's product or intersection, must be
+    (s,n)-closed.  The cases of one combo are a mask over the window, tested
+    against the aggregate's closed-pair mask."""
     propers = proper_hyperideals(ring)
     top = max(p.smax, p.nmax)
+    window = _window(p)
+    closed_pairs = _pair_memo(ring, top, window)
+    # from_n[s][lo] masks the window positions (s, n) with n >= lo, for lo
+    # up to nmax + 1; `_window` puts (s, n) at position (s-1)*nmax + n-1.
+    ns = (1 << p.nmax) - 1
+    from_n = [None] + [
+        [None]
+        + [(ns >> lo - 1) << (lo - 1 + (s - 1) * p.nmax) for lo in range(1, p.nmax + 2)]
+        for s in range(1, p.smax + 1)
+    ]
     omegas = {
-        q: [None] + [omega_unchecked(ring, q, s) for s in range(1, p.smax + 1)]
+        q: [omega_unchecked(ring, q, s) for s in range(1, p.smax + 1)]
         for q in propers
     }
+    bound = sum if part == "product" else max
     count = 0
     for t in range(1, p.tuple_max + 1):
         for combo in combinations_with_replacement(propers, t):
@@ -280,25 +295,25 @@ def _closed_combinations(ring, p, part):
                 agg = ring.full
                 for q in combo:
                     agg &= q
+            hyp = 0
+            for s, nis in enumerate(zip(*[omegas[q] for q in combo]), 1):
+                low = min(s, bound(nis))
+                hyp |= from_n[s][min(max(1, low), p.nmax + 1)]
+            count += hyp.bit_count()
+            fail = hyp & ~closed_pairs(agg)
+            if not fail:
+                continue
             land = land_row(ring, agg, top)
-            for s in range(1, p.smax + 1):
-                nis = [omegas[q][s] for q in combo]
-                low = min(s, sum(nis) if part == "product" else max(nis))
-                ls = land[s]
-                ns = range(max(1, low), p.nmax + 1)
-                count += len(ns)
-                for n in ns:
-                    bad = ls & ~land[n]
-                    if bad:
-                        w = least(bad)
-                        yield (
-                            combo + (agg,),
-                            (w,),
-                            (s, n),
-                            "%s of (s=%d, omega)-closed ideals not (%d,%d)-closed "
-                            "at %d",
-                            (part, s, s, n, w),
-                        )
+            for i in iter_bits(fail):
+                s, n = window[i]
+                w = least(land[s] & ~land[n])
+                yield (
+                    combo + (agg,),
+                    (w,),
+                    (s, n),
+                    "%s of (s=%d, omega)-closed ideals not (%d,%d)-closed at %d",
+                    (part, s, s, n, w),
+                )
     return count
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bitsets import mask_of, members
@@ -196,7 +197,20 @@ def _print_suite_table(report):
     )
 
 
+def _require_writable_targets(args):
+    """Refuse a --json or --catalog path that cannot be written, before the run."""
+    if args.json and args.json != "-":
+        parent = os.path.dirname(os.path.abspath(args.json))
+        if not os.path.isdir(parent):
+            raise HyperringError("--json directory %s does not exist" % parent)
+        if os.path.isdir(args.json):
+            raise HyperringError("--json path %s is a directory" % args.json)
+    if args.catalog and os.path.exists(args.catalog) and not os.path.isdir(args.catalog):
+        raise HyperringError("--catalog path %s is not a directory" % args.catalog)
+
+
 def cmd_verify(args):
+    _require_writable_targets(args)
     cfg = SuiteConfig(
         zx_max_modulus=args.zx_max_modulus,
         zx_max_multipliers=args.zx_max_multipliers,
@@ -318,10 +332,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except HyperringError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (HyperringError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     except json.JSONDecodeError as err:

@@ -10,8 +10,9 @@ contain 0.  Everything here reduces to two per-exponent element masks:
 
 Both are kept as rows indexed by exponent: one land row per (ring, set) and
 one zero-in row per ring, grown on demand to the largest exponent asked for.
-Every entry is read off the eventually periodic power profiles, so a row is
-exact for any mask and any exponent; nothing assumes monotonicity.  For a
+Every entry is read off the ring's power column (entry j lists a^j for every
+element a), itself read off the eventually periodic power profiles, so a row
+is exact for any mask and any exponent; nothing assumes monotonicity.  For a
 hyperideal, land(k) is nondecreasing in k (Q absorbs products, so a^k inside
 Q drags every higher power in) and constant once k reaches the power bound
 L, which makes the "for every exponent" questions decidable on a finite
@@ -20,7 +21,9 @@ window.
 Element regularity is kept the same way: one pair of regularity rows per
 (ring, element), grown on demand.  Entry s holds two exponent masks over n:
 the n with a^n inside a^s * b for a single element b (regular), and the n
-with a^n inside a^s * G (Regular).  `is_sn_regular` and `is_sn_Regular`
+with a^n inside a^s * G (Regular).  The products a^s * b come from one map
+per ring, shared by all elements, from a set to its cells over every b.
+`is_sn_regular` and `is_sn_Regular`
 read one bit of them, and the regularity checks fetch an element's rows
 once and test bits.
 """
@@ -31,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bitsets import is_subset, least
+from .bitsets import is_subset, iter_bits, least
 from .core import FiniteHyperring
 from .ideals import require_proper
 
@@ -51,18 +54,37 @@ def _require_exponent(k: int) -> None:
 # exponents first.
 
 
+def power_column(ring: FiniteHyperring, k: int) -> list:
+    """Power column of the ring: entry j lists a^j by element a, for every j <= k.
+
+    One cache entry per ring, grown on demand and read off the power
+    profiles, so it is exact for every exponent.  The land, zero-in and
+    regularity rows all read it.
+    """
+    col = ring._cache.get("powers")
+    if col is None:
+        col = ring._cache["powers"] = [None]
+    if len(col) <= k:
+        profiles = [ring.power_profile(a).power for a in ring.elements]
+        col.extend(
+            tuple(power(j) for power in profiles) for j in range(len(col), k + 1)
+        )
+    return col
+
+
 def _grow(
     ring: FiniteHyperring, row: list, k: int, outside: int, flip: int = 0
 ) -> None:
     """Extend `row` to exponent k with the masks {a : a^j misses `outside`} ^ flip."""
-    top = len(row)
-    row.extend([flip] * (k + 1 - top))
-    for a in ring.elements:
-        power = ring.power_profile(a).power
-        bit = 1 << a
-        for j in range(top, k + 1):
-            if not power(j) & outside:
-                row[j] ^= bit
+    col = power_column(ring, k)
+    for j in range(len(row), k + 1):
+        mask = flip
+        bit = 1
+        for power in col[j]:
+            if not power & outside:
+                mask ^= bit
+            bit <<= 1
+        row.append(mask)
 
 
 def land_row(ring: FiniteHyperring, imask: int, k: int) -> list:
@@ -258,6 +280,30 @@ def closed_profile(
 # -- element regularity -----------------------------------------------------------
 
 
+def _product_cells(ring: FiniteHyperring, base: int) -> tuple:
+    """The distinct cells base * b over every element b, and their union.
+
+    One map per ring from a set to this pair, shared by every element whose
+    powers reach that set.  The cells are read by OR-ing the whole product
+    rows of the set's members: entry b of row x is x * b.
+    """
+    cells = ring._cache.get("cells")
+    if cells is None:
+        cells = ring._cache["cells"] = {}
+    found = cells.get(base)
+    if found is None:
+        mul = ring.mul
+        acc = None
+        for x in iter_bits(base):
+            row = mul[x]
+            acc = list(row) if acc is None else [c | m for c, m in zip(acc, row)]
+        whole = 0
+        for cell in acc:
+            whole |= cell
+        found = cells[base] = (tuple(dict.fromkeys(acc)), whole)
+    return found
+
+
 def regularity_rows(ring: FiniteHyperring, a: int, k: int) -> list:
     """Regularity rows of one element, present for every s <= k.
 
@@ -267,7 +313,9 @@ def regularity_rows(ring: FiniteHyperring, a: int, k: int) -> list:
     per-b products.  Every entry covers n up to the row's last index.  One
     cache entry per (ring, element), grown on demand like the land rows:
     growing to k adds the new n to the old entries and the new entries
-    whole.  Entry 0 is None, so reading it fails loudly.
+    whole.  The powers come from the ring's power column and the products
+    a^s * b from its shared product cells.  Entry 0 is None, so reading it
+    fails loudly.
     """
     rows = ring._cache.get(("reg", a))
     if rows is None:
@@ -275,28 +323,21 @@ def regularity_rows(ring: FiniteHyperring, a: int, k: int) -> list:
     top = len(rows) - 1
     if top >= k:
         return rows
-    power = ring.power_profile(a).power
-    powers = [None] + [power(n) for n in range(1, k + 1)]
+    col = power_column(ring, k)
+    powers = [None] + [col[n][a] for n in range(1, k + 1)]
     rows.extend([(0, 0)] * (k - top))
-    products: dict[int, tuple] = {}  # a^s -> (the cells a^s * b, a^s * G)
     for s in range(1, k + 1):
-        base = powers[s]
-        found = products.get(base)
-        if found is None:
-            cells = {ring.row_product(base, b) for b in ring.elements}
-            whole = 0
-            for cell in cells:
-                whole |= cell
-            found = products[base] = (cells, whole)
-        cells, whole = found
+        cells, whole = _product_cells(ring, powers[s])
         regular, Regular = rows[s]
         for n in range(1 if s > top else top + 1, k + 1):
             an = powers[n]
             # Each a^s * b lies inside a^s * G, so regular implies Regular.
             if not an & ~whole:
                 Regular |= 1 << n
-                if any(not an & ~cell for cell in cells):
-                    regular |= 1 << n
+                for cell in cells:
+                    if not an & ~cell:
+                        regular |= 1 << n
+                        break
         rows[s] = (regular, Regular)
     return rows
 

@@ -450,15 +450,36 @@ def _left_product(mul, a: int, bmask: int) -> int:
 
 
 def is_strongly_distributive(ring: FiniteHyperring) -> bool:
-    """True when distributivity holds with set equality on both sides."""
+    """True when distributivity holds with set equality on both sides.
+
+    The n^3 cells read few distinct Minkowski sums, so each is formed once,
+    memoized by the ordered pair of cells: on a table whose addition does
+    not commute, A + B and B + A differ.  When the product table is
+    symmetric the right-hand law is the left-hand one with the factors
+    swapped, so only tables with an asymmetric `mul` test it.
+    """
     flag = ring._cache.get("strong")
     if flag is None:
-        add, mul = ring.add, ring.mul
-        flag = all(
-            mul[a][add[b][c]] == ring.minkowski_sum(mul[a][b], mul[a][c])
-            and mul[add[b][c]][a] == ring.minkowski_sum(mul[b][a], mul[c][a])
-            for a, b, c in product(range(ring.order), repeat=3)
-        )
+        n, add, mul = ring.order, ring.add, ring.mul
+        sums: dict[tuple[int, int], int] = {}
+
+        def equal_laws(rows) -> bool:
+            # Row a of `rows` holds the cells a*x (left law) or x*a (right law).
+            for row in rows:
+                for b in range(n):
+                    x, total = row[b], add[b]
+                    for c in range(n):
+                        key = (x, row[c])
+                        s = sums.get(key)
+                        if s is None:
+                            s = sums[key] = ring.minkowski_sum(x, row[c])
+                        if row[total[c]] != s:
+                            return False
+            return True
+
+        flag = equal_laws(mul)
+        if flag and any(mul[a][b] != mul[b][a] for a in range(n) for b in range(a)):
+            flag = equal_laws([list(col) for col in zip(*mul)])
         ring._cache["strong"] = flag
     return flag
 

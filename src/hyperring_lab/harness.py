@@ -26,8 +26,11 @@ from .jsonio import ring_to_dict
 
 THREADS_ENV = "HYPERRING_LAB_THREADS"
 
-# Least allowed value of each window and count field of SuiteConfig.
+# Least allowed value of each sweep, window and count field of SuiteConfig.
 _COUNT_FLOORS = (
+    ("zx_max_modulus", 2),
+    ("zx_max_multipliers", 1),
+    ("max_order", 2),
     ("s_max", 1),
     ("n_max", 1),
     ("tuple_max", 1),
@@ -54,8 +57,8 @@ class SuiteConfig:
     threads: Optional[int] = None
 
     def __post_init__(self) -> None:
-        # A degenerate window would pass most checks vacuously, so it is
-        # refused here, before any ring is built.
+        # An empty sweep or a degenerate window would pass most checks
+        # vacuously, so it is refused here, before any ring is built.
         for name, low in _COUNT_FLOORS:
             value = getattr(self, name)
             if type(value) is not int or value < low:

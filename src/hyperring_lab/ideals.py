@@ -303,7 +303,7 @@ def is_strong_C_hyperideal(ring: FiniteHyperring, imask: int) -> bool:
 # -- n-absorbing ----------------------------------------------------------------
 
 
-def _multiset_products(ring: FiniteHyperring, length: int) -> list:
+def _multiset_products(ring: FiniteHyperring, length: int) -> tuple[list, list]:
     """Level k groups the nondecreasing (k+1)-tuples of elements by product.
 
     Whether a tuple witnesses that an ideal is not absorbing depends only on
@@ -316,40 +316,70 @@ def _multiset_products(ring: FiniteHyperring, length: int) -> list:
     last entry is at most a.  A group lists the (first tuple, subproducts)
     pair of each of its classes in lexicographic order.  One table per ring,
     grown on demand.
+
+    Subproduct masks are interned: `masks[i]` is the mask with id i, and a
+    class's subproducts are the int whose bit i is set when `masks[i]` is
+    one of them.  A class is keyed by (product mask, that int), and
+    `lifts[a]` maps an id to the bit of the id of its mask times a, so
+    extending a class costs one lookup per subproduct.  Returns the levels
+    and `masks`.
     """
     table = ring._cache.get("msprods")
     if table is None:
         # A one-factor tuple's only subproduct is the empty product, which
-        # times a is {a}; the marker 0 stands for it.
-        first = {(1 << a, frozenset((0,))): {a: (a,)} for a in ring.elements}
-        times = [{0: 1 << a} for a in ring.elements]
+        # times a is {a}; id 0 stands for it and occurs at level 0 only.
+        masks = [0]
+        ids = {}
+        for a in ring.elements:
+            ids[1 << a] = len(masks)
+            masks.append(1 << a)
+        first = {(1 << a, 1): {a: (a,)} for a in ring.elements}
+        lifts = [{0: 1 << ids[1 << a]} for a in ring.elements]
         table = ring._cache["msprods"] = {
-            "classes": first, "levels": [{}], "times": times,
+            "classes": first, "levels": [{}], "masks": masks, "ids": ids,
+            "lifts": lifts,
         }
-    levels = table["levels"]
-    times = table["times"]  # times[a][m] is m*a
+    levels, masks, ids = table["levels"], table["masks"], table["ids"]
+    lifts = table["lifts"]  # lifts[a][i] is the bit of the id of masks[i]*a
+
+    def intern(mask: int) -> int:
+        i = ids.get(mask)
+        if i is None:
+            i = ids[mask] = len(masks)
+            masks.append(mask)
+        return i
+
+    def lift(a: int, i: int) -> int:
+        bit = lifts[a][i] = 1 << intern(ring.row_product(masks[i], a))
+        return bit
+
     while len(levels) < length:
         classes: dict[tuple, dict] = {}
         for (prod, subs), by_last in table["classes"].items():
+            pid = intern(prod)
+            sub_ids = members(subs)
             best = None
             for a in range(min(by_last), ring.order):
                 t = by_last.get(a)
                 if best is None or t is not None and t < best:
                     best = t
-                row = times[a]
-                for m in (prod, *subs):
-                    if m not in row:
-                        row[m] = ring.row_product(m, a)
-                key = (row[prod], frozenset([prod, *map(row.__getitem__, subs)]))
-                slot = classes.setdefault(key, {})
-                if a not in slot or best < slot[a]:
+                up = lifts[a]
+                top = up.get(pid) or lift(a, pid)
+                bits = 1 << pid
+                for i in sub_ids:
+                    bits |= up.get(i) or lift(a, i)
+                key = (masks[top.bit_length() - 1], bits)
+                slot = classes.get(key)
+                if slot is None:
+                    classes[key] = {a: best + (a,)}
+                elif a not in slot or best < slot[a]:
                     slot[a] = best + (a,)
         groups: dict[int, list] = {}
         for (prod, subs), by_last in classes.items():
             groups.setdefault(prod, []).append((min(by_last.values()), subs))
         levels.append({p: sorted(g) for p, g in groups.items()})
         table["classes"] = classes
-    return levels
+    return levels, masks
 
 
 def n_absorbing_witness(
@@ -357,21 +387,28 @@ def n_absorbing_witness(
 ) -> Optional[tuple[int, ...]]:
     """First (n+1)-tuple whose product lands in I with no n-subproduct inside.
 
-    Groups whose product mask is not inside I are skipped whole; the others
-    are scanned in lexicographic order up to their first witness, and the
-    least of those is returned.
+    The interned subproduct masks inside I form one id bitset, so a class
+    is a witness when its subproduct bits miss it.  Groups whose product
+    mask is not inside I are skipped whole; the others are scanned in
+    lexicographic order up to their first witness, and the least of those
+    is returned.
     """
     require_proper(ring, imask)
     if n < 1:
         raise ValueError("absorbing degree starts at 1")
+    levels, masks = _multiset_products(ring, n + 1)
+    inside = 0
+    for i, m in enumerate(masks):
+        if not m & ~imask:
+            inside |= 1 << i
     best = None
-    for prod, cases in _multiset_products(ring, n + 1)[n].items():
-        if not is_subset(prod, imask):
+    for prod, cases in levels[n].items():
+        if prod & ~imask:
             continue
         for tup, subs in cases:
             if best is not None and tup >= best:
                 break
-            if not any(is_subset(sub, imask) for sub in subs):
+            if not subs & inside:
                 best = tup
                 break
     return best
@@ -548,26 +585,28 @@ def coset_ring(
     good homomorphism.
     """
     classes, class_of = coset_partition(ring, subgroup)
-    order = len(classes)
     reps = [least(c) for c in classes]
-
-    def class_set(cell: int) -> int:
-        out = 0
-        for c in iter_bits(cell):
-            out |= 1 << class_of[c]
-        return out
+    images: dict[int, int] = {}  # cell -> its class set, once per distinct cell
+    for row in ring.mul:
+        for cell in row:
+            if cell not in images:
+                out = 0
+                for c in iter_bits(cell):
+                    out |= 1 << class_of[c]
+                images[cell] = out
 
     add = [[class_of[ring.add[a][b]] for b in reps] for a in reps]
-    mul = [[class_set(ring.mul[a][b]) for b in reps] for a in reps]
+    mul = [[images[ring.mul[a][b]] for b in reps] for a in reps]
     for a in ring.elements:
-        i = class_of[a]
+        add_row, mul_row = ring.add[a], ring.mul[a]
+        qadd, qmul = add[class_of[a]], mul[class_of[a]]
         for b in ring.elements:
             j = class_of[b]
-            if class_of[ring.add[a][b]] != add[i][j]:
+            if class_of[add_row[b]] != qadd[j]:
                 raise WellDefinednessFailure(
                     "coset addition differs at representatives (%d,%d)" % (a, b)
                 )
-            if class_set(ring.mul[a][b]) != mul[i][j]:
+            if images[mul_row[b]] != qmul[j]:
                 raise WellDefinednessFailure(
                     "coset product differs at representatives (%d,%d)" % (a, b)
                 )

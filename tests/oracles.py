@@ -7,7 +7,8 @@ meaningful check and not a tautology.  Only intended for small orders.
 
 from itertools import combinations, combinations_with_replacement
 
-from hyperring_lab import ProperIdealRequired
+from hyperring_lab import ProperIdealRequired, ideal_product, proper_hyperideals
+from hyperring_lab.closedness import land_row
 
 TAGS = ("frozenset oracle",)
 
@@ -106,6 +107,15 @@ def axiom_report(n, add, mul):
             for a in range(n) for b in range(n)
         )
     return report
+
+
+def strongly_distributive(n, add, mul):
+    """Distributivity with set equality on both sides, cell by cell."""
+    return all(
+        mul[a][add[b][c]] == set_sum(add, mul[a][b], mul[a][c])
+        and mul[add[b][c]][a] == set_sum(add, mul[b][a], mul[c][a])
+        for a in range(n) for b in range(n) for c in range(n)
+    )
 
 
 def subgroup_closure(n, add, subset):
@@ -368,3 +378,50 @@ def pair_index(r2_order, x1, x2):
 
 def pair_split(r2_order, x):
     return divmod(x, r2_order)
+
+
+def closed_combinations(ring, p, part, omega_of):
+    """Reference for the T2_5i/T2_5ii case generator: one case per
+    (combo, s, n), tested pair by pair on the aggregate's land row.
+
+    `omega_of(ring, q, s)` stands for omega, so a test can hand in a lowered
+    one to make failures occur.  Yields what the check yields and returns
+    its case count.
+    """
+    propers = proper_hyperideals(ring)
+    top = max(p.smax, p.nmax)
+    omegas = {
+        q: [None] + [omega_of(ring, q, s) for s in range(1, p.smax + 1)]
+        for q in propers
+    }
+    count = 0
+    for t in range(1, p.tuple_max + 1):
+        for combo in combinations_with_replacement(propers, t):
+            if part == "product":
+                agg = combo[0]
+                for q in combo[1:]:
+                    agg = ideal_product(ring, agg, q)
+            else:
+                agg = ring.full
+                for q in combo:
+                    agg &= q
+            land = land_row(ring, agg, top)
+            for s in range(1, p.smax + 1):
+                nis = [omegas[q][s] for q in combo]
+                low = min(s, sum(nis) if part == "product" else max(nis))
+                ls = land[s]
+                ns = range(max(1, low), p.nmax + 1)
+                count += len(ns)
+                for n in ns:
+                    bad = ls & ~land[n]
+                    if bad:
+                        w = (bad & -bad).bit_length() - 1
+                        yield (
+                            combo + (agg,),
+                            (w,),
+                            (s, n),
+                            "%s of (s=%d, omega)-closed ideals not (%d,%d)-closed "
+                            "at %d",
+                            (part, s, s, n, w),
+                        )
+    return count

@@ -1,6 +1,18 @@
 """Behavior of individual registry checks on hand-picked instances."""
 
-from hyperring_lab import make_zx_mod, mask_of, members, product_ring, units, weak_zero_divisors
+import pytest
+
+from hyperring_lab import (
+    SuiteConfig,
+    checks,
+    generate_instances,
+    make_zx_mod,
+    mask_of,
+    members,
+    product_ring,
+    units,
+    weak_zero_divisors,
+)
 from hyperring_lab.checks import (
     CHECKS,
     CheckParams,
@@ -8,7 +20,10 @@ from hyperring_lab.checks import (
     _hom_pool,
     get_check,
 )
+from hyperring_lab.closedness import omega_unchecked
 from hyperring_lab.core import check_good_hom
+
+import oracles as orc
 
 PARAMS = CheckParams()
 
@@ -94,3 +109,35 @@ def test_weakly_basics_counts_three_clause_families():
     out = run("D3_w", single_ideal_ring)
     assert out.applicable == 72
     assert out.counterexample is None
+
+
+def _drain(gen):
+    """Every item a case generator yields, and the count it returns."""
+    items = []
+    while True:
+        try:
+            items.append(next(gen))
+        except StopIteration as stop:
+            return items, stop.value
+
+
+@pytest.mark.parametrize("params", [PARAMS, CheckParams(smax=7, nmax=4, tuple_max=2)])
+@pytest.mark.parametrize("part", ["product", "intersection"])
+def test_closed_combinations_match_the_per_pair_reference(part, params, monkeypatch):
+    """T2_5i/ii test one pair mask per aggregate; with omega lowered so that
+    failures occur, every yield and the count equal the per-(s,n) loop's on
+    the default rings of order <= 6, in the default window and a non-square
+    one."""
+    def lowered(ring, q, s):
+        return max(1, omega_unchecked(ring, q, s) - 1)
+
+    monkeypatch.setattr(checks, "omega_unchecked", lowered)
+    rings = [r for r in generate_instances(SuiteConfig()) if r.order <= 6]
+    assert len(rings) == 39
+    failures = 0
+    for ring in rings:
+        got = _drain(checks._closed_combinations(ring, params, part))
+        expect = _drain(orc.closed_combinations(ring, params, part, lowered))
+        assert got == expect, ring.name
+        failures += len(got[0])
+    assert failures > 0

@@ -35,6 +35,7 @@ from hyperring_lab.closedness import (
     land_row,
     omega_unchecked,
     open_mask,
+    power_column,
     tough_zero_mask,
     weakly_open_mask,
     zero_in_mask,
@@ -134,6 +135,24 @@ def test_rows_grown_out_of_order_match_oracle_powers():
                 assert members(land_mask(ring, q, k)) == expect, (ring.name, members(q), k)
 
 
+def test_power_column_grown_out_of_order_matches_oracle_powers():
+    """The column of each freshly built ring is grown to scattered exponents,
+    and every entry present is compared with the oracle's powers each time."""
+    for ring in generate_instances(SuiteConfig()):
+        if ring.order > 8:
+            continue
+        n, _, mul = orc.tables(ring)
+        top = ring.power_bound() + 3
+        grown = 0
+        for k in (3, 1, top, 2, top + 4, top + 1):
+            col = power_column(ring, k)
+            grown = max(grown, k)
+            assert len(col) == grown + 1
+            for j in range(1, len(col)):
+                expect = [mask_of(orc.power(mul, a, j)) for a in range(n)]
+                assert list(col[j]) == expect, (ring.name, j)
+
+
 def test_land_and_zero_in_masks_frozen():
     r = make_zx_mod(8, [2])
     zero_ideal = mask_of([0])
@@ -219,7 +238,8 @@ def test_regularity_predicates_match_brute_force():
     order <= 6 for exponents up to 9; Regular is compared with the existence
     over every nonempty subset B.  The (a, s, n) are read in a seeded random
     order, so each element's regularity rows grow from scattered exponents
-    and are read back below their last growth."""
+    and are read back below their last growth, and the ring's shared product
+    cells are filled by whichever element reaches a power set first."""
     rings = [r for r in generate_instances(SuiteConfig()) if r.order <= 6]
     assert len(rings) == 39
     rng = random.Random(9)

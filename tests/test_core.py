@@ -1,5 +1,6 @@
 """Tables, axioms, constructions, powers, and structure maps."""
 
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -205,6 +206,54 @@ def test_identity_flavors():
 def test_strong_distributivity_flag():
     assert is_strongly_distributive(make_zx_mod(4, [2]))
     assert not is_strongly_distributive(make_zx_mod(4, [1, 3]))
+
+
+def _seeded_tables(rng, n):
+    """A random table pair whose addition or product is not symmetric.
+
+    The additions are a random table and the two projections, on which
+    A + B and B + A differ while every product table is strongly
+    distributive; the products are random cells, random symmetric cells,
+    or cells b*k_a mod n for a random k, whose left law holds and right
+    law need not."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        add = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    elif kind == 1:
+        add = [[b for c in range(n)] for b in range(n)]
+    else:
+        add = [[c for c in range(n)] for b in range(n)]
+    style = rng.randrange(3)
+    if style == 0:
+        mul = [[rng.sample(range(n), rng.randrange(1, n + 1)) for _ in range(n)]
+               for _ in range(n)]
+    elif style == 1:
+        mul = [[None] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                mul[a][b] = mul[b][a] = rng.sample(range(n), rng.randrange(1, n + 1))
+    else:
+        add = [[(b + c) % n for c in range(n)] for b in range(n)]
+        ks = [rng.randrange(n) for _ in range(n)]
+        mul = [[[b * ks[a] % n] for b in range(n)] for a in range(n)]
+    return FiniteHyperring(add, mul, name="seeded")
+
+
+def test_strong_distributivity_matches_brute_force():
+    """Against the cell-by-cell definition on the default rings of order <= 8
+    and on seeded tables with an asymmetric addition or product, where a
+    Minkowski sum memoized by the unordered pair, or a skipped right-hand
+    law, gives the wrong verdict."""
+    rings = [r for r in generate_instances(SuiteConfig()) if r.order <= 8]
+    rng = random.Random(10)
+    rings += [_seeded_tables(rng, rng.randrange(2, 6)) for _ in range(300)]
+    verdicts = set()
+    for ring in rings:
+        n, add, mul = orc.tables(ring)
+        expect = orc.strongly_distributive(n, add, mul)
+        assert is_strongly_distributive(ring) == expect, (ring.name, ring.add, ring.mul)
+        verdicts.add((expect, ring.name == "seeded"))
+    assert verdicts == {(True, False), (False, False), (True, True), (False, True)}
 
 
 def test_structure_flags_bundle():

@@ -3,6 +3,7 @@
 import pytest
 
 from hyperring_lab import CHECKS, CheckParams, UnknownCheckId, get_check, make_zx_mod
+from hyperring_lab.catalog import result_hash
 from hyperring_lab.checks import Counterexample, _check
 from hyperring_lab.harness import (
     SuiteConfig,
@@ -171,3 +172,9 @@ def test_check_params_reach_checks():
     small = run_suite(cfg, instances=[make_zx_mod(4, [1])])
     big = run_suite(SuiteConfig(check_ids=("L2_11",)), instances=[make_zx_mod(4, [1])])
     assert 0 < small.reports[0].applicable < big.reports[0].applicable
+
+
+def test_default_sweep_report_hash_is_pinned():
+    """The canonical report of the default sweep, which perfbench also pins:
+    a kernel change that moves a verdict or a case count changes it."""
+    assert result_hash(run_suite(SuiteConfig()).to_dict()) == "614809fc4ec45e22"

@@ -110,13 +110,17 @@ def test_absorbing_table_keeps_least_tuple_of_each_class():
         def prod(tup):
             return mask_of(orc.tuple_product(mul, tup))
 
-        levels = _multiset_products(ring, 4)
+        levels, masks = _multiset_products(ring, 4)
         for k in (1, 2, 3):
             least = {}
             for tup in combinations_with_replacement(range(n), k + 1):
                 subs = frozenset(prod(tup[:i] + tup[i + 1:]) for i in range(k + 1))
                 least.setdefault((prod(tup), subs), tup)
-            table = {(p, subs): tup for p, group in levels[k].items() for tup, subs in group}
+            table = {
+                (p, frozenset(masks[i] for i in members(subs))): tup
+                for p, group in levels[k].items()
+                for tup, subs in group
+            }
             assert table == least, (ring.name, k)
 
 

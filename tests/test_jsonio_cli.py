@@ -212,6 +212,13 @@ def test_cli_fundamental_names_the_element_shared_by_overlapping_cosets(tmp_path
         (["profile", "RING", "--smax", "0"], "--smax must be at least 1, got 0"),
         (["profile", "RING", "--nmax", "-1"], "--nmax must be at least 1, got -1"),
         (["zx", "105", "2,4", "--n", "3", "--smax", "0"], "--smax must be at least 1, got 0"),
+        (["verify", "--max-order", "0"], "max_order must be an integer >= 2, got 0"),
+        (["verify", "--zx-max-modulus", "1"],
+         "zx_max_modulus must be an integer >= 2, got 1"),
+        (["verify", "--zx-max-modulus", "-5"],
+         "zx_max_modulus must be an integer >= 2, got -5"),
+        (["verify", "--zx-max-multipliers", "0"],
+         "zx_max_multipliers must be an integer >= 1, got 0"),
     ],
 )
 def test_cli_refuses_degenerate_windows_and_negative_counts(
@@ -227,6 +234,44 @@ def test_cli_refuses_degenerate_windows_and_negative_counts(
     assert captured.out == ""
     assert captured.err == "error: %s\n" % message
     assert built == []
+
+
+def test_cli_validate_of_a_directory_exits_2(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 21] Is a directory")
+
+
+def _refuse_to_run(monkeypatch):
+    """Make any suite run fail the test: the CLI must refuse before running."""
+    def run_suite(cfg):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr("hyperring_lab.cli.run_suite", run_suite)
+
+
+def test_cli_verify_refuses_a_file_as_catalog_before_the_run(tmp_path, monkeypatch, capsys):
+    _refuse_to_run(monkeypatch)
+    path = tmp_path / "catalog"
+    path.write_text("")
+    assert main(["verify", "--catalog", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --catalog path %s is not a directory\n" % path
+
+
+def test_cli_verify_refuses_a_missing_json_directory_before_the_run(
+    tmp_path, monkeypatch, capsys
+):
+    _refuse_to_run(monkeypatch)
+    missing = tmp_path / "missing" / "dir"
+    assert main(["verify", "--json", str(missing / "x.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --json directory %s does not exist\n" % missing
+    assert main(["verify", "--json", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: --json path %s is a directory\n" % tmp_path
 
 
 @st.composite
