@@ -2,7 +2,10 @@
 
 Everything here works on frozensets and explicit enumeration -- no bitmasks,
 no caching, no periodicity shortcuts -- so agreement with the package is a
-meaningful check and not a tautology.  Only intended for small orders.
+meaningful check and not a tautology.  Only intended for small orders.  The
+one exception is `closed_combinations`, a reference for how a check's cases
+are grouped rather than for the algebra: it reads the package's land rows
+one (s,n) pair at a time.
 """
 
 from itertools import combinations, combinations_with_replacement
