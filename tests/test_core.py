@@ -211,11 +211,11 @@ def test_strong_distributivity_flag():
 def _seeded_tables(rng, n):
     """A random table pair whose addition or product is not symmetric.
 
-    The additions are a random table and the two projections, on which
-    A + B and B + A differ while every product table is strongly
-    distributive; the products are random cells, random symmetric cells,
-    or cells b*k_a mod n for a random k, whose left law holds and right
-    law need not."""
+    The additions are a random table or one of the two projections, on
+    which A + B and B + A differ while every product table is strongly
+    distributive; the products are random cells or random symmetric cells.
+    The third kind pairs the addition of Z/n with the cells {b*k_a mod n}
+    for random k, whose left law holds and whose right law need not."""
     kind = rng.randrange(3)
     if kind == 0:
         add = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
