@@ -14,8 +14,9 @@ yields only its failing cases, each as a plain tuple
 the number of cases it examined, and a hypothesis guard that rules the whole
 ring out returns 0.  A case computes its verdict as a mask and forms a
 witness (``least``) only when that mask is nonzero.  Where a check quantifies
-over the exponent window, the verdicts of one ideal are a bitmask over the
-window positions (`_pair_mask`), so a case that holds costs one bit.  One
+over the exponent window, it reads the verdicts of one ideal as a bitmask
+over the window positions (`closedness.closed_pairs`), so a case that holds
+costs one bit, and forms witnesses at failing bits only (`open_pairs`).  One
 runner, `_collect`, takes the count from the generator's return value and
 turns the first failing case into a `Counterexample` whose detail is
 ``fmt % args``; a generator that returns no count raises `TypeError`.
@@ -35,14 +36,16 @@ from typing import Callable, Optional
 from .bitsets import is_subset, iter_bits, least, members
 from .closedness import (
     big_omega_unchecked,
+    closed_pairs,
     land_mask,
-    land_row,
     omega_unchecked,
     open_mask,
+    open_pairs,
     regularity_rows,
+    tough_zero_mask,
     weakly_open_mask,
+    window_pairs,
     zero_in_mask,
-    zero_in_row,
 )
 from .core import (
     FiniteHyperring,
@@ -155,42 +158,10 @@ def _window(p):
     return [(s, n) for s in range(1, p.smax + 1) for n in range(1, p.nmax + 1)]
 
 
-def _pair_mask(land, window, zin=None):
-    """Bit i set when the row's set is (s,n)-closed at window[i] = (s,n).
-
-    With the ring's zero-in row it is weak closedness instead: only elements
-    whose s-th power misses 0 can break the pair.
-    """
-    out = 0
-    bit = 1
-    for s, n in window:
-        trigger = land[s] if zin is None else land[s] & ~zin[s]
-        if not trigger & ~land[n]:
-            out |= bit
-        bit <<= 1
-    return out
-
-
-def _pair_memo(ring, top, window, zin=None):
-    """`_pair_mask` of the sets of one ring, memoized by set."""
-    memo = {}
-
-    def pairs(q):
-        got = memo.get(q)
-        if got is None:
-            got = memo[q] = _pair_mask(land_row(ring, q, top), window, zin)
-        return got
-
-    return pairs
-
-
-def _set_power_cached(ring, mask, s):
-    key = ("setpow", mask, s)
-    cached = ring._cache.get(key)
-    if cached is None:
-        cached = set_power(ring, mask, s)
-        ring._cache[key] = cached
-    return cached
+def _weakly_not_closed(ring, q, p):
+    """Window mask of the pairs at which q is weakly closed but not closed."""
+    weak = closed_pairs(ring, q, p.smax, p.nmax, True)
+    return weak & ~closed_pairs(ring, q, p.smax, p.nmax)
 
 
 def _box_mask(m1, m2, n2):
@@ -210,55 +181,48 @@ def _product_factors(ring):
 
 def _absorbing_closed(ring, p):
     ks = max(ring.power_bound(), p.smax)
+    nmax = p.absorbing_max_n
+    # The window positions (s, 1) for every s; shifted by n-1, column n.
+    column = sum(1 << (s - 1) * nmax for s in range(1, ks + 1))
     count = 0
     for q in proper_hyperideals(ring):
         if not is_C_hyperideal(ring, q):
             continue
-        land = land_row(ring, q, max(ks, p.absorbing_max_n))
-        for n in range(1, p.absorbing_max_n + 1):
+        closed = closed_pairs(ring, q, ks, nmax)
+        for n in range(1, nmax + 1):
             if not is_n_absorbing(ring, q, n):
                 continue
             count += ks
-            ln = land[n]
-            for s in range(1, ks + 1):
-                bad = land[s] & ~ln
-                if bad:
-                    w = least(bad)
-                    yield (
-                        (q,),
-                        (w,),
-                        (s, n),
-                        "%d-absorbing C-hyperideal not (%d,%d)-closed at %d",
-                        (n, s, n, w),
-                    )
+            for s, _, w in open_pairs(ring, q, (column << n - 1) & ~closed, nmax):
+                yield (
+                    (q,),
+                    (w,),
+                    (s, n),
+                    "%d-absorbing C-hyperideal not (%d,%d)-closed at %d",
+                    (n, s, n, w),
+                )
     return count
 
 
 def _prime_products(ring, p):
     primes = prime_hyperideals(ring)
-    top = max(p.smax, p.nmax)
     count = 0
     for t in range(1, p.tuple_max + 1):
+        hyp = sum(1 << i for i, (s, n) in enumerate(_window(p)) if n >= min(s, t))
         for combo in combinations_with_replacement(primes, t):
             prod = combo[0]
             for q in combo[1:]:
                 prod = ideal_product(ring, prod, q)
-            land = land_row(ring, prod, top)
-            for s in range(1, p.smax + 1):
-                ls = land[s]
-                ns = range(min(s, t), p.nmax + 1)
-                count += len(ns)
-                for n in ns:
-                    bad = ls & ~land[n]
-                    if bad:
-                        w = least(bad)
-                        yield (
-                            combo + (prod,),
-                            (w,),
-                            (s, n),
-                            "product of %d primes not (%d,%d)-closed at %d",
-                            (len(combo), s, n, w),
-                        )
+            count += hyp.bit_count()
+            fail = hyp & ~closed_pairs(ring, prod, p.smax, p.nmax)
+            for s, n, w in open_pairs(ring, prod, fail, p.nmax):
+                yield (
+                    combo + (prod,),
+                    (w,),
+                    (s, n),
+                    "product of %d primes not (%d,%d)-closed at %d",
+                    (len(combo), s, n, w),
+                )
     return count
 
 
@@ -268,9 +232,6 @@ def _closed_combinations(ring, p, part):
     (s,n)-closed.  The cases of one combo are a mask over the window, tested
     against the aggregate's closed-pair mask."""
     propers = proper_hyperideals(ring)
-    top = max(p.smax, p.nmax)
-    window = _window(p)
-    closed_pairs = _pair_memo(ring, top, window)
     # from_n[s][lo] masks the window positions (s, n) with n >= lo, for lo
     # up to nmax + 1; `_window` puts (s, n) at position (s-1)*nmax + n-1.
     ns = (1 << p.nmax) - 1
@@ -300,13 +261,8 @@ def _closed_combinations(ring, p, part):
                 low = min(s, bound(nis))
                 hyp |= from_n[s][min(max(1, low), p.nmax + 1)]
             count += hyp.bit_count()
-            fail = hyp & ~closed_pairs(agg)
-            if not fail:
-                continue
-            land = land_row(ring, agg, top)
-            for i in iter_bits(fail):
-                s, n = window[i]
-                w = least(land[s] & ~land[n])
+            fail = hyp & ~closed_pairs(ring, agg, p.smax, p.nmax)
+            for s, n, w in open_pairs(ring, agg, fail, p.nmax):
                 yield (
                     combo + (agg,),
                     (w,),
@@ -320,20 +276,15 @@ def _closed_combinations(ring, p, part):
 def _closed_combos_of_pairs(ring, p, combos, fmt):
     """Cases (combo, (s,n)) with every member (s,n)-closed; the aggregate of
     the combo, its last entry, must be (s,n)-closed too."""
-    top = max(p.smax, p.nmax)
-    window = _window(p)
-    closed_pairs = _pair_memo(ring, top, window)
     count = 0
     for ideals in combos:
         hyp = -1
         for q in ideals[:-1]:
-            hyp &= closed_pairs(q)
+            hyp &= closed_pairs(ring, q, p.smax, p.nmax)
         count += hyp.bit_count()
         agg = ideals[-1]
-        land = land_row(ring, agg, top)
-        for i in iter_bits(hyp & ~closed_pairs(agg)):
-            s, n = window[i]
-            w = least(land[s] & ~land[n])
+        fail = hyp & ~closed_pairs(ring, agg, p.smax, p.nmax)
+        for s, n, w in open_pairs(ring, agg, fail, p.nmax):
             yield (ideals, (w,), (s, n), fmt, (s, n, w))
     return count
 
@@ -386,10 +337,10 @@ def _square_sum(ring, p):
             if open_mask(ring, q, s, 2):
                 continue
             for pm in all_ideals:
-                if not is_subset(_set_power_cached(ring, pm, s), q):
+                if not is_subset(set_power(ring, pm, s), q):
                     continue
                 count += 1
-                p2 = _set_power_cached(ring, pm, 2)
+                p2 = set_power(ring, pm, 2)
                 if not is_subset(ring.minkowski_sum(p2, p2), q):
                     yield (
                         (q, pm),
@@ -423,20 +374,18 @@ def _class_ring_transfer(ring, p):
 
 def _radical_characterization(ring, p):
     bound = ring.power_bound()
-    kk = _kmax(ring, p)
-    window = _window(p)
     # Window positions with s <= n, the pairs claimed closed for every ideal.
-    upper = sum(1 << i for i, (s, n) in enumerate(window) if s <= n)
+    upper = sum(1 << i for i, (s, n) in enumerate(_window(p)) if s <= n)
     count = 0
     for q in proper_hyperideals(ring):
-        land = land_row(ring, q, kk)
         count += upper.bit_count() + 1
-        for i in iter_bits(upper & ~_pair_mask(land, window)):
-            s, n = window[i]
-            w = least(land[s] & ~land[n])
+        fail = upper & ~closed_pairs(ring, q, p.smax, p.nmax)
+        for s, n, w in open_pairs(ring, q, fail, p.nmax):
             yield ((q,), (w,), (s, n), "pair with s <= n not closed at %d", (w,))
         radical_fixed = radical(ring, q) == q
-        always_closed = is_subset(land[bound], q)
+        # land(k) grows with k up to the power bound and stays constant
+        # after it, so every pair is closed exactly when (bound, 1) is.
+        always_closed = not open_mask(ring, q, bound, 1)
         if radical_fixed != always_closed:
             yield (
                 (q,),
@@ -449,56 +398,51 @@ def _radical_characterization(ring, p):
 
 
 def _step_down(ring, p):
-    top = max(p.smax, p.nmax) + 1
-    window = _window(p)
+    wide = p.nmax + 1
+    # The window positions (s, n) with s != n, in tables one wider each way;
+    # there (s+1, n) sits `wide` positions after (s, n), (s+1, n+1) one more.
+    off_diagonal = sum(
+        1 << (s - 1) * wide + n - 1 for s, n in _window(p) if s != n
+    )
     count = 0
     for q in proper_hyperideals(ring):
-        land = land_row(ring, q, top)
-        for s, n in window:
-            if s == n:
-                continue
-            if land[s] & ~land[n] or land[s + 1] & ~land[n + 1]:
-                continue
-            count += 1
-            bad = land[s + 1] & ~land[n]
-            if bad:
-                w = least(bad)
-                yield (
-                    (q,),
-                    (w,),
-                    (s + 1, n),
-                    "(%d,%d) and (%d,%d) closed but (%d,%d) open at %d",
-                    (s, n, s + 1, n + 1, s + 1, n, w),
-                )
+        closed = closed_pairs(ring, q, p.smax + 1, wide)
+        hyp = off_diagonal & closed & closed >> wide + 1
+        count += hyp.bit_count()
+        fail = (hyp & ~(closed >> wide)) << wide
+        for s, n, w in open_pairs(ring, q, fail, wide):
+            yield (
+                (q,),
+                (w,),
+                (s, n),
+                "(%d,%d) and (%d,%d) closed but (%d,%d) open at %d",
+                (s - 1, n, s, n + 1, s, n, w),
+            )
     return count
 
 
 def _pair_monotone(ring, p):
     kk = _kmax(ring, p)
-    window = _window(p)
+    every_n = (1 << kk) - 1
     count = 0
     for q in proper_hyperideals(ring):
-        land = land_row(ring, q, kk)
-        # Some (s2,n2) with s2 <= s and n2 >= n is open exactly when the
-        # union of land(1..s) is not inside the meet of land(n..kk).
-        union = [0] * (kk + 1)
-        for s in range(1, kk + 1):
-            union[s] = union[s - 1] | land[s]
-        meet = [0] * (kk + 2)
-        meet[kk + 1] = -1
-        for n in range(kk, 0, -1):
-            meet[n] = meet[n + 1] & land[n]
-        for s, n in window:
-            if land[s] & ~land[n]:
-                continue
-            count += 1
-            if union[s] & ~meet[n]:
-                bad = next(
-                    (s2, n2)
-                    for s2 in range(1, s + 1)
-                    for n2 in range(n, kk + 1)
-                    if land[s2] & ~land[n2]
-                )
+        closed = closed_pairs(ring, q, p.smax, kk)
+        # opens[s] masks the n - 1 with (s, n) open; seen ORs opens[1..s], so
+        # some (s2, n2) with s2 <= s and n2 >= n is open when seen >> n - 1.
+        opens = [None] + [
+            ~closed >> (s - 1) * kk & every_n for s in range(1, p.smax + 1)
+        ]
+        seen = 0
+        for s in range(1, p.smax + 1):
+            seen |= opens[s]
+            for n in range(1, p.nmax + 1):
+                if opens[s] >> n - 1 & 1:
+                    continue
+                count += 1
+                if not seen >> n - 1:
+                    continue
+                s2 = next(t for t in range(1, s + 1) if opens[t] >> n - 1)
+                bad = (s2, n + least(opens[s2] >> n - 1))
                 yield (
                     (q,),
                     (),
@@ -509,9 +453,10 @@ def _pair_monotone(ring, p):
     return count
 
 
-def _first_open(land, n, kk):
-    """Least t <= kk with (t,n) open, or None."""
-    return next((t for t in range(1, kk + 1) if land[t] & ~land[n]), None)
+def _first_open(closed, n, nmax, kk):
+    """Least t <= kk with (t, n) open in a closed-pair table, or None."""
+    column = (closed >> (t - 1) * nmax + n - 1 & 1 for t in range(1, kk + 1))
+    return next((t for t, bit in enumerate(column, 1) if not bit), None)
 
 
 def _two_absorbing_spread(ring, p):
@@ -520,10 +465,11 @@ def _two_absorbing_spread(ring, p):
     for q in proper_hyperideals(ring):
         if not is_C_hyperideal(ring, q):
             continue
-        land = land_row(ring, q, kk + 1)
-        bad = _first_open(land, 2, kk)
+        closed = closed_pairs(ring, q, kk + 1, 2)
+        bad = _first_open(closed, 2, 2, kk)
         for n in range(3, kk + 1):
-            if land[n] & ~land[2] or land[n + 1] & ~land[2]:
+            # (n, 2) and (n+1, 2) sit at bits 2n-1 and 2n+1.
+            if not closed >> 2 * n - 1 & closed >> 2 * n + 1 & 1:
                 continue
             count += 1
             if bad is not None:
@@ -543,30 +489,30 @@ def _half_exponent_spread(ring, p):
     for q in proper_hyperideals(ring):
         if not is_C_hyperideal(ring, q):
             continue
-        land = land_row(ring, q, kk)
-        bads = [None] + [_first_open(land, n, kk) for n in range(1, p.nmax + 1)]
-        for s in range(1, kk + 1):
-            for n in range(1, p.nmax + 1):
-                if 2 * n > s or land[s] & ~land[n]:
-                    continue
-                count += 1
-                bad = bads[n]
-                if bad is not None:
-                    yield (
-                        (q,),
-                        (),
-                        (bad, n),
-                        "(%d,%d) closed with 2n <= s but (%d,%d) open",
-                        (s, n, bad, n),
-                    )
+        closed = closed_pairs(ring, q, kk, p.nmax)
+        bads = [None] + [
+            _first_open(closed, n, p.nmax, kk) for n in range(1, p.nmax + 1)
+        ]
+        for s, n in window_pairs(closed, p.nmax):
+            if 2 * n > s:
+                continue
+            count += 1
+            bad = bads[n]
+            if bad is not None:
+                yield (
+                    (q,),
+                    (),
+                    (bad, n),
+                    "(%d,%d) closed with 2n <= s but (%d,%d) open",
+                    (s, n, bad, n),
+                )
     return count
 
 
 def _order_comparisons(ring, p):
     kk = _kmax(ring, p)
     propers = proper_hyperideals(ring)
-    square = [(s, n) for s in range(1, kk + 1) for n in range(1, kk + 1)]
-    closed = {q: _pair_mask(land_row(ring, q, kk), square) for q in propers}
+    closed = {q: closed_pairs(ring, q, kk, kk) for q in propers}
     om = {q: [omega_unchecked(ring, q, s) for s in range(1, kk + 1)] for q in propers}
     big = {
         q: [big_omega_unchecked(ring, q, n) for n in range(1, kk + 1)]
@@ -666,12 +612,8 @@ def _intersection_bounds(ring, p):
 
 
 def _pairset_equal(ring, pm, qm, im, kk):
-    pl, ql, il = [land_row(ring, q, kk) for q in (pm, qm, im)]
-    return all(
-        (not pl[s] & ~pl[n] and not ql[s] & ~ql[n]) == (not il[s] & ~il[n])
-        for s in range(1, kk + 1)
-        for n in range(1, kk + 1)
-    )
+    pl, ql, il = [closed_pairs(ring, q, kk, kk) for q in (pm, qm, im)]
+    return pl & ql == il
 
 
 def _omega_is_max(ring, pm, qm, im, kk):
@@ -735,19 +677,21 @@ def _invariant_equivalence(ring, p):
 
 def _weakly_basics(ring, p):
     propers = proper_hyperideals(ring)
-    top = max(p.smax, p.nmax + 1)
-    window = _window(p)
-    zin = zero_in_row(ring, top)
-    weak_pairs = _pair_memo(ring, top, window, zin)
+    # Tables over n <= nmax + 1, where (s, n+1) sits one position after
+    # (s, n); `window` masks the positions with n <= nmax.
+    wide = p.nmax + 1
+    window = sum(((1 << p.nmax) - 1) << (s - 1) * wide for s in range(1, p.smax + 1))
     count = 0
     for pm, qm in combinations(propers, 2):
         im = pm & qm
-        hyp = weak_pairs(pm) & weak_pairs(qm)
+        hyp = (
+            window
+            & closed_pairs(ring, pm, p.smax, wide, True)
+            & closed_pairs(ring, qm, p.smax, wide, True)
+        )
         count += hyp.bit_count()
-        il = land_row(ring, im, top)
-        for i in iter_bits(hyp & ~weak_pairs(im)):
-            s, n = window[i]
-            w = least(il[s] & ~zin[s] & ~il[n])
+        fail = hyp & ~closed_pairs(ring, im, p.smax, wide, True)
+        for s, n, w in open_pairs(ring, im, fail, wide, True):
             yield (
                 (pm, qm, im),
                 (w,),
@@ -756,28 +700,24 @@ def _weakly_basics(ring, p):
                 (s, n, w),
             )
     for q in propers:
-        land = land_row(ring, q, top)
-        hyp = weak_pairs(q)
+        weak = closed_pairs(ring, q, p.smax, wide, True)
+        hyp = window & weak
         count += hyp.bit_count()
-        for i in iter_bits(hyp):
-            s, n = window[i]
-            bad = land[s] & ~zin[s] & ~land[n + 1]
-            if bad:
-                w = least(bad)
-                yield (
-                    (q,),
-                    (w,),
-                    (s, n + 1),
-                    "weakly (%d,%d)-closed but weakly (%d,%d) open at %d",
-                    (s, n, s, n + 1, w),
-                )
+        for s, n, w in open_pairs(ring, q, (hyp & ~(weak >> 1)) << 1, wide, True):
+            yield (
+                (q,),
+                (w,),
+                (s, n),
+                "weakly (%d,%d)-closed but weakly (%d,%d) open at %d",
+                (s, n - 1, s, n, w),
+            )
         if not is_C_hyperideal(ring, q):
             continue
         count += hyp.bit_count()
-        for i in iter_bits(hyp):
-            s, n = window[i]
-            tough = zin[s] & ~land[n]
-            not_closed = land[s] & ~land[n] != 0
+        closed = closed_pairs(ring, q, p.smax, wide)
+        for s, n in window_pairs(hyp, wide):
+            tough = tough_zero_mask(ring, q, s, n)
+            not_closed = not closed >> (s - 1) * wide + n - 1 & 1
             if not_closed != bool(tough):
                 yield (
                     (q,),
@@ -790,20 +730,16 @@ def _weakly_basics(ring, p):
 
 
 def _tough_zero_shift(ring, p):
-    top = max(p.smax, p.nmax)
-    zin = zero_in_row(ring, top)
     add = ring.add
     count = 0
     for q in proper_hyperideals(ring):
         if not is_strong_C_hyperideal(ring, q):
             continue
-        land = land_row(ring, q, top)
         inside = members(q)
-        for s, n in _window(p):
-            zs = zin[s]
-            if land[s] & ~zs & ~land[n]:
-                continue
-            for x in iter_bits(zs & ~land[n]):
+        weak = closed_pairs(ring, q, p.smax, p.nmax, True)
+        for s, n in window_pairs(weak, p.nmax):
+            zs = zero_in_mask(ring, s)
+            for x in iter_bits(tough_zero_mask(ring, q, s, n)):
                 count += 1
                 row = add[x]
                 bad = next((a for a in inside if not zs >> row[a] & 1), None)
@@ -819,29 +755,42 @@ def _tough_zero_shift(ring, p):
 
 
 def _weakly_nilpotent(ring, p):
-    top = max(p.smax, p.nmax)
-    zin = zero_in_row(ring, top)
     ups = nilpotents(ring)
     count = 0
     for q in proper_hyperideals(ring):
         if not is_strong_C_hyperideal(ring, q):
             continue
-        land = land_row(ring, q, top)
+        hyp = _weakly_not_closed(ring, q, p)
+        count += hyp.bit_count()
         escape = q & ~ups
-        for s, n in _window(p):
-            opened = land[s] & ~land[n]
-            if not opened or opened & ~zin[s]:
-                continue
-            count += 1
-            if escape:
-                shown = members(escape)[:1]
-                yield (
-                    (q,),
-                    tuple(shown),
-                    (s, n),
-                    "weakly-not-closed ideal contains non-nilpotent %s",
-                    (shown,),
-                )
+        if not escape:
+            continue
+        shown = members(escape)[:1]
+        for sn in window_pairs(hyp, p.nmax):
+            yield (
+                (q,),
+                tuple(shown),
+                sn,
+                "weakly-not-closed ideal contains non-nilpotent %s",
+                (shown,),
+            )
+    return count
+
+
+def _all_weakly_closed(ring, p, ideals, rhs, fmt):
+    """One case per window pair with s > n: the ideals given are all weakly
+    (s,n)-closed exactly when rhs(s, n) holds."""
+    every = -1
+    for q in ideals:
+        every &= closed_pairs(ring, q, p.smax, p.nmax, True)
+    count = 0
+    for i, (s, n) in enumerate(_window(p)):
+        if s <= n:
+            continue
+        count += 1
+        every_weak = bool(every >> i & 1)
+        if every_weak != rhs(s, n):
+            yield ((), (), (s, n), fmt, (every_weak, not every_weak))
     return count
 
 
@@ -855,26 +804,14 @@ def _nilpotent_ideal_criterion(ring, p):
     ):
         return 0
     ups = nilpotents(ring)
-    inside = [
-        q for q in proper_hyperideals(ring) if is_subset(q, ups)
-    ]
-    count = 0
-    for s, n in _window(p):
-        if s <= n:
-            continue
-        count += 1
-        every_weak = not any(weakly_open_mask(ring, q, s, n) for q in inside)
-        zeros = (ups & ~zero_in_mask(ring, s)) == 0
-        if every_weak != zeros:
-            yield (
-                (),
-                (),
-                (s, n),
-                "all nilpotent-contained ideals weakly closed %s but "
-                "0 in x^s for all nilpotent x %s",
-                (every_weak, not every_weak),
-            )
-    return count
+    inside = [q for q in proper_hyperideals(ring) if is_subset(q, ups)]
+    return (
+        yield from _all_weakly_closed(
+            ring, p, inside, lambda s, n: not ups & ~zero_in_mask(ring, s),
+            "all nilpotent-contained ideals weakly closed %s but "
+            "0 in x^s for all nilpotent x %s",
+        )
+    )
 
 
 # -- regular elements ----------------------------------------------------------------
@@ -972,28 +909,21 @@ def _every_ideal_weakly(ring, p):
     if not is_strongly_distributive(ring) or not has_i_set(ring):
         return 0
     ups = nilpotents(ring)
-    propers = proper_hyperideals(ring)
     top = max(p.smax, p.nmax)
     rows = [regularity_rows(ring, a, top) for a in members(ring.full & ~ups)]
-    count = 0
-    for s, n in _window(p):
-        if s <= n:
-            continue
-        count += 1
-        every_weak = not any(weakly_open_mask(ring, q, s, n) for q in propers)
-        rhs = (ups & ~zero_in_mask(ring, s)) == 0 and all(
+
+    def rhs(s, n):
+        return not ups & ~zero_in_mask(ring, s) and all(
             row[s][1] >> n & 1 for row in rows
         )
-        if every_weak != rhs:
-            yield (
-                (),
-                (),
-                (s, n),
-                "all proper ideals weakly closed %s but Regular/nilpotent "
-                "criterion %s",
-                (every_weak, not every_weak),
-            )
-    return count
+
+    return (
+        yield from _all_weakly_closed(
+            ring, p, proper_hyperideals(ring), rhs,
+            "all proper ideals weakly closed %s but Regular/nilpotent "
+            "criterion %s",
+        )
+    )
 
 
 # -- transport along homomorphisms, quotients, and products ---------------------------
@@ -1018,15 +948,9 @@ def _hom_pool(ring):
 
 
 def _hom_transport(ring, p):
-    top = max(p.smax, p.nmax)
-    window = _window(p)
-    zin = zero_in_row(ring, top)
-    weak_pairs = _pair_memo(ring, top, window, zin)
     count = 0
     for f in _hom_pool(ring):
         target = f.target
-        tzin = zero_in_row(target, top)
-        target_pairs = _pair_memo(target, top, window, tzin)
         injective = len(set(f.table)) == ring.order
         if injective:
             for q2 in enumerate_hyperideals(target, order_bound=64):
@@ -1040,15 +964,10 @@ def _hom_transport(ring, p):
                     )
                     continue
                 assert is_hyperideal(ring, pre)
-                hyp = target_pairs(q2)
+                hyp = closed_pairs(target, q2, p.smax, p.nmax, True)
                 count += hyp.bit_count()
-                fail = hyp & ~weak_pairs(pre)
-                if not fail:
-                    continue
-                land = land_row(ring, pre, top)
-                for i in iter_bits(fail):
-                    s, n = window[i]
-                    w = least(land[s] & ~zin[s] & ~land[n])
+                fail = hyp & ~closed_pairs(ring, pre, p.smax, p.nmax, True)
+                for s, n, w in open_pairs(ring, pre, fail, p.nmax, True):
                     yield (
                         (pre,),
                         (w,),
@@ -1064,15 +983,10 @@ def _hom_transport(ring, p):
                     continue
                 img = f.image_mask(q1)
                 assert img != target.full and is_hyperideal(target, img)
-                hyp = weak_pairs(q1)
+                hyp = closed_pairs(ring, q1, p.smax, p.nmax, True)
                 count += hyp.bit_count()
-                fail = hyp & ~target_pairs(img)
-                if not fail:
-                    continue
-                tland = land_row(target, img, top)
-                for i in iter_bits(fail):
-                    s, n = window[i]
-                    w = least(tland[s] & ~tzin[s] & ~tland[n])
+                fail = hyp & ~closed_pairs(target, img, p.smax, p.nmax, True)
+                for s, n, w in open_pairs(target, img, fail, p.nmax, True):
                     yield (
                         (q1,),
                         (),
@@ -1086,9 +1000,6 @@ def _hom_transport(ring, p):
 
 def _quotient_transport(ring, p):
     propers = proper_hyperideals(ring)
-    top = max(p.smax, p.nmax)
-    window = _window(p)
-    weak_pairs = _pair_memo(ring, top, window, zero_in_row(ring, top))
     count = 0
     for pm in propers:
         quot = None
@@ -1097,18 +1008,11 @@ def _quotient_transport(ring, p):
                 continue
             if quot is None:
                 quot, proj = quotient_by_ideal(ring, pm)
-                qzin = zero_in_row(quot, top)
-                quot_pairs = _pair_memo(quot, top, window, qzin)
             image = proj.image_mask(qm)
-            hyp = weak_pairs(qm)
+            hyp = closed_pairs(ring, qm, p.smax, p.nmax, True)
             count += hyp.bit_count()
-            fail = hyp & ~quot_pairs(image)
-            if not fail:
-                continue
-            qland = land_row(quot, image, top)
-            for i in iter_bits(fail):
-                s, n = window[i]
-                w = least(qland[s] & ~qzin[s] & ~qland[n])
+            fail = hyp & ~closed_pairs(quot, image, p.smax, p.nmax, True)
+            for s, n, w in open_pairs(quot, image, fail, p.nmax, True):
                 yield (
                     (pm, qm),
                     (),
@@ -1137,9 +1041,7 @@ def _box_equivalence(ring, p):
         return 0
     f1, f2 = factors
     n2 = f2.order
-    top = max(p.smax, p.nmax)
     window = _window(p)
-    zin = zero_in_row(ring, top)
     count = 0
     for side, fac in enumerate(factors):
         for q in proper_hyperideals(fac):
@@ -1150,10 +1052,9 @@ def _box_equivalence(ring, p):
             else:
                 box = _box_mask(f1.full, q, n2)
             count += len(window)
-            box_land = land_row(ring, box, top)
-            i = _pair_mask(box_land, window, zin)
-            ii = _pair_mask(land_row(fac, q, top), window)
-            iii = _pair_mask(box_land, window)
+            i = closed_pairs(ring, box, p.smax, p.nmax, True)
+            ii = closed_pairs(fac, q, p.smax, p.nmax)
+            iii = closed_pairs(ring, box, p.smax, p.nmax)
             for k in iter_bits((i ^ ii) | (ii ^ iii)):
                 s, n = window[k]
                 yield (
@@ -1189,18 +1090,19 @@ def _box_C_hyperideal(ring, p):
     return count
 
 
-def _weak_not_closed_condition(fa, qa, fb, qb, s, n):
-    """One disjunct of the box decomposition criterion."""
+def _one_sided_criterion(fa, qa, fb, qb, p):
+    """Window mask of one disjunct of the box decomposition criterion:
+    qa weakly closed but not closed, with the one-sided conditions on qb."""
     if qa == fa.full:
-        return False
-    if weakly_open_mask(fa, qa, s, n) or not open_mask(fa, qa, s, n):
-        return False
-    if land_mask(fb, qb, s) & ~zero_in_mask(fb, s):
-        return False
-    trigger = land_mask(fa, qa, s) & ~zero_in_mask(fa, s)
-    if trigger and qb != fb.full and open_mask(fb, qb, s, n):
-        return False
-    return True
+        return 0
+    out = _weakly_not_closed(fa, qa, p)
+    for s in range(1, p.smax + 1):
+        row = ((1 << p.nmax) - 1) << (s - 1) * p.nmax
+        if land_mask(fb, qb, s) & ~zero_in_mask(fb, s):
+            out &= ~row
+        elif qb != fb.full and land_mask(fa, qa, s) & ~zero_in_mask(fa, s):
+            out &= ~row | closed_pairs(fb, qb, p.smax, p.nmax)
+    return out
 
 
 def _box_decomposition(ring, p):
@@ -1216,30 +1118,21 @@ def _box_decomposition(ring, p):
         q2 = factor_mask(q, n2, 1)
         decomposes = _box_mask(q1, q2, n2) == q
         count += len(window)
-        for s, n in window:
-            lhs = (
-                is_C_hyperideal(ring, q)
-                and not weakly_open_mask(ring, q, s, n)
-                and open_mask(ring, q, s, n) != 0
+        lhs = _weakly_not_closed(ring, q, p) if is_C_hyperideal(ring, q) else 0
+        rhs = 0
+        if decomposes and is_C_hyperideal(f1, q1) and is_C_hyperideal(f2, q2):
+            rhs = _one_sided_criterion(f1, q1, f2, q2, p) | _one_sided_criterion(
+                f2, q2, f1, q1, p
             )
-            rhs = (
-                decomposes
-                and is_C_hyperideal(f1, q1)
-                and is_C_hyperideal(f2, q2)
-                and (
-                    _weak_not_closed_condition(f1, q1, f2, q2, s, n)
-                    or _weak_not_closed_condition(f2, q2, f1, q1, s, n)
-                )
+        for k in iter_bits(lhs ^ rhs):
+            found = bool(lhs >> k & 1)
+            yield (
+                (q,),
+                (),
+                window[k],
+                "weakly-not-closed C-hyperideal %s but decomposition criterion %s",
+                (found, not found),
             )
-            if lhs != rhs:
-                yield (
-                    (q,),
-                    (),
-                    (s, n),
-                    "weakly-not-closed C-hyperideal %s but decomposition "
-                    "criterion %s",
-                    (lhs, not lhs),
-                )
     return count
 
 

@@ -107,8 +107,6 @@ def cmd_profile(args):
     ring = _load_ring(args.ring)
     rows = []
     for mask in _ideal_masks(ring, args.ideal):
-        if mask == ring.full:
-            continue
         rows.append(profile_to_dict(closed_profile(ring, mask, args.smax, args.nmax)))
     if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))
@@ -140,8 +138,6 @@ def cmd_closed(args):
     test = is_weakly_sn_closed if args.weakly else is_sn_closed
     kind = "weakly (%d,%d)-closed" if args.weakly else "(%d,%d)-closed"
     for mask in _ideal_masks(ring, args.ideal):
-        if mask == ring.full:
-            continue
         ok = test(ring, mask, args.s, args.n)
         verdicts.append(ok)
         print("%s: %s: %s" % (members(mask), kind % (args.s, args.n), "yes" if ok else "no"))
@@ -222,7 +218,7 @@ def cmd_verify(args):
         absorbing_max_n=args.absorbing_max_n,
         random_count=args.random,
         seed=args.seed,
-        check_ids=tuple(args.checks.split(",")) if args.checks else None,
+        check_ids=None if args.checks is None else tuple(args.checks.split(",")),
         threads=args.threads,
     )
     report = run_suite(cfg)

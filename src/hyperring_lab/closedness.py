@@ -26,6 +26,12 @@ per ring, shared by all elements, from a set to its cells over every b.
 `is_sn_regular` and `is_sn_Regular`
 read one bit of them, and the regularity checks fetch an element's rows
 once and test bits.
+
+Window verdicts are formed in one place, `closed_pairs`: one closed-pair
+table per (ring, set, window, weak), a mask over the exponent window with
+one bit per pair, read by every check that quantifies over the window.
+`open_pairs` forms the least witness of each failing pair on demand from
+`open_mask` / `weakly_open_mask`; no witness is stored.
 """
 
 from __future__ import annotations
@@ -123,9 +129,9 @@ def zero_in_mask(ring: FiniteHyperring, k: int) -> int:
 # -- mask-level formulas -----------------------------------------------------------
 #
 # These take the ideal on trust: no hyperideal validation, only the exponent
-# check.  The check registry calls them where the hypotheses already guarantee
-# proper hyperideals, and reads the rows directly in its inner loops; the
-# public functions further down validate their input and then delegate here.
+# check.  The check registry and the closed-pair tables below call them where
+# the hypotheses already guarantee proper hyperideals; the public functions
+# further down validate their input and then delegate here.
 
 
 def open_mask(ring: FiniteHyperring, imask: int, s: int, n: int) -> int:
@@ -146,6 +152,59 @@ def tough_zero_mask(ring: FiniteHyperring, imask: int, s: int, n: int) -> int:
     """Elements x with 0 in x^s but x^n not inside the ideal."""
     _require_exponent(min(s, n))
     return zero_in_row(ring, s)[s] & ~land_row(ring, imask, n)[n]
+
+
+# -- closed-pair tables ------------------------------------------------------------
+
+
+def closed_pairs(
+    ring: FiniteHyperring, imask: int, smax: int, nmax: int, weak: bool = False
+) -> int:
+    """Window mask whose bit (s-1)*nmax + n-1 is set when the set is
+    (s,n)-closed, for s <= smax and n <= nmax.
+
+    With `weak` it is weak (s,n)-closedness instead: only elements whose s-th
+    power misses 0 can break a pair.  One map per (ring, window, weak) from a
+    set to its mask, filled on demand.
+    """
+    table = ring._cache.get(("pairs", smax, nmax, weak))
+    if table is None:
+        _require_exponent(min(smax, nmax))
+        table = ring._cache[("pairs", smax, nmax, weak)] = {}
+    found = table.get(imask)
+    if found is None:
+        land = land_row(ring, imask, max(smax, nmax))
+        zin = zero_in_row(ring, smax) if weak else None
+        found = 0
+        bit = 1
+        for s in range(1, smax + 1):
+            trigger = land[s] & ~zin[s] if weak else land[s]
+            for n in range(1, nmax + 1):
+                if not trigger & ~land[n]:
+                    found |= bit
+                bit <<= 1
+        table[imask] = found
+    return found
+
+
+def window_pairs(mask: int, nmax: int):
+    """The pair (s, n) of each set bit of a window mask, in bit order."""
+    for i in iter_bits(mask):
+        s, n = divmod(i, nmax)
+        yield s + 1, n + 1
+
+
+def open_pairs(
+    ring: FiniteHyperring, imask: int, mask: int, nmax: int, weak: bool = False
+):
+    """(s, n, least witness) for each set bit of a window mask, in bit order.
+
+    The bits must name pairs at which the set is open (weakly, with `weak`);
+    each witness is formed on demand and not stored.
+    """
+    opened = weakly_open_mask if weak else open_mask
+    for s, n in window_pairs(mask, nmax):
+        yield s, n, least(opened(ring, imask, s, n))
 
 
 def omega_unchecked(ring: FiniteHyperring, imask: int, s: int) -> int:

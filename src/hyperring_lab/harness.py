@@ -211,6 +211,8 @@ def generate_instances(cfg: SuiteConfig) -> list[FiniteHyperring]:
 def _selected_checks(cfg: SuiteConfig) -> tuple[Check, ...]:
     if cfg.check_ids is None:
         return CHECKS
+    if not cfg.check_ids:
+        raise ValueError("check_ids must name at least one check")
     return tuple(get_check(cid) for cid in cfg.check_ids)
 
 
@@ -260,10 +262,11 @@ def run_suite(
 ) -> SuiteReport:
     started = time.perf_counter()
     threads = _resolve_threads(cfg)
-    if instances is None:
-        instances = generate_instances(cfg)
+    # Checks first, so an unknown check id is refused before the sweep is built.
     if checks is None:
         checks = _selected_checks(cfg)
+    if instances is None:
+        instances = generate_instances(cfg)
     params = cfg.params()
     if threads > 1 and len(instances) > 1:
         # Largest rings first, one per task, so no worker is left with the

@@ -527,13 +527,16 @@ def ideal_product(ring: FiniteHyperring, imask: int, jmask: int) -> int:
 
 
 def set_power(ring: FiniteHyperring, amask: int, s: int) -> int:
-    """Union of all s-fold products of elements drawn from the set."""
+    """Union of all s-fold products of elements drawn from the set: entry s
+    of one row per (ring, set), grown on demand by P^j = P^(j-1) * P."""
     if s < 1:
         raise ValueError("set powers start at exponent 1")
-    cur = amask
-    for _ in range(s - 1):
-        cur = ring.hyper_product(cur, amask)
-    return cur
+    row = ring._cache.get(("setpow", amask))
+    if row is None:
+        row = ring._cache[("setpow", amask)] = [None, amask]
+    while len(row) <= s:
+        row.append(ring.hyper_product(row[-1], amask))
+    return row[s]
 
 
 def ideal_power(ring: FiniteHyperring, imask: int, s: int) -> int:

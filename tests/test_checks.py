@@ -1,5 +1,7 @@
 """Behavior of individual registry checks on hand-picked instances."""
 
+import hashlib
+
 import pytest
 
 from hyperring_lab import (
@@ -141,3 +143,34 @@ def test_closed_combinations_match_the_per_pair_reference(part, params, monkeypa
         assert got == expect, ring.name
         failures += len(got[0])
     assert failures > 0
+
+
+def _case_stream_digest():
+    """sha256 over every yield and returned count of every check on every
+    default instance, drained in registry order per instance."""
+    digest = hashlib.sha256()
+    cfg = SuiteConfig()
+    params = cfg.params()
+    for ring in generate_instances(cfg):
+        for check in CHECKS:
+            # Each registry fn is partial(_collect, id, gen); drain gen itself.
+            failures = check.fn.args[1](ring, params)
+            digest.update(repr((ring.name, check.id)).encode())
+            while True:
+                try:
+                    case = next(failures)
+                except StopIteration as stop:
+                    digest.update(repr(("count", stop.value)).encode())
+                    break
+                digest.update(repr(case).encode())
+    return digest.hexdigest()
+
+
+def test_full_failing_case_stream_is_pinned():
+    """Every failing case, with its witness, and every note and case count of
+    the default sweep, not only the first counterexample and 12 notes per
+    check that the report keeps: a kernel change that moves any later
+    witness or count changes the digest."""
+    assert _case_stream_digest() == (
+        "23953a790a6f497799bc6b4841f33cc7014a43053d2fb384c4dd835e0bba0335"
+    )

@@ -31,10 +31,12 @@ from hyperring_lab import (
 )
 from hyperring_lab.closedness import (
     big_omega_unchecked,
+    closed_pairs,
     land_mask,
     land_row,
     omega_unchecked,
     open_mask,
+    open_pairs,
     power_column,
     tough_zero_mask,
     weakly_open_mask,
@@ -289,3 +291,44 @@ def test_residue_model_validation():
         ZxResidueModel(6, [0, 2])
     with pytest.raises(ValueError):
         ZxResidueModel(6, [2]).closed(0, 1)
+
+
+def test_closed_pair_tables_match_the_frozenset_oracle():
+    """`closed_pairs` against `oracles.sn_closed` / `weakly_sn_closed`, and
+    `open_pairs` against the least oracle witness of each open pair, on every
+    proper ideal of the default rings of order <= 8.  Each ring asks for the
+    6x6 window before 7x4 and kk x kk, so tables and rows grown for a small
+    window must serve the larger one."""
+    rings = [r for r in generate_instances(SuiteConfig()) if r.order <= 8]
+    assert len(rings) > 50
+    for ring in rings:
+        n, add, mul = orc.tables(ring)
+        zero = orc.find_zero(n, add)
+        kk = max(ring.power_bound(), 7)
+        powers = [[None] + [orc.power(mul, a, k) for k in range(1, kk + 1)] for a in range(n)]
+        ideals = [Q for Q in orc.all_ideals(n, add, mul) if len(Q) < n]
+        for smax, nmax in ((6, 6), (7, 4), (kk, kk)):
+            for weak in (False, True):
+                for Q in ideals:
+                    q = mask_of(sorted(Q))
+                    breaks = {
+                        (s, m): [
+                            a for a in range(n)
+                            if powers[a][s] <= Q
+                            and not (weak and zero in powers[a][s])
+                            and not powers[a][m] <= Q
+                        ]
+                        for s in range(1, smax + 1)
+                        for m in range(1, nmax + 1)
+                    }
+                    oracle = orc.weakly_sn_closed if weak else orc.sn_closed
+                    table = closed_pairs(ring, q, smax, nmax, weak)
+                    for (s, m), bad in breaks.items():
+                        closed = bool(table >> (s - 1) * nmax + m - 1 & 1)
+                        assert closed == (not bad) == oracle(n, add, mul, Q, s, m), (
+                            ring.name, members(q), smax, nmax, weak, s, m,
+                        )
+                    window = (1 << smax * nmax) - 1
+                    got = list(open_pairs(ring, q, window & ~table, nmax, weak))
+                    want = [(s, m, bad[0]) for (s, m), bad in breaks.items() if bad]
+                    assert got == want, (ring.name, members(q), smax, nmax, weak)

@@ -358,3 +358,33 @@ def test_classify_ideal_frozen():
     assert classify_ideal(r, r.full)["prime"] is False
     with pytest.raises(NotAHyperideal):
         classify_ideal(r, mask_of([1]))
+
+
+def test_set_power_row_matches_iterated_oracle_products():
+    """`set_power` keeps one row per (ring, set); asking for P^6 before P^2
+    must leave every entry equal to the iterated frozenset product, for every
+    hyperideal and a seeded sample of other subsets of the default rings of
+    order <= 8."""
+    rng = random.Random(1103)
+    for ring in generate_instances(SuiteConfig()):
+        if ring.order > 8:
+            continue
+        n, add, mul = orc.tables(ring)
+        subsets = orc.all_ideals(n, add, mul)
+        subsets += [frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(4)]
+        for P in subsets:
+            pmask = mask_of(sorted(P))
+            assert members(set_power(ring, pmask, 6)) == sorted(
+                _oracle_set_power(mul, P, 6)
+            ), (ring.name, sorted(P))
+            for s in (2, 1, 3, 5, 4):
+                assert members(set_power(ring, pmask, s)) == sorted(
+                    _oracle_set_power(mul, P, s)
+                ), (ring.name, sorted(P), s)
+
+
+def _oracle_set_power(mul, P, s):
+    acc = P
+    for _ in range(s - 1):
+        acc = orc.set_product(mul, acc, P)
+    return acc

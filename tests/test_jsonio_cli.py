@@ -377,3 +377,24 @@ def test_cli_verify_canonical_reports_are_byte_identical(tmp_path):
     assert main(base + ["--json", str(out1)]) == 0
     assert main(base + ["--json", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("command", [["closed", "--s", "2", "--n", "1"], ["profile"]])
+def test_cli_refuses_the_whole_carrier_as_ideal(tmp_path, capsys, command):
+    """The whole carrier is a hyperideal but not a proper one: refused, not
+    skipped with an empty, passing output."""
+    path = _write_ring(tmp_path, make_zx_mod(4, [1]))
+    assert main([command[0], path, "--ideal", "0,1,2,3", *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the whole carrier is not a proper hyperideal\n"
+
+
+def test_cli_verify_refuses_checks_naming_no_check(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(harness, "make_zx_mod", lambda *args: built.append(args))
+    assert main(["verify", "--checks", ""]) == 2
+    assert capsys.readouterr().err.startswith("error: no check named ''; known: T2_3, ")
+    assert built == []
+    with pytest.raises(ValueError, match="check_ids must name at least one check"):
+        harness.run_suite(harness.SuiteConfig(check_ids=()))
