@@ -14,9 +14,10 @@ yields only its failing cases, each as a plain tuple
 the number of cases it examined, and a hypothesis guard that rules the whole
 ring out returns 0.  A case computes its verdict as a mask and forms a
 witness (``least``) only when that mask is nonzero.  Where a check quantifies
-over the exponent window, it reads the verdicts of one ideal as a bitmask
-over the window positions (`closedness.closed_pairs`), so a case that holds
-costs one bit, and forms witnesses at failing bits only (`open_pairs`).  One
+over exponent pairs, it reads the verdicts of one ideal from its closed-pair
+rows (`closedness.closed_rows`, entry s, bit n), so a case that holds costs
+one bit.  Its hypotheses are per-s masks in the same layout, and
+`open_pairs` forms witnesses at the failing pairs only.  One
 runner, `_collect`, takes the count from the generator's return value and
 turns the first failing case into a `Counterexample` whose detail is
 ``fmt % args``; a generator that returns no count raises `TypeError`.
@@ -36,15 +37,14 @@ from typing import Callable, Optional
 from .bitsets import is_subset, iter_bits, least, members
 from .closedness import (
     big_omega_unchecked,
-    closed_pairs,
+    closed_rows,
     land_mask,
     omega_unchecked,
     open_mask,
     open_pairs,
     regularity_rows,
+    tough_free_rows,
     tough_zero_mask,
-    weakly_open_mask,
-    window_pairs,
     zero_in_mask,
 )
 from .core import (
@@ -154,14 +154,40 @@ def _kmax(ring, p):
     return max(ring.power_bound(), p.smax, p.nmax)
 
 
-def _window(p):
-    return [(s, n) for s in range(1, p.smax + 1) for n in range(1, p.nmax + 1)]
+def _upto(k):
+    """Exponent mask of n = 1..k: bit n set, as in an entry of the rows."""
+    return (1 << k + 1) - 2
+
+
+def _bits(rows):
+    """Number of pairs named by per-s masks whose entry 0 is 0."""
+    return sum(map(int.bit_count, rows))
+
+
+def _pairs(rows):
+    """(s, n) for each bit n of each entry s >= 1, in order of s, then n."""
+    for s in range(1, len(rows)):
+        for n in iter_bits(rows[s]):
+            yield s, n
+
+
+def _window_rows(ring, ideals, p, weak=False):
+    """Per-s masks of the pairs with s <= smax and n <= nmax at which every
+    one of `ideals` is (weakly) closed; entry 0 is 0."""
+    top = max(p.smax, p.nmax)
+    out = [0] + [_upto(p.nmax)] * p.smax
+    for q in ideals:
+        rows = closed_rows(ring, q, top, weak)
+        for s in range(1, p.smax + 1):
+            out[s] &= rows[s]
+    return out
 
 
 def _weakly_not_closed(ring, q, p):
-    """Window mask of the pairs at which q is weakly closed but not closed."""
-    weak = closed_pairs(ring, q, p.smax, p.nmax, True)
-    return weak & ~closed_pairs(ring, q, p.smax, p.nmax)
+    """Per-s masks of the window pairs at which q is weakly closed but not
+    closed."""
+    weak = _window_rows(ring, (q,), p, True)
+    return [w & ~c for w, c in zip(weak, _window_rows(ring, (q,), p))]
 
 
 def _box_mask(m1, m2, n2):
@@ -172,28 +198,20 @@ def _box_mask(m1, m2, n2):
     return out
 
 
-def _product_factors(ring):
-    return ring._cache.get("factors")
-
-
 # -- closed hyperideals -----------------------------------------------------------
 
 
 def _absorbing_closed(ring, p):
     ks = max(ring.power_bound(), p.smax)
-    nmax = p.absorbing_max_n
-    # The window positions (s, 1) for every s; shifted by n-1, column n.
-    column = sum(1 << (s - 1) * nmax for s in range(1, ks + 1))
     count = 0
     for q in proper_hyperideals(ring):
         if not is_C_hyperideal(ring, q):
             continue
-        closed = closed_pairs(ring, q, ks, nmax)
-        for n in range(1, nmax + 1):
+        for n in range(1, p.absorbing_max_n + 1):
             if not is_n_absorbing(ring, q, n):
                 continue
             count += ks
-            for s, _, w in open_pairs(ring, q, (column << n - 1) & ~closed, nmax):
+            for s, _, w in open_pairs(ring, q, [0] + [1 << n] * ks):
                 yield (
                     (q,),
                     (w,),
@@ -207,15 +225,16 @@ def _absorbing_closed(ring, p):
 def _prime_products(ring, p):
     primes = prime_hyperideals(ring)
     count = 0
+    ns = _upto(p.nmax)
     for t in range(1, p.tuple_max + 1):
-        hyp = sum(1 << i for i, (s, n) in enumerate(_window(p)) if n >= min(s, t))
+        # Entry s masks the n >= min(s, t).
+        hyp = [0] + [ns & -(1 << min(s, t)) for s in range(1, p.smax + 1)]
         for combo in combinations_with_replacement(primes, t):
             prod = combo[0]
             for q in combo[1:]:
                 prod = ideal_product(ring, prod, q)
-            count += hyp.bit_count()
-            fail = hyp & ~closed_pairs(ring, prod, p.smax, p.nmax)
-            for s, n, w in open_pairs(ring, prod, fail, p.nmax):
+            count += _bits(hyp)
+            for s, n, w in open_pairs(ring, prod, hyp):
                 yield (
                     combo + (prod,),
                     (w,),
@@ -230,16 +249,9 @@ def _closed_combinations(ring, p, part):
     """Cases (combo, (s,n)) with n >= min(s, the sum or max of the members'
     omega(s)); the aggregate, the combo's product or intersection, must be
     (s,n)-closed.  The cases of one combo are a mask over the window, tested
-    against the aggregate's closed-pair mask."""
+    against the aggregate's closed-pair rows."""
     propers = proper_hyperideals(ring)
-    # from_n[s][lo] masks the window positions (s, n) with n >= lo, for lo
-    # up to nmax + 1; `_window` puts (s, n) at position (s-1)*nmax + n-1.
-    ns = (1 << p.nmax) - 1
-    from_n = [None] + [
-        [None]
-        + [(ns >> lo - 1) << (lo - 1 + (s - 1) * p.nmax) for lo in range(1, p.nmax + 2)]
-        for s in range(1, p.smax + 1)
-    ]
+    ns = _upto(p.nmax)
     omegas = {
         q: [omega_unchecked(ring, q, s) for s in range(1, p.smax + 1)]
         for q in propers
@@ -256,13 +268,13 @@ def _closed_combinations(ring, p, part):
                 agg = ring.full
                 for q in combo:
                     agg &= q
-            hyp = 0
-            for s, nis in enumerate(zip(*[omegas[q] for q in combo]), 1):
-                low = min(s, bound(nis))
-                hyp |= from_n[s][min(max(1, low), p.nmax + 1)]
-            count += hyp.bit_count()
-            fail = hyp & ~closed_pairs(ring, agg, p.smax, p.nmax)
-            for s, n, w in open_pairs(ring, agg, fail, p.nmax):
+            # Entry s masks the n >= min(s, bound of the members' omega(s)).
+            hyp = [0] + [
+                ns & -(1 << min(s, bound(nis)))
+                for s, nis in enumerate(zip(*[omegas[q] for q in combo]), 1)
+            ]
+            count += _bits(hyp)
+            for s, n, w in open_pairs(ring, agg, hyp):
                 yield (
                     combo + (agg,),
                     (w,),
@@ -278,13 +290,9 @@ def _closed_combos_of_pairs(ring, p, combos, fmt):
     the combo, its last entry, must be (s,n)-closed too."""
     count = 0
     for ideals in combos:
-        hyp = -1
-        for q in ideals[:-1]:
-            hyp &= closed_pairs(ring, q, p.smax, p.nmax)
-        count += hyp.bit_count()
-        agg = ideals[-1]
-        fail = hyp & ~closed_pairs(ring, agg, p.smax, p.nmax)
-        for s, n, w in open_pairs(ring, agg, fail, p.nmax):
+        hyp = _window_rows(ring, ideals[:-1], p)
+        count += _bits(hyp)
+        for s, n, w in open_pairs(ring, ideals[-1], hyp):
             yield (ideals, (w,), (s, n), fmt, (s, n, w))
     return count
 
@@ -374,13 +382,12 @@ def _class_ring_transfer(ring, p):
 
 def _radical_characterization(ring, p):
     bound = ring.power_bound()
-    # Window positions with s <= n, the pairs claimed closed for every ideal.
-    upper = sum(1 << i for i, (s, n) in enumerate(_window(p)) if s <= n)
+    # Entry s masks the n >= s, the pairs claimed closed for every ideal.
+    upper = [0] + [_upto(p.nmax) & -(1 << s) for s in range(1, p.smax + 1)]
     count = 0
     for q in proper_hyperideals(ring):
-        count += upper.bit_count() + 1
-        fail = upper & ~closed_pairs(ring, q, p.smax, p.nmax)
-        for s, n, w in open_pairs(ring, q, fail, p.nmax):
+        count += _bits(upper) + 1
+        for s, n, w in open_pairs(ring, q, upper):
             yield ((q,), (w,), (s, n), "pair with s <= n not closed at %d", (w,))
         radical_fixed = radical(ring, q) == q
         # land(k) grows with k up to the power bound and stays constant
@@ -398,19 +405,18 @@ def _radical_characterization(ring, p):
 
 
 def _step_down(ring, p):
-    wide = p.nmax + 1
-    # The window positions (s, n) with s != n, in tables one wider each way;
-    # there (s+1, n) sits `wide` positions after (s, n), (s+1, n+1) one more.
-    off_diagonal = sum(
-        1 << (s - 1) * wide + n - 1 for s, n in _window(p) if s != n
-    )
+    ns = _upto(p.nmax)
     count = 0
     for q in proper_hyperideals(ring):
-        closed = closed_pairs(ring, q, p.smax + 1, wide)
-        hyp = off_diagonal & closed & closed >> wide + 1
-        count += hyp.bit_count()
-        fail = (hyp & ~(closed >> wide)) << wide
-        for s, n, w in open_pairs(ring, q, fail, wide):
+        closed = closed_rows(ring, q, max(p.smax, p.nmax) + 1)
+        # Entry s+1 masks the n != s with (s, n) and (s+1, n+1) closed, so
+        # that open_pairs tests the conclusion (s+1, n).
+        hyp = [0, 0] + [
+            closed[s] & closed[s + 1] >> 1 & ns & ~(1 << s)
+            for s in range(1, p.smax + 1)
+        ]
+        count += _bits(hyp)
+        for s, n, w in open_pairs(ring, q, hyp):
             yield (
                 (q,),
                 (w,),
@@ -423,26 +429,24 @@ def _step_down(ring, p):
 
 def _pair_monotone(ring, p):
     kk = _kmax(ring, p)
-    every_n = (1 << kk) - 1
+    every_n = _upto(kk)
     count = 0
     for q in proper_hyperideals(ring):
-        closed = closed_pairs(ring, q, p.smax, kk)
-        # opens[s] masks the n - 1 with (s, n) open; seen ORs opens[1..s], so
-        # some (s2, n2) with s2 <= s and n2 >= n is open when seen >> n - 1.
-        opens = [None] + [
-            ~closed >> (s - 1) * kk & every_n for s in range(1, p.smax + 1)
-        ]
+        closed = closed_rows(ring, q, kk)
+        # opens[s] masks the n <= kk with (s, n) open; seen ORs opens[1..s],
+        # so some (s2, n2) with s2 <= s and n2 >= n is open when seen >> n.
+        opens = [None] + [~closed[s] & every_n for s in range(1, p.smax + 1)]
         seen = 0
         for s in range(1, p.smax + 1):
             seen |= opens[s]
             for n in range(1, p.nmax + 1):
-                if opens[s] >> n - 1 & 1:
+                if opens[s] >> n & 1:
                     continue
                 count += 1
-                if not seen >> n - 1:
+                if not seen >> n:
                     continue
-                s2 = next(t for t in range(1, s + 1) if opens[t] >> n - 1)
-                bad = (s2, n + least(opens[s2] >> n - 1))
+                s2 = next(t for t in range(1, s + 1) if opens[t] >> n)
+                bad = (s2, n + least(opens[s2] >> n))
                 yield (
                     (q,),
                     (),
@@ -453,10 +457,9 @@ def _pair_monotone(ring, p):
     return count
 
 
-def _first_open(closed, n, nmax, kk):
-    """Least t <= kk with (t, n) open in a closed-pair table, or None."""
-    column = (closed >> (t - 1) * nmax + n - 1 & 1 for t in range(1, kk + 1))
-    return next((t for t, bit in enumerate(column, 1) if not bit), None)
+def _first_open(closed, n, kk):
+    """Least t <= kk with (t, n) open in closed-pair rows, or None."""
+    return next((t for t in range(1, kk + 1) if not closed[t] >> n & 1), None)
 
 
 def _two_absorbing_spread(ring, p):
@@ -465,11 +468,10 @@ def _two_absorbing_spread(ring, p):
     for q in proper_hyperideals(ring):
         if not is_C_hyperideal(ring, q):
             continue
-        closed = closed_pairs(ring, q, kk + 1, 2)
-        bad = _first_open(closed, 2, 2, kk)
+        closed = closed_rows(ring, q, kk + 1)
+        bad = _first_open(closed, 2, kk)
         for n in range(3, kk + 1):
-            # (n, 2) and (n+1, 2) sit at bits 2n-1 and 2n+1.
-            if not closed >> 2 * n - 1 & closed >> 2 * n + 1 & 1:
+            if not closed[n] & closed[n + 1] & 4:
                 continue
             count += 1
             if bad is not None:
@@ -489,13 +491,11 @@ def _half_exponent_spread(ring, p):
     for q in proper_hyperideals(ring):
         if not is_C_hyperideal(ring, q):
             continue
-        closed = closed_pairs(ring, q, kk, p.nmax)
-        bads = [None] + [
-            _first_open(closed, n, p.nmax, kk) for n in range(1, p.nmax + 1)
-        ]
-        for s, n in window_pairs(closed, p.nmax):
-            if 2 * n > s:
-                continue
+        closed = closed_rows(ring, q, kk)
+        bads = [None] + [_first_open(closed, n, kk) for n in range(1, p.nmax + 1)]
+        # Entry s masks the closed (s, n) with n <= nmax and 2n <= s.
+        hyp = [0] + [closed[s] & _upto(min(p.nmax, s // 2)) for s in range(1, kk + 1)]
+        for s, n in _pairs(hyp):
             count += 1
             bad = bads[n]
             if bad is not None:
@@ -512,7 +512,7 @@ def _half_exponent_spread(ring, p):
 def _order_comparisons(ring, p):
     kk = _kmax(ring, p)
     propers = proper_hyperideals(ring)
-    closed = {q: closed_pairs(ring, q, kk, kk) for q in propers}
+    closed = {q: _pair_set(ring, q, kk) for q in propers}
     om = {q: [omega_unchecked(ring, q, s) for s in range(1, kk + 1)] for q in propers}
     big = {
         q: [big_omega_unchecked(ring, q, n) for n in range(1, kk + 1)]
@@ -521,7 +521,7 @@ def _order_comparisons(ring, p):
     count = 0
     for pm, qm in permutations(propers, 2):
         count += 1
-        cont = not closed[pm] & ~closed[qm]
+        cont = not any(a & ~b for a, b in zip(closed[pm], closed[qm]))
         by_omega = all(x <= y for x, y in zip(om[qm], om[pm]))
         by_Omega = all(x <= y for x, y in zip(big[pm], big[qm]))
         if not (cont == by_omega == by_Omega):
@@ -611,9 +611,15 @@ def _intersection_bounds(ring, p):
     return count
 
 
+def _pair_set(ring, q, kk):
+    """The closed pairs of q with s, n <= kk: entry s-1 masks the n."""
+    every_n = _upto(kk)
+    return [row & every_n for row in closed_rows(ring, q, kk)[1 : kk + 1]]
+
+
 def _pairset_equal(ring, pm, qm, im, kk):
-    pl, ql, il = [closed_pairs(ring, q, kk, kk) for q in (pm, qm, im)]
-    return pl & ql == il
+    pl, ql, il = [_pair_set(ring, q, kk) for q in (pm, qm, im)]
+    return all(a & b == c for a, b, c in zip(pl, ql, il))
 
 
 def _omega_is_max(ring, pm, qm, im, kk):
@@ -677,21 +683,12 @@ def _invariant_equivalence(ring, p):
 
 def _weakly_basics(ring, p):
     propers = proper_hyperideals(ring)
-    # Tables over n <= nmax + 1, where (s, n+1) sits one position after
-    # (s, n); `window` masks the positions with n <= nmax.
-    wide = p.nmax + 1
-    window = sum(((1 << p.nmax) - 1) << (s - 1) * wide for s in range(1, p.smax + 1))
     count = 0
     for pm, qm in combinations(propers, 2):
         im = pm & qm
-        hyp = (
-            window
-            & closed_pairs(ring, pm, p.smax, wide, True)
-            & closed_pairs(ring, qm, p.smax, wide, True)
-        )
-        count += hyp.bit_count()
-        fail = hyp & ~closed_pairs(ring, im, p.smax, wide, True)
-        for s, n, w in open_pairs(ring, im, fail, wide, True):
+        hyp = _window_rows(ring, (pm, qm), p, True)
+        count += _bits(hyp)
+        for s, n, w in open_pairs(ring, im, hyp, True):
             yield (
                 (pm, qm, im),
                 (w,),
@@ -699,11 +696,12 @@ def _weakly_basics(ring, p):
                 "intersection of weakly (%d,%d)-closed ideals open at %d",
                 (s, n, w),
             )
+    top = max(p.smax, p.nmax)
     for q in propers:
-        weak = closed_pairs(ring, q, p.smax, wide, True)
-        hyp = window & weak
-        count += hyp.bit_count()
-        for s, n, w in open_pairs(ring, q, (hyp & ~(weak >> 1)) << 1, wide, True):
+        hyp = _window_rows(ring, (q,), p, True)
+        count += _bits(hyp)
+        # Shifted by one, entry s tests (s, n+1) wherever (s, n) holds.
+        for s, n, w in open_pairs(ring, q, [h << 1 for h in hyp], True):
             yield (
                 (q,),
                 (w,),
@@ -713,19 +711,21 @@ def _weakly_basics(ring, p):
             )
         if not is_C_hyperideal(ring, q):
             continue
-        count += hyp.bit_count()
-        closed = closed_pairs(ring, q, p.smax, wide)
-        for s, n in window_pairs(hyp, wide):
+        count += _bits(hyp)
+        closed = closed_rows(ring, q, top)
+        free = tough_free_rows(ring, q, top)
+        # Not closed exactly when some tough zero exists: a case fails where
+        # the closed and tough-free bits differ.
+        fail = [0] + [hyp[s] & (closed[s] ^ free[s]) for s in range(1, p.smax + 1)]
+        for s, n in _pairs(fail):
             tough = tough_zero_mask(ring, q, s, n)
-            not_closed = not closed >> (s - 1) * wide + n - 1 & 1
-            if not_closed != bool(tough):
-                yield (
-                    (q,),
-                    tuple(members(tough)[:1]),
-                    (s, n),
-                    "not-closed %s but tough-zero existence %s",
-                    (not_closed, bool(tough)),
-                )
+            yield (
+                (q,),
+                tuple(members(tough)[:1]),
+                (s, n),
+                "not-closed %s but tough-zero existence %s",
+                (not closed[s] >> n & 1, bool(tough)),
+            )
     return count
 
 
@@ -736,8 +736,10 @@ def _tough_zero_shift(ring, p):
         if not is_strong_C_hyperideal(ring, q):
             continue
         inside = members(q)
-        weak = closed_pairs(ring, q, p.smax, p.nmax, True)
-        for s, n in window_pairs(weak, p.nmax):
+        weak = _window_rows(ring, (q,), p, True)
+        free = tough_free_rows(ring, q, max(p.smax, p.nmax))
+        # Tough-free pairs have no tough zero, so no case.
+        for s, n in _pairs([0] + [weak[s] & ~free[s] for s in range(1, p.smax + 1)]):
             zs = zero_in_mask(ring, s)
             for x in iter_bits(tough_zero_mask(ring, q, s, n)):
                 count += 1
@@ -761,12 +763,12 @@ def _weakly_nilpotent(ring, p):
         if not is_strong_C_hyperideal(ring, q):
             continue
         hyp = _weakly_not_closed(ring, q, p)
-        count += hyp.bit_count()
+        count += _bits(hyp)
         escape = q & ~ups
         if not escape:
             continue
         shown = members(escape)[:1]
-        for sn in window_pairs(hyp, p.nmax):
+        for sn in _pairs(hyp):
             yield (
                 (q,),
                 tuple(shown),
@@ -780,17 +782,14 @@ def _weakly_nilpotent(ring, p):
 def _all_weakly_closed(ring, p, ideals, rhs, fmt):
     """One case per window pair with s > n: the ideals given are all weakly
     (s,n)-closed exactly when rhs(s, n) holds."""
-    every = -1
-    for q in ideals:
-        every &= closed_pairs(ring, q, p.smax, p.nmax, True)
+    every = _window_rows(ring, ideals, p, True)
     count = 0
-    for i, (s, n) in enumerate(_window(p)):
-        if s <= n:
-            continue
-        count += 1
-        every_weak = bool(every >> i & 1)
-        if every_weak != rhs(s, n):
-            yield ((), (), (s, n), fmt, (every_weak, not every_weak))
+    for s in range(1, p.smax + 1):
+        for n in range(1, min(s - 1, p.nmax) + 1):
+            count += 1
+            every_weak = bool(every[s] >> n & 1)
+            if every_weak != rhs(s, n):
+                yield ((), (), (s, n), fmt, (every_weak, not every_weak))
     return count
 
 
@@ -823,7 +822,7 @@ def _nilpotent_ideal_criterion(ring, p):
 
 def _regular_implies_Regular(ring, p):
     top = max(p.smax, p.nmax)
-    exps = (1 << p.nmax + 1) - 2
+    exps = _upto(p.nmax)
     count = 0
     for a in ring.elements:
         rows = regularity_rows(ring, a, top)
@@ -849,7 +848,7 @@ def _regular_iff_small_exponent(ring, p):
     zw = weak_zero_divisors(ring)
     pool = ring.full & ~(um | zw)
     top = max(p.smax, p.nmax)
-    exps = (1 << p.nmax + 1) - 2
+    exps = _upto(p.nmax)
     count = 0
     for a in members(pool):
         rows = regularity_rows(ring, a, top)
@@ -870,7 +869,7 @@ def _regular_iff_small_exponent(ring, p):
 
 def _regular_step(ring, p):
     top = max(p.smax + 1, p.nmax)
-    exps = (1 << p.nmax + 1) - 2
+    exps = _upto(p.nmax)
     count = 0
     for a in ring.elements:
         rows = regularity_rows(ring, a, top)
@@ -894,7 +893,7 @@ def _units_Regular(ring, p):
     if um is None:
         return 0
     top = max(p.smax, p.nmax)
-    exps = (1 << p.nmax + 1) - 2
+    exps = _upto(p.nmax)
     count = 0
     for a in members(um):
         rows = regularity_rows(ring, a, top)
@@ -964,10 +963,9 @@ def _hom_transport(ring, p):
                     )
                     continue
                 assert is_hyperideal(ring, pre)
-                hyp = closed_pairs(target, q2, p.smax, p.nmax, True)
-                count += hyp.bit_count()
-                fail = hyp & ~closed_pairs(ring, pre, p.smax, p.nmax, True)
-                for s, n, w in open_pairs(ring, pre, fail, p.nmax, True):
+                hyp = _window_rows(target, (q2,), p, True)
+                count += _bits(hyp)
+                for s, n, w in open_pairs(ring, pre, hyp, True):
                     yield (
                         (pre,),
                         (w,),
@@ -983,10 +981,9 @@ def _hom_transport(ring, p):
                     continue
                 img = f.image_mask(q1)
                 assert img != target.full and is_hyperideal(target, img)
-                hyp = closed_pairs(ring, q1, p.smax, p.nmax, True)
-                count += hyp.bit_count()
-                fail = hyp & ~closed_pairs(target, img, p.smax, p.nmax, True)
-                for s, n, w in open_pairs(target, img, fail, p.nmax, True):
+                hyp = _window_rows(ring, (q1,), p, True)
+                count += _bits(hyp)
+                for s, n, w in open_pairs(target, img, hyp, True):
                     yield (
                         (q1,),
                         (),
@@ -1009,10 +1006,9 @@ def _quotient_transport(ring, p):
             if quot is None:
                 quot, proj = quotient_by_ideal(ring, pm)
             image = proj.image_mask(qm)
-            hyp = closed_pairs(ring, qm, p.smax, p.nmax, True)
-            count += hyp.bit_count()
-            fail = hyp & ~closed_pairs(quot, image, p.smax, p.nmax, True)
-            for s, n, w in open_pairs(quot, image, fail, p.nmax, True):
+            hyp = _window_rows(ring, (qm,), p, True)
+            count += _bits(hyp)
+            for s, n, w in open_pairs(quot, image, hyp, True):
                 yield (
                     (pm, qm),
                     (),
@@ -1025,7 +1021,7 @@ def _quotient_transport(ring, p):
 
 
 def _scalar_identity_factors(ring):
-    factors = _product_factors(ring)
+    factors = ring.factors
     if not factors:
         return None
     f1, f2 = factors
@@ -1041,7 +1037,6 @@ def _box_equivalence(ring, p):
         return 0
     f1, f2 = factors
     n2 = f2.order
-    window = _window(p)
     count = 0
     for side, fac in enumerate(factors):
         for q in proper_hyperideals(fac):
@@ -1051,24 +1046,23 @@ def _box_equivalence(ring, p):
                 box = _box_mask(q, f2.full, n2)
             else:
                 box = _box_mask(f1.full, q, n2)
-            count += len(window)
-            i = closed_pairs(ring, box, p.smax, p.nmax, True)
-            ii = closed_pairs(fac, q, p.smax, p.nmax)
-            iii = closed_pairs(ring, box, p.smax, p.nmax)
-            for k in iter_bits((i ^ ii) | (ii ^ iii)):
-                s, n = window[k]
+            count += p.smax * p.nmax
+            i = _window_rows(ring, (box,), p, True)
+            ii = _window_rows(fac, (q,), p)
+            iii = _window_rows(ring, (box,), p)
+            for s, n in _pairs([a ^ b | b ^ c for a, b, c in zip(i, ii, iii)]):
                 yield (
                     (box, q),
                     (),
                     (s, n),
                     "box weakly %s, factor closed %s, box closed %s",
-                    (bool(i >> k & 1), bool(ii >> k & 1), bool(iii >> k & 1)),
+                    (bool(i[s] >> n & 1), bool(ii[s] >> n & 1), bool(iii[s] >> n & 1)),
                 )
     return count
 
 
 def _box_C_hyperideal(ring, p):
-    factors = _product_factors(ring)
+    factors = ring.factors
     if not factors:
         return 0
     f1, f2 = factors
@@ -1091,17 +1085,16 @@ def _box_C_hyperideal(ring, p):
 
 
 def _one_sided_criterion(fa, qa, fb, qb, p):
-    """Window mask of one disjunct of the box decomposition criterion:
+    """Per-s masks of one disjunct of the box decomposition criterion:
     qa weakly closed but not closed, with the one-sided conditions on qb."""
     if qa == fa.full:
-        return 0
+        return [0] * (p.smax + 1)
     out = _weakly_not_closed(fa, qa, p)
     for s in range(1, p.smax + 1):
-        row = ((1 << p.nmax) - 1) << (s - 1) * p.nmax
         if land_mask(fb, qb, s) & ~zero_in_mask(fb, s):
-            out &= ~row
+            out[s] = 0
         elif qb != fb.full and land_mask(fa, qa, s) & ~zero_in_mask(fa, s):
-            out &= ~row | closed_pairs(fb, qb, p.smax, p.nmax)
+            out[s] &= closed_rows(fb, qb, max(p.smax, p.nmax))[s]
     return out
 
 
@@ -1111,25 +1104,25 @@ def _box_decomposition(ring, p):
         return 0
     f1, f2 = factors
     n2 = f2.order
-    window = _window(p)
+    none = [0] * (p.smax + 1)
     count = 0
     for q in proper_hyperideals(ring):
         q1 = factor_mask(q, n2, 0)
         q2 = factor_mask(q, n2, 1)
         decomposes = _box_mask(q1, q2, n2) == q
-        count += len(window)
-        lhs = _weakly_not_closed(ring, q, p) if is_C_hyperideal(ring, q) else 0
-        rhs = 0
+        count += p.smax * p.nmax
+        lhs = _weakly_not_closed(ring, q, p) if is_C_hyperideal(ring, q) else none
+        rhs = none
         if decomposes and is_C_hyperideal(f1, q1) and is_C_hyperideal(f2, q2):
-            rhs = _one_sided_criterion(f1, q1, f2, q2, p) | _one_sided_criterion(
-                f2, q2, f1, q1, p
-            )
-        for k in iter_bits(lhs ^ rhs):
-            found = bool(lhs >> k & 1)
+            one = _one_sided_criterion(f1, q1, f2, q2, p)
+            two = _one_sided_criterion(f2, q2, f1, q1, p)
+            rhs = [a | b for a, b in zip(one, two)]
+        for s, n in _pairs([a ^ b for a, b in zip(lhs, rhs)]):
+            found = bool(lhs[s] >> n & 1)
             yield (
                 (q,),
                 (),
-                window[k],
+                (s, n),
                 "weakly-not-closed C-hyperideal %s but decomposition criterion %s",
                 (found, not found),
             )

@@ -18,20 +18,21 @@ Q drags every higher power in) and constant once k reaches the power bound
 L, which makes the "for every exponent" questions decidable on a finite
 window.
 
-Element regularity is kept the same way: one pair of regularity rows per
-(ring, element), grown on demand.  Entry s holds two exponent masks over n:
-the n with a^n inside a^s * b for a single element b (regular), and the n
-with a^n inside a^s * G (Regular).  The products a^s * b come from one map
-per ring, shared by all elements, from a set to its cells over every b.
-`is_sn_regular` and `is_sn_Regular`
-read one bit of them, and the regularity checks fetch an element's rows
-once and test bits.
+Closedness, weak closedness and element regularity share one layout,
+"entry s, bit n": a list indexed by the exponent s whose entry is a mask
+over exponents n, grown on demand to the largest exponent asked for.
+`closed_rows` keeps one such table per (ring, set, weak), bit n of entry s
+set when the set is (weakly) (s,n)-closed; every check over exponent pairs
+reads it, omega(s) is the least bit of entry s and Omega(n) a scan of
+column n.  `tough_free_rows` marks the pairs with no tough zero the same
+way.  `open_pairs` forms the least witness of each failing pair on demand
+from `open_mask` / `weakly_open_mask`; no witness is stored.
 
-Window verdicts are formed in one place, `closed_pairs`: one closed-pair
-table per (ring, set, window, weak), a mask over the exponent window with
-one bit per pair, read by every check that quantifies over the window.
-`open_pairs` forms the least witness of each failing pair on demand from
-`open_mask` / `weakly_open_mask`; no witness is stored.
+Element regularity keeps one pair of regularity rows per (ring, element):
+entry s holds the n with a^n inside a^s * b for a single element b
+(regular) and the n with a^n inside a^s * G (Regular).  The products
+a^s * b come from one map per ring, shared by all elements, from a set to
+its cells over every b.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bitsets import is_subset, iter_bits, least
+from .bitsets import iter_bits, least
 from .core import FiniteHyperring
 from .ideals import require_proper
 
@@ -154,83 +155,89 @@ def tough_zero_mask(ring: FiniteHyperring, imask: int, s: int, n: int) -> int:
     return zero_in_row(ring, s)[s] & ~land_row(ring, imask, n)[n]
 
 
-# -- closed-pair tables ------------------------------------------------------------
+# -- closed-pair rows ------------------------------------------------------------
 
 
-def closed_pairs(
-    ring: FiniteHyperring, imask: int, smax: int, nmax: int, weak: bool = False
-) -> int:
-    """Window mask whose bit (s-1)*nmax + n-1 is set when the set is
-    (s,n)-closed, for s <= smax and n <= nmax.
-
-    With `weak` it is weak (s,n)-closedness instead: only elements whose s-th
-    power misses 0 can break a pair.  One map per (ring, window, weak) from a
-    set to its mask, filled on demand.
+def _pair_rows(ring: FiniteHyperring, imask: int, k: int, kind: str) -> list:
+    """Entry s masks the n <= k with no x in trigger(s) and x^n outside the
+    set, for s <= k; trigger is land for "closed", land minus zero_in for
+    "weak" and zero_in for "tough".  One cache entry per (ring, set, kind),
+    grown like the regularity rows: growing to k adds the new n to the old
+    entries and fills the new entries whole.  Entry 0 is None.
     """
-    table = ring._cache.get(("pairs", smax, nmax, weak))
-    if table is None:
-        _require_exponent(min(smax, nmax))
-        table = ring._cache[("pairs", smax, nmax, weak)] = {}
-    found = table.get(imask)
-    if found is None:
-        land = land_row(ring, imask, max(smax, nmax))
-        zin = zero_in_row(ring, smax) if weak else None
-        found = 0
-        bit = 1
-        for s in range(1, smax + 1):
-            trigger = land[s] & ~zin[s] if weak else land[s]
-            for n in range(1, nmax + 1):
-                if not trigger & ~land[n]:
-                    found |= bit
-                bit <<= 1
-        table[imask] = found
-    return found
+    key = ("pairs", imask, kind)
+    rows = ring._cache.get(key)
+    if rows is None:
+        rows = ring._cache[key] = [None]
+    top = len(rows) - 1
+    if top >= k:
+        return rows
+    land = land_row(ring, imask, k)
+    zin = zero_in_row(ring, k)
+    rows.extend([0] * (k - top))
+    for s in range(1, k + 1):
+        if kind == "closed":
+            trigger = land[s]
+        elif kind == "weak":
+            trigger = land[s] & ~zin[s]
+        else:
+            trigger = zin[s]
+        row = rows[s]
+        for n in range(1 if s > top else top + 1, k + 1):
+            if not trigger & ~land[n]:
+                row |= 1 << n
+        rows[s] = row
+    return rows
 
 
-def window_pairs(mask: int, nmax: int):
-    """The pair (s, n) of each set bit of a window mask, in bit order."""
-    for i in iter_bits(mask):
-        s, n = divmod(i, nmax)
-        yield s + 1, n + 1
+def closed_rows(
+    ring: FiniteHyperring, imask: int, k: int, weak: bool = False
+) -> list:
+    """Closed-pair rows of the set, present for every s <= k: bit n of entry
+    s is set when the set is (s,n)-closed (weakly, with `weak`), for n <= k."""
+    return _pair_rows(ring, imask, k, "weak" if weak else "closed")
 
 
-def open_pairs(
-    ring: FiniteHyperring, imask: int, mask: int, nmax: int, weak: bool = False
-):
-    """(s, n, least witness) for each set bit of a window mask, in bit order.
+def tough_free_rows(ring: FiniteHyperring, imask: int, k: int) -> list:
+    """Rows whose entry s has bit n set when no x has 0 in x^s and x^n
+    outside the set: the pairs with no tough zero, for s, n <= k."""
+    return _pair_rows(ring, imask, k, "tough")
 
-    The bits must name pairs at which the set is open (weakly, with `weak`);
-    each witness is formed on demand and not stored.
+
+def open_pairs(ring: FiniteHyperring, imask: int, hyp, weak: bool = False):
+    """(s, n, least witness) for each pair that `hyp` names and the set fails.
+
+    Entry s of `hyp` masks the n of the pairs (s, n) to test, in the layout of
+    the closed-pair rows; entry 0 is ignored.  Pairs come in order of s, then
+    n, and each witness is formed on demand and not stored.
     """
+    k = max(len(hyp) - 1, max(hyp).bit_length() - 1)
+    rows = closed_rows(ring, imask, k, weak)
     opened = weakly_open_mask if weak else open_mask
-    for s, n in window_pairs(mask, nmax):
-        yield s, n, least(opened(ring, imask, s, n))
+    for s in range(1, len(hyp)):
+        fail = hyp[s] & ~rows[s]
+        if fail:
+            for n in iter_bits(fail):
+                yield s, n, least(opened(ring, imask, s, n))
 
 
 def omega_unchecked(ring: FiniteHyperring, imask: int, s: int) -> int:
     """Least n with the ideal (s,n)-closed; always within 1..s."""
     _require_exponent(s)
-    land = land_row(ring, imask, s)
-    ls = land[s]
-    for n in range(1, s + 1):
-        if is_subset(ls, land[n]):
-            return n
-    raise AssertionError("unreachable: (s,s) is always closed")
+    return least(closed_rows(ring, imask, s)[s])
 
 
 def big_omega_unchecked(ring: FiniteHyperring, imask: int, n: int) -> float:
     """Greatest s with the ideal (s,n)-closed; inf when every s works."""
     _require_exponent(n)
     bound = ring.power_bound()
-    land = land_row(ring, imask, max(bound, n))
-    ln = land[n]
-    if is_subset(land[bound], ln):
+    rows = closed_rows(ring, imask, max(bound, n))
+    if rows[bound] >> n & 1:
         return INF
-    best = 1
-    for s in range(1, bound + 1):
-        if is_subset(land[s], ln):
-            best = s
-    return float(best)
+    for s in range(bound - 1, 1, -1):
+        if rows[s] >> n & 1:
+            return float(s)
+    return 1.0
 
 
 # -- validated entry points -------------------------------------------------------
@@ -369,12 +376,8 @@ def regularity_rows(ring: FiniteHyperring, a: int, k: int) -> list:
     Entry s is the pair (regular, Regular) of exponent masks: bit n of
     `regular` is set when a^n lies inside a^s * b for a single element b, and
     bit n of `Regular` when a^n lies inside a^s * G, the union of those
-    per-b products.  Every entry covers n up to the row's last index.  One
-    cache entry per (ring, element), grown on demand like the land rows:
-    growing to k adds the new n to the old entries and the new entries
-    whole.  The powers come from the ring's power column and the products
-    a^s * b from its shared product cells.  Entry 0 is None, so reading it
-    fails loudly.
+    per-b products.  Grown on demand like the closed-pair rows, from the
+    power column and the shared product cells.  Entry 0 is None.
     """
     rows = ring._cache.get(("reg", a))
     if rows is None:

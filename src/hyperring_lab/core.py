@@ -136,10 +136,12 @@ class FiniteHyperring:
 
     `add[a][b]` is an element, `mul[a][b]` a nonempty bitmask.  Derived data
     (zero, negation, power profiles, the law report) is computed lazily and
-    cached; tables are treated as immutable after construction.
+    cached; tables are treated as immutable after construction.  `factors`
+    is the pair of factor rings of a ring built by `product_ring`, and None
+    for every other ring.
     """
 
-    __slots__ = ("order", "add", "mul", "name", "meta", "_cache")
+    __slots__ = ("order", "add", "mul", "name", "meta", "factors", "_cache")
 
     def __init__(
         self,
@@ -203,6 +205,7 @@ class FiniteHyperring:
         self.mul = mul_masks
         self.name = name
         self.meta = dict(meta) if meta else {}
+        self.factors = None
         self._cache = {}
 
     def __repr__(self) -> str:
@@ -580,7 +583,7 @@ def product_ring(r1: FiniteHyperring, r2: FiniteHyperring) -> FiniteHyperring:
     name = "%sx%s" % (r1.name or "?", r2.name or "?")
     meta = {"family": "product"}
     ring = FiniteHyperring.from_masks(add, mul, name=name, meta=meta)
-    ring._cache["factors"] = (r1, r2)
+    ring.factors = (r1, r2)
     return ring
 
 

@@ -249,6 +249,35 @@ def omega(n, add, mul, Q, s):
     raise AssertionError("unreachable")
 
 
+def big_omega(n, add, mul, Q, n_exp):
+    """Greatest s with Q (s, n_exp)-closed, or inf when there is no greatest.
+
+    The tuple (a^s for every a) determines the verdict at s, and it follows
+    T -> T*a, so it is eventually periodic: s runs until the tuple repeats,
+    and a closed s inside the cycle recurs forever.
+    """
+    high = [power(mul, a, n_exp) for a in range(n)]
+    seen = {}
+    closed = []
+    state = tuple(frozenset([a]) for a in range(n))
+    while state not in seen:
+        seen[state] = len(closed) + 1
+        closed.append(all(not ps <= Q or high[a] <= Q for a, ps in enumerate(state)))
+        state = tuple(set_product(mul, ps, frozenset([a])) for a, ps in enumerate(state))
+    start = seen[state]
+    if any(closed[start - 1:]):
+        return float("inf")
+    return float(max((s for s in range(1, start) if closed[s - 1]), default=1))
+
+
+def tough_free(n, add, mul, Q, s, n_exp):
+    """No x has 0 in x^s and x^n_exp outside Q."""
+    zero = find_zero(n, add)
+    return not any(
+        zero in power(mul, a, s) and not power(mul, a, n_exp) <= Q for a in range(n)
+    )
+
+
 def class_C(n, mul):
     """All nonempty products of elements, plus the singletons."""
     found = {frozenset([a]) for a in range(n)}

@@ -63,6 +63,35 @@ def test_product_gated_checks_need_factor_metadata():
         assert run(cid, prod).counterexample is None
 
 
+def test_product_factors_survive_a_cleared_memo():
+    """The factor pair is a field of the product ring, not a memo entry, so
+    the product checks still apply after the ring's cache is dropped."""
+    prod = product_ring(make_zx_mod(2, [1]), make_zx_mod(4, [1]))
+    prod._cache.clear()
+    counts = [run(cid, prod).applicable for cid in ("T3_14", "L3_15", "T3_16")]
+    assert counts == [108, 6, 180]
+
+
+def test_closed_pair_rows_are_keyed_by_set_and_kind_only():
+    """After every check runs on the default rings of order <= 6, each
+    closed-pair cache entry of the instance, of its factors and of the
+    targets of its hom pool is keyed ("pairs", set, kind): one table per
+    set and kind, whatever exponent windows the checks asked for."""
+    rings = [r for r in generate_instances(SuiteConfig()) if r.order <= 6]
+    assert len(rings) == 39
+    keys = []
+    for ring in rings:
+        for check in CHECKS:
+            check.fn(ring, PARAMS)
+        targets = [f.target for f in _hom_pool(ring)]
+        for r in [ring, *(ring.factors or ()), *targets]:
+            keys += [k for k in r._cache if type(k) is tuple and k[0] == "pairs"]
+    assert keys
+    for key in keys:
+        assert len(key) == 3, key
+        assert type(key[1]) is int and key[2] in ("closed", "weak", "tough"), key
+
+
 def test_identity_gated_product_checks_skip_identityless_factors():
     prod = product_ring(make_zx_mod(2, [1]), make_zx_mod(4, [2]))
     assert run("T3_14", prod).applicable == 0

@@ -31,13 +31,14 @@ from hyperring_lab import (
 )
 from hyperring_lab.closedness import (
     big_omega_unchecked,
-    closed_pairs,
+    closed_rows,
     land_mask,
     land_row,
     omega_unchecked,
     open_mask,
     open_pairs,
     power_column,
+    tough_free_rows,
     tough_zero_mask,
     weakly_open_mask,
     zero_in_mask,
@@ -179,12 +180,21 @@ def test_omega_profiles_frozen():
 
 
 def test_omega_matches_scan_oracle():
-    for ring in [make_zx_mod(4, [2]), make_zx_mod(8, [2]), make_zx_mod(6, [2, 3])]:
+    """omega and Omega, both read off the closed-pair rows, against plain
+    scans on every proper ideal of the default rings of order <= 8: omega
+    for s <= 6 and Omega for n up to the power bound + 2."""
+    rings = [r for r in generate_instances(SuiteConfig()) if r.order <= 8]
+    assert len(rings) == 94
+    for ring in rings:
         n, add, mul = orc.tables(ring)
         for q in proper_hyperideals(ring):
             Q = frozenset(members(q))
             for s in range(1, 7):
-                assert omega(ring, q, s) == orc.omega(n, add, mul, Q, s)
+                where = (ring.name, members(q), s)
+                assert omega(ring, q, s) == orc.omega(n, add, mul, Q, s), where
+            for k in range(1, ring.power_bound() + 3):
+                where = (ring.name, members(q), k)
+                assert big_omega(ring, q, k) == orc.big_omega(n, add, mul, Q, k), where
 
 
 def test_omega_invariant_relations():
@@ -294,41 +304,69 @@ def test_residue_model_validation():
 
 
 def test_closed_pair_tables_match_the_frozenset_oracle():
-    """`closed_pairs` against `oracles.sn_closed` / `weakly_sn_closed`, and
-    `open_pairs` against the least oracle witness of each open pair, on every
-    proper ideal of the default rings of order <= 8.  Each ring asks for the
-    6x6 window before 7x4 and kk x kk, so tables and rows grown for a small
-    window must serve the larger one."""
+    """Plain, weak and tough-free closed-pair rows against `oracles.sn_closed`,
+    `weakly_sn_closed` and `tough_free`, and `open_pairs` against the least
+    oracle witness of each open pair, on every proper ideal of the default
+    rings of order <= 8.  Each set's rows are grown out of order, to 6, then
+    4, then kk, then kk + 1, and after each step every bit of every entry is
+    compared, so a growth must extend the old entries as well as add new
+    ones."""
     rings = [r for r in generate_instances(SuiteConfig()) if r.order <= 8]
-    assert len(rings) > 50
+    assert len(rings) == 94
     for ring in rings:
         n, add, mul = orc.tables(ring)
         zero = orc.find_zero(n, add)
         kk = max(ring.power_bound(), 7)
-        powers = [[None] + [orc.power(mul, a, k) for k in range(1, kk + 1)] for a in range(n)]
-        ideals = [Q for Q in orc.all_ideals(n, add, mul) if len(Q) < n]
-        for smax, nmax in ((6, 6), (7, 4), (kk, kk)):
-            for weak in (False, True):
-                for Q in ideals:
-                    q = mask_of(sorted(Q))
-                    breaks = {
-                        (s, m): [
+        steps = (6, 4, kk, kk + 1)
+        powers = [
+            [None] + [orc.power(mul, a, k) for k in range(1, kk + 2)] for a in range(n)
+        ]
+        triggers = {
+            "closed": lambda ps, Q: ps <= Q,
+            "weak": lambda ps, Q: ps <= Q and zero not in ps,
+            "tough": lambda ps, Q: zero in ps,
+        }
+        oracles = {
+            "closed": orc.sn_closed,
+            "weak": orc.weakly_sn_closed,
+            "tough": orc.tough_free,
+        }
+        for Q in orc.all_ideals(n, add, mul):
+            if len(Q) == n:
+                continue
+            q = mask_of(sorted(Q))
+            for kind, trigger in triggers.items():
+                breaks = {}
+                for s in range(1, kk + 2):
+                    for m in range(1, kk + 2):
+                        bad = [
                             a for a in range(n)
-                            if powers[a][s] <= Q
-                            and not (weak and zero in powers[a][s])
-                            and not powers[a][m] <= Q
+                            if trigger(powers[a][s], Q) and not powers[a][m] <= Q
                         ]
-                        for s in range(1, smax + 1)
-                        for m in range(1, nmax + 1)
-                    }
-                    oracle = orc.weakly_sn_closed if weak else orc.sn_closed
-                    table = closed_pairs(ring, q, smax, nmax, weak)
-                    for (s, m), bad in breaks.items():
-                        closed = bool(table >> (s - 1) * nmax + m - 1 & 1)
-                        assert closed == (not bad) == oracle(n, add, mul, Q, s, m), (
-                            ring.name, members(q), smax, nmax, weak, s, m,
+                        assert (not bad) == oracles[kind](n, add, mul, Q, s, m)
+                        breaks[s, m] = bad
+                grown = 0
+                for k in steps:
+                    where = (ring.name, members(q), kind, k)
+                    if kind == "tough":
+                        rows = tough_free_rows(ring, q, k)
+                    else:
+                        rows = closed_rows(ring, q, k, kind == "weak")
+                    grown = max(grown, k)
+                    assert len(rows) == grown + 1, where
+                    for s in range(1, grown + 1):
+                        expect = sum(
+                            1 << m for m in range(1, grown + 1) if not breaks[s, m]
                         )
-                    window = (1 << smax * nmax) - 1
-                    got = list(open_pairs(ring, q, window & ~table, nmax, weak))
-                    want = [(s, m, bad[0]) for (s, m), bad in breaks.items() if bad]
-                    assert got == want, (ring.name, members(q), smax, nmax, weak)
+                        assert rows[s] == expect, where + (s,)
+                    if kind == "tough":
+                        continue
+                    every = [0] + [(1 << k + 1) - 2] * k
+                    got = list(open_pairs(ring, q, every, kind == "weak"))
+                    want = [
+                        (s, m, breaks[s, m][0])
+                        for s in range(1, k + 1)
+                        for m in range(1, k + 1)
+                        if breaks[s, m]
+                    ]
+                    assert got == want, where
