@@ -929,21 +929,18 @@ def _every_ideal_weakly(ring, p):
 
 
 def _hom_pool(ring):
-    cached = ring._cache.get("homPool")
-    if cached is None:
-        ident = identity_hom(ring)
-        partner = make_zx_mod(2, [1])
-        target = product_ring(ring, partner)
-        emb = HomMap(ring, target, tuple(2 * x for x in range(ring.order)))
-        for f in (ident, emb):
-            ok, wit = check_good_hom(f)
-            assert ok, ("hom pool member is not a good homomorphism", wit)
-        # coset_ring checks every pair of a quotient projection against the
-        # class tables, which is the check_good_hom test, so they are not
-        # checked again here.
-        projs = [quotient_by_ideal(ring, pm)[1] for pm in proper_hyperideals(ring)]
-        cached = ring._cache["homPool"] = (ident, *projs, emb)
-    return cached
+    ident = identity_hom(ring)
+    partner = make_zx_mod(2, [1])
+    target = product_ring(ring, partner)
+    emb = HomMap(ring, target, tuple(2 * x for x in range(ring.order)))
+    for f in (ident, emb):
+        ok, wit = check_good_hom(f)
+        assert ok, ("hom pool member is not a good homomorphism", wit)
+    # coset_ring checks every pair of a quotient projection against the
+    # class tables, which is the check_good_hom test, so they are not
+    # checked again here.
+    projs = [quotient_by_ideal(ring, pm)[1] for pm in proper_hyperideals(ring)]
+    return (ident, *projs, emb)
 
 
 def _hom_transport(ring, p):

@@ -61,6 +61,10 @@ def _require_exponent(k: int) -> None:
 # exponents first.
 
 
+def _start_row() -> list:
+    return [None]
+
+
 def power_column(ring: FiniteHyperring, k: int) -> list:
     """Power column of the ring: entry j lists a^j by element a, for every j <= k.
 
@@ -68,9 +72,7 @@ def power_column(ring: FiniteHyperring, k: int) -> list:
     profiles, so it is exact for every exponent.  The land, zero-in and
     regularity rows all read it.
     """
-    col = ring._cache.get("powers")
-    if col is None:
-        col = ring._cache["powers"] = [None]
+    col = ring.memo("powers", _start_row)
     if len(col) <= k:
         profiles = [ring.power_profile(a).power for a in ring.elements]
         col.extend(
@@ -96,9 +98,7 @@ def _grow(
 
 def land_row(ring: FiniteHyperring, imask: int, k: int) -> list:
     """Land row of the given set: entry j is land(j), present for every j <= k."""
-    row = ring._cache.get(("land", imask))
-    if row is None:
-        row = ring._cache[("land", imask)] = [None]
+    row = ring.memo(("land", imask), _start_row)
     if len(row) <= k:
         _grow(ring, row, k, ~imask)
     return row
@@ -106,9 +106,7 @@ def land_row(ring: FiniteHyperring, imask: int, k: int) -> list:
 
 def zero_in_row(ring: FiniteHyperring, k: int) -> list:
     """Zero-in row of the ring: entry j is zero_in(j), present for every j <= k."""
-    row = ring._cache.get("zin")
-    if row is None:
-        row = ring._cache["zin"] = [None]
+    row = ring.memo("zin", _start_row)
     if len(row) <= k:
         # 0 lies in a^j exactly when a^j does not miss {0}.
         _grow(ring, row, k, 1 << ring.zero, ring.full)
@@ -165,10 +163,7 @@ def _pair_rows(ring: FiniteHyperring, imask: int, k: int, kind: str) -> list:
     grown like the regularity rows: growing to k adds the new n to the old
     entries and fills the new entries whole.  Entry 0 is None.
     """
-    key = ("pairs", imask, kind)
-    rows = ring._cache.get(key)
-    if rows is None:
-        rows = ring._cache[key] = [None]
+    rows = ring.memo(("pairs", imask, kind), _start_row)
     top = len(rows) - 1
     if top >= k:
         return rows
@@ -353,9 +348,7 @@ def _product_cells(ring: FiniteHyperring, base: int) -> tuple:
     powers reach that set.  The cells are read by OR-ing the whole product
     rows of the set's members: entry b of row x is x * b.
     """
-    cells = ring._cache.get("cells")
-    if cells is None:
-        cells = ring._cache["cells"] = {}
+    cells = ring.memo("cells", dict)
     found = cells.get(base)
     if found is None:
         mul = ring.mul
@@ -379,9 +372,7 @@ def regularity_rows(ring: FiniteHyperring, a: int, k: int) -> list:
     per-b products.  Grown on demand like the closed-pair rows, from the
     power column and the shared product cells.  Entry 0 is None.
     """
-    rows = ring._cache.get(("reg", a))
-    if rows is None:
-        rows = ring._cache[("reg", a)] = [None]
+    rows = ring.memo(("reg", a), _start_row)
     top = len(rows) - 1
     if top >= k:
         return rows

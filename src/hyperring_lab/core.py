@@ -135,10 +135,11 @@ class FiniteHyperring:
     """A finite carrier with an addition table and a set-valued product table.
 
     `add[a][b]` is an element, `mul[a][b]` a nonempty bitmask.  Derived data
-    (zero, negation, power profiles, the law report) is computed lazily and
-    cached; tables are treated as immutable after construction.  `factors`
-    is the pair of factor rings of a ring built by `product_ring`, and None
-    for every other ring.
+    (zero, negation, power profiles, the law report, and the tables of the
+    other modules) is computed lazily and kept in one memo per ring, read
+    and filled through `memo`; tables are treated as immutable after
+    construction.  `factors` is the pair of factor rings of a ring built by
+    `product_ring`, and None for every other ring.
     """
 
     __slots__ = ("order", "add", "mul", "name", "meta", "factors", "_cache")
@@ -212,28 +213,39 @@ class FiniteHyperring:
         label = self.name or "order %d" % self.order
         return "<FiniteHyperring %s>" % label
 
+    def memo(self, key, build):
+        """The value memoized under `key`, from `build()` on the first miss.
+
+        Any value counts, None included.  A `build` that raises stores
+        nothing, so the next call builds again.  A grow-on-demand row is
+        memoized as its starting list and then extended in place, only by
+        the function that owns it.
+        """
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = build()
+            return value
+
     # -- structural elements -------------------------------------------------
 
     @property
     def zero(self) -> int:
-        z = self._cache.get("zero", -1)
-        if z == -1:
-            z = _find_zero(self.add, self.order)
-            self._cache["zero"] = z
+        z = self.memo("zero", lambda: _find_zero(self.add, self.order))
         if z is None:
             raise AxiomFailure("no additive identity in %r" % self)
         return z
 
     def neg_table(self) -> list[int]:
         """Additive inverse of every element, indexed by element."""
-        table = self._cache.get("neg")
-        if table is None:
-            table = _find_negs(self.add, self.order, self.zero)
-            if None in table:
-                raise AxiomFailure(
-                    "element %d has no additive inverse" % table.index(None)
-                )
-            self._cache["neg"] = table
+        return self.memo("neg", self._build_negs)
+
+    def _build_negs(self) -> list[int]:
+        table = _find_negs(self.add, self.order, self.zero)
+        if None in table:
+            raise AxiomFailure(
+                "element %d has no additive inverse" % table.index(None)
+            )
         return table
 
     @property
@@ -245,11 +257,7 @@ class FiniteHyperring:
         return range(self.order)
 
     def validate(self) -> AxiomReport:
-        report = self._cache.get("report")
-        if report is None:
-            report = validate_axioms(self)
-            self._cache["report"] = report
-        return report
+        return self.memo("report", lambda: validate_axioms(self))
 
     # -- set-level operations ------------------------------------------------
 
@@ -285,24 +293,20 @@ class FiniteHyperring:
     # -- hyperpowers ----------------------------------------------------------
 
     def power_profile(self, a: int) -> PowerProfile:
-        key = ("profile", a)
-        prof = self._cache.get(key)
-        if prof is None:
-            seen: dict[int, int] = {}
-            seq: list[int] = []
-            cur = 1 << a
-            k = 1
-            while cur not in seen:
-                seen[cur] = k
-                seq.append(cur)
-                cur = self.row_product(cur, a)
-                k += 1
-            first = seen[cur]
-            prof = PowerProfile(
-                element=a, powers=tuple(seq), tail=first, period=k - first
-            )
-            self._cache[key] = prof
-        return prof
+        return self.memo(("profile", a), lambda: self._build_profile(a))
+
+    def _build_profile(self, a: int) -> PowerProfile:
+        seen: dict[int, int] = {}
+        seq: list[int] = []
+        cur = 1 << a
+        k = 1
+        while cur not in seen:
+            seen[cur] = k
+            seq.append(cur)
+            cur = self.row_product(cur, a)
+            k += 1
+        first = seen[cur]
+        return PowerProfile(element=a, powers=tuple(seq), tail=first, period=k - first)
 
     def power(self, a: int, k: int) -> int:
         return self.power_profile(a).power(k)
@@ -314,13 +318,13 @@ class FiniteHyperring:
         any predicate monotone or periodic in the exponent is decided by
         exponents 1..B.
         """
-        bound = self._cache.get("bound")
-        if bound is None:
-            bound = 1
-            for a in self.elements:
-                prof = self.power_profile(a)
-                bound = max(bound, prof.tail + prof.period)
-            self._cache["bound"] = bound
+        return self.memo("bound", self._build_bound)
+
+    def _build_bound(self) -> int:
+        bound = 1
+        for a in self.elements:
+            prof = self.power_profile(a)
+            bound = max(bound, prof.tail + prof.period)
         return bound
 
     def zero_in_power(self, a: int, k: int) -> bool:
@@ -461,54 +465,47 @@ def is_strongly_distributive(ring: FiniteHyperring) -> bool:
     symmetric the right-hand law is the left-hand one with the factors
     swapped, so only tables with an asymmetric `mul` test it.
     """
-    flag = ring._cache.get("strong")
-    if flag is None:
-        n, add, mul = ring.order, ring.add, ring.mul
-        sums: dict[tuple[int, int], int] = {}
+    return ring.memo("strong", lambda: _build_strong(ring))
 
-        def equal_laws(rows) -> bool:
-            # Row a of `rows` holds the cells a*x (left law) or x*a (right law).
-            for row in rows:
-                for b in range(n):
-                    x, total = row[b], add[b]
-                    for c in range(n):
-                        key = (x, row[c])
-                        s = sums.get(key)
-                        if s is None:
-                            s = sums[key] = ring.minkowski_sum(x, row[c])
-                        if row[total[c]] != s:
-                            return False
-            return True
 
-        flag = equal_laws(mul)
-        if flag and any(mul[a][b] != mul[b][a] for a in range(n) for b in range(a)):
-            flag = equal_laws([list(col) for col in zip(*mul)])
-        ring._cache["strong"] = flag
+def _build_strong(ring: FiniteHyperring) -> bool:
+    n, add, mul = ring.order, ring.add, ring.mul
+    sums: dict[tuple[int, int], int] = {}
+
+    def equal_laws(rows) -> bool:
+        # Row a of `rows` holds the cells a*x (left law) or x*a (right law).
+        for row in rows:
+            for b in range(n):
+                x, total = row[b], add[b]
+                for c in range(n):
+                    key = (x, row[c])
+                    s = sums.get(key)
+                    if s is None:
+                        s = sums[key] = ring.minkowski_sum(x, row[c])
+                    if row[total[c]] != s:
+                        return False
+        return True
+
+    flag = equal_laws(mul)
+    if flag and any(mul[a][b] != mul[b][a] for a in range(n) for b in range(a)):
+        flag = equal_laws([list(col) for col in zip(*mul)])
     return flag
 
 
 def scalar_identity(ring: FiniteHyperring) -> Optional[int]:
     """Element e with a*e = {a} for every a, if one exists."""
-    if "scalar_id" not in ring._cache:
-        found = None
-        for e in ring.elements:
-            if all(ring.mul[a][e] == 1 << a for a in ring.elements):
-                found = e
-                break
-        ring._cache["scalar_id"] = found
-    return ring._cache["scalar_id"]
+    elements, mul = ring.elements, ring.mul
+    return ring.memo("scalar_id", lambda: next(
+        (e for e in elements if all(mul[a][e] == 1 << a for a in elements)), None
+    ))
 
 
 def weak_identities(ring: FiniteHyperring) -> list[int]:
     """All e with a in a*e for every a, in ascending order."""
-    if "weak_ids" not in ring._cache:
-        ids = [
-            e
-            for e in ring.elements
-            if all(ring.mul[a][e] >> a & 1 for a in ring.elements)
-        ]
-        ring._cache["weak_ids"] = ids
-    return list(ring._cache["weak_ids"])
+    elements, mul = ring.elements, ring.mul
+    return list(ring.memo("weak_ids", lambda: [
+        e for e in elements if all(mul[a][e] >> a & 1 for a in elements)
+    ]))
 
 
 def canonical_identity(ring: FiniteHyperring) -> Optional[int]:
@@ -518,20 +515,6 @@ def canonical_identity(ring: FiniteHyperring) -> Optional[int]:
         return e
     ids = weak_identities(ring)
     return ids[0] if ids else None
-
-
-def structure_flags(ring: FiniteHyperring) -> dict:
-    """Validated structural summary used by reports and serializers."""
-    report = ring.validate()
-    ids = weak_identities(ring) if report.ok else []
-    scalar = scalar_identity(ring) if report.ok else None
-    return {
-        "is_hyperring": report.ok,
-        "strongly_distributive": report.ok and is_strongly_distributive(ring),
-        "has_identity": bool(ids),
-        "has_scalar_identity": scalar is not None,
-        "identity": scalar if scalar is not None else (ids[0] if ids else None),
-    }
 
 
 # -- constructors --------------------------------------------------------------

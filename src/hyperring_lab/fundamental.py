@@ -101,9 +101,10 @@ def _verify_ring_axioms(fr: FundamentalRing) -> None:
 
 def fundamental_ring(ring: FiniteHyperring) -> FundamentalRing:
     """Build and fully verify the class ring; cached per hyperring."""
-    cached = ring._cache.get("fundamental")
-    if cached is not None:
-        return cached
+    return ring.memo("fundamental", lambda: _build_fundamental(ring))
+
+
+def _build_fundamental(ring: FiniteHyperring) -> FundamentalRing:
     name = "%s/gamma*" % (ring.name or "ring")
     quot, proj = coset_ring(ring, cooccurrence_subgroup(ring), name, "fundamental")
     for i, row in enumerate(quot.mul):
@@ -122,7 +123,6 @@ def fundamental_ring(ring: FiniteHyperring) -> FundamentalRing:
         projection=proj,
     )
     _verify_ring_axioms(fr)
-    ring._cache["fundamental"] = fr
     return fr
 
 

@@ -39,6 +39,7 @@ from .core import (
     ProperIdealRequired,
     WellDefinednessFailure,
     canonical_identity,
+    weak_identities,
 )
 
 I_SET_ORDER_BOUND = 12
@@ -87,16 +88,17 @@ def absorption_table(ring: FiniteHyperring) -> list[int]:
     its members; the entry is read off the product table as given, so it is
     exact on tables that break the axioms too.
     """
-    table = ring._cache.get("absorb")
-    if table is None:
-        mul = ring.mul
-        table = []
-        for a in ring.elements:
-            out = 0
-            for r in ring.elements:
-                out |= mul[r][a]
-            table.append(out)
-        ring._cache["absorb"] = table
+    return ring.memo("absorb", lambda: _build_absorption(ring))
+
+
+def _build_absorption(ring: FiniteHyperring) -> list[int]:
+    mul = ring.mul
+    table = []
+    for a in ring.elements:
+        out = 0
+        for r in ring.elements:
+            out |= mul[r][a]
+        table.append(out)
     return table
 
 
@@ -154,9 +156,10 @@ def enumerate_hyperideals(
         raise OrderTooLarge(
             "hyperideal enumeration capped at order %d" % order_bound
         )
-    cached = ring._cache.get("ideals")
-    if cached is not None:
-        return list(cached)
+    return list(ring.memo("ideals", lambda: _build_ideals(ring)))
+
+
+def _build_ideals(ring: FiniteHyperring) -> tuple[int, ...]:
     principals = {generate_hyperideal(ring, 1 << x) for x in ring.elements}
     add = ring.add
     zero_ideal = 1 << ring.zero
@@ -182,8 +185,7 @@ def enumerate_hyperideals(
         frontier = nxt
     ideals = [m for m in found if is_hyperideal(ring, m)]
     ideals.sort(key=lambda m: (size(m), members(m)))
-    ring._cache["ideals"] = tuple(ideals)
-    return ideals
+    return tuple(ideals)
 
 
 def proper_hyperideals(ring: FiniteHyperring) -> list[int]:
@@ -213,13 +215,9 @@ def is_prime(ring: FiniteHyperring, pmask: int) -> bool:
 
 
 def prime_hyperideals(ring: FiniteHyperring) -> list[int]:
-    cached = ring._cache.get("primes")
-    if cached is None:
-        cached = tuple(
-            p for p in proper_hyperideals(ring) if is_prime(ring, p)
-        )
-        ring._cache["primes"] = cached
-    return list(cached)
+    return list(ring.memo("primes", lambda: tuple(
+        p for p in proper_hyperideals(ring) if is_prime(ring, p)
+    )))
 
 
 def is_maximal(ring: FiniteHyperring, pmask: int) -> bool:
@@ -250,38 +248,38 @@ def radical(ring: FiniteHyperring, imask: int) -> int:
 
 def product_class_C(ring: FiniteHyperring) -> list[int]:
     """All finite products of elements (length >= 1 -- singletons included)."""
-    cached = ring._cache.get("classC")
-    if cached is None:
-        seen = {1 << a for a in ring.elements}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for r in ring.elements:
-                    prod = ring.row_product(s, r)
-                    if prod not in seen:
-                        seen.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-        cached = tuple(sorted(seen))
-        ring._cache["classC"] = cached
-    return list(cached)
+    return list(ring.memo("classC", lambda: _build_class_C(ring)))
+
+
+def _build_class_C(ring: FiniteHyperring) -> tuple[int, ...]:
+    seen = {1 << a for a in ring.elements}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for r in ring.elements:
+                prod = ring.row_product(s, r)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return tuple(sorted(seen))
 
 
 def cooccurrence_subgroup(ring: FiniteHyperring) -> int:
     """Subgroup generated by all differences within a single member of C."""
-    n = ring._cache.get("cooccN")
-    if n is None:
-        diffs = 1 << ring.zero
-        neg = ring.neg_table()
-        for s in product_class_C(ring):
-            xs = members(s)
-            base = xs[0]
-            for other in xs[1:]:
-                diffs |= 1 << ring.add[other][neg[base]]
-        n = subgroup_closure(ring, diffs)
-        ring._cache["cooccN"] = n
-    return n
+    return ring.memo("cooccN", lambda: _build_cooccurrence(ring))
+
+
+def _build_cooccurrence(ring: FiniteHyperring) -> int:
+    diffs = 1 << ring.zero
+    neg = ring.neg_table()
+    for s in product_class_C(ring):
+        xs = members(s)
+        base = xs[0]
+        for other in xs[1:]:
+            diffs |= 1 << ring.add[other][neg[base]]
+    return subgroup_closure(ring, diffs)
 
 
 def is_C_hyperideal(ring: FiniteHyperring, imask: int) -> bool:
@@ -324,21 +322,7 @@ def _multiset_products(ring: FiniteHyperring, length: int) -> tuple[list, list]:
     extending a class costs one lookup per subproduct.  Returns the levels
     and `masks`.
     """
-    table = ring._cache.get("msprods")
-    if table is None:
-        # A one-factor tuple's only subproduct is the empty product, which
-        # times a is {a}; id 0 stands for it and occurs at level 0 only.
-        masks = [0]
-        ids = {}
-        for a in ring.elements:
-            ids[1 << a] = len(masks)
-            masks.append(1 << a)
-        first = {(1 << a, 1): {a: (a,)} for a in ring.elements}
-        lifts = [{0: 1 << ids[1 << a]} for a in ring.elements]
-        table = ring._cache["msprods"] = {
-            "classes": first, "levels": [{}], "masks": masks, "ids": ids,
-            "lifts": lifts,
-        }
+    table = ring.memo("msprods", lambda: _start_multiset_products(ring))
     levels, masks, ids = table["levels"], table["masks"], table["ids"]
     lifts = table["lifts"]  # lifts[a][i] is the bit of the id of masks[i]*a
 
@@ -380,6 +364,22 @@ def _multiset_products(ring: FiniteHyperring, length: int) -> tuple[list, list]:
         levels.append({p: sorted(g) for p, g in groups.items()})
         table["classes"] = classes
     return levels, masks
+
+
+def _start_multiset_products(ring: FiniteHyperring) -> dict:
+    # A one-factor tuple's only subproduct is the empty product, which
+    # times a is {a}; id 0 stands for it and occurs at level 0 only.
+    masks = [0]
+    ids = {}
+    for a in ring.elements:
+        ids[1 << a] = len(masks)
+        masks.append(1 << a)
+    first = {(1 << a, 1): {a: (a,)} for a in ring.elements}
+    lifts = [{0: 1 << ids[1 << a]} for a in ring.elements]
+    return {
+        "classes": first, "levels": [{}], "masks": masks, "ids": ids,
+        "lifts": lifts,
+    }
 
 
 def n_absorbing_witness(
@@ -498,8 +498,6 @@ def has_i_set(ring: FiniteHyperring, order_bound: int = I_SET_ORDER_BOUND) -> bo
     so no identity means no i-set.  Only structures fitting neither shortcut
     fall through to the search (bounded by `order_bound`).
     """
-    from .core import weak_identities
-
     if weak_identities(ring):
         return True
     if all(
@@ -512,18 +510,12 @@ def has_i_set(ring: FiniteHyperring, order_bound: int = I_SET_ORDER_BOUND) -> bo
 # -- ideal arithmetic --------------------------------------------------------------
 
 
-def ideal_sum(ring: FiniteHyperring, imask: int, jmask: int) -> int:
-    return ring.minkowski_sum(imask, jmask)
-
-
 def ideal_product(ring: FiniteHyperring, imask: int, jmask: int) -> int:
     """Hyperideal generated by all pairwise products (cached per pair)."""
-    key = ("idprod", min(imask, jmask), max(imask, jmask))
-    cached = ring._cache.get(key)
-    if cached is None:
-        cached = generate_hyperideal(ring, ring.hyper_product(imask, jmask))
-        ring._cache[key] = cached
-    return cached
+    return ring.memo(
+        ("idprod", min(imask, jmask), max(imask, jmask)),
+        lambda: generate_hyperideal(ring, ring.hyper_product(imask, jmask)),
+    )
 
 
 def set_power(ring: FiniteHyperring, amask: int, s: int) -> int:
@@ -531,17 +523,10 @@ def set_power(ring: FiniteHyperring, amask: int, s: int) -> int:
     of one row per (ring, set), grown on demand by P^j = P^(j-1) * P."""
     if s < 1:
         raise ValueError("set powers start at exponent 1")
-    row = ring._cache.get(("setpow", amask))
-    if row is None:
-        row = ring._cache[("setpow", amask)] = [None, amask]
+    row = ring.memo(("setpow", amask), lambda: [None, amask])
     while len(row) <= s:
         row.append(ring.hyper_product(row[-1], amask))
     return row[s]
-
-
-def ideal_power(ring: FiniteHyperring, imask: int, s: int) -> int:
-    """Raw s-fold product set of a hyperideal (not closed into an ideal)."""
-    return set_power(ring, imask, s)
 
 
 # -- quotients -----------------------------------------------------------------------
@@ -622,11 +607,12 @@ def quotient_by_ideal(
 ) -> tuple[FiniteHyperring, HomMap]:
     """Cosets of a proper hyperideal with the induced class-set product."""
     require_proper(ring, pmask)
-    cached = ring._cache.get(("quot", pmask))
-    if cached is None:
+
+    def build():
         name = "%s/%s" % (ring.name or "ring", "".join(str(x) for x in members(pmask)))
-        cached = ring._cache[("quot", pmask)] = coset_ring(ring, pmask, name, "quotient")
-    return cached
+        return coset_ring(ring, pmask, name, "quotient")
+
+    return ring.memo(("quot", pmask), build)
 
 
 def classify_ideal(ring: FiniteHyperring, imask: int) -> dict:

@@ -73,18 +73,21 @@ def test_product_factors_survive_a_cleared_memo():
 
 
 def test_closed_pair_rows_are_keyed_by_set_and_kind_only():
-    """After every check runs on the default rings of order <= 6, each
-    closed-pair cache entry of the instance, of its factors and of the
-    targets of its hom pool is keyed ("pairs", set, kind): one table per
-    set and kind, whatever exponent windows the checks asked for."""
+    """After every check runs on the default rings of order <= 6 and on the
+    targets of their hom pools, each closed-pair cache entry of the
+    instance, of its factors and of those targets is keyed ("pairs", set,
+    kind): one table per set and kind, whatever exponent windows the
+    checks asked for."""
     rings = [r for r in generate_instances(SuiteConfig()) if r.order <= 6]
     assert len(rings) == 39
     keys = []
     for ring in rings:
-        for check in CHECKS:
-            check.fn(ring, PARAMS)
-        targets = [f.target for f in _hom_pool(ring)]
-        for r in [ring, *(ring.factors or ()), *targets]:
+        # The identity hom's target is the ring itself.
+        targets = {id(f.target): f.target for f in _hom_pool(ring)}
+        for r in targets.values():
+            for check in CHECKS:
+                check.fn(r, PARAMS)
+        for r in [*targets.values(), *(ring.factors or ())]:
             keys += [k for k in r._cache if type(k) is tuple and k[0] == "pairs"]
     assert keys
     for key in keys:
@@ -114,7 +117,11 @@ def test_hom_pool_layout_and_goodness():
     for f in pool:
         ok, witness = check_good_hom(f)
         assert ok, witness
-    assert _hom_pool(ring) is pool
+    # Only the quotient rings are memoized on the ring; the pool itself and
+    # its order-2n product target are built afresh on every call.
+    again = _hom_pool(ring)
+    assert again[-1].target is not pool[-1].target
+    assert all(f.target is g.target for f, g in zip(again[:-1], pool[:-1]))
 
 
 def test_box_mask_encoding():

@@ -1,11 +1,15 @@
 """Tables, axioms, constructions, powers, and structure maps."""
 
 import random
+import re
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
+import hyperring_lab
 from hyperring_lab import (
+    AxiomFailure,
     AxiomReport,
     SuiteConfig,
     FiniteHyperring,
@@ -20,7 +24,6 @@ from hyperring_lab import (
     members,
     product_ring,
     scalar_identity,
-    structure_flags,
     validate_axioms,
     weak_identities,
 )
@@ -203,6 +206,64 @@ def test_identity_flavors():
     assert scalar_identity(make_zx_mod(4, [2])) is None
 
 
+@pytest.fixture
+def memo_builds(monkeypatch):
+    """Keys whose build ran, in order, through every ring's memo."""
+    builds = []
+    memo = FiniteHyperring.memo
+
+    def counted(self, key, build):
+        def counted_build():
+            builds.append(key)
+            return build()
+
+        return memo(self, key, counted_build)
+
+    monkeypatch.setattr(FiniteHyperring, "memo", counted)
+    return builds
+
+
+def test_memo_builds_once_per_key():
+    ring = make_zx_mod(4, [1])
+    calls = []
+
+    def build():
+        calls.append(len(calls))
+        return [len(calls)]
+
+    first = ring.memo(("probe", 1), build)
+    assert ring.memo(("probe", 1), build) is first
+    assert ring.memo(("probe", 2), build) == [2]
+    assert calls == [0, 1]
+
+
+def test_memo_caches_none(memo_builds):
+    ring = make_zx_mod(4, [2])
+    assert scalar_identity(ring) is None
+    assert scalar_identity(ring) is None
+    assert memo_builds.count("scalar_id") == 1
+
+
+def test_memo_stores_nothing_when_the_build_raises(memo_builds):
+    # 1 + 1 = 1: zero is 0, but 1 has no additive inverse.
+    ring = FiniteHyperring([[0, 1], [1, 1]], [[[0], [0]], [[0], [1]]])
+    for _ in range(2):
+        with pytest.raises(AxiomFailure):
+            ring.neg_table()
+    assert memo_builds.count("neg") == 2
+    assert "neg" not in ring._cache
+
+
+def test_only_core_touches_the_memo_dict():
+    package = Path(hyperring_lab.__file__).parent
+    touching = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if re.search(r"\b_cache\b", path.read_text())
+    )
+    assert touching == ["core.py"]
+
+
 def test_strong_distributivity_flag():
     assert is_strongly_distributive(make_zx_mod(4, [2]))
     assert not is_strongly_distributive(make_zx_mod(4, [1, 3]))
@@ -254,17 +315,6 @@ def test_strong_distributivity_matches_brute_force():
         assert is_strongly_distributive(ring) == expect, (ring.name, ring.add, ring.mul)
         verdicts.add((expect, ring.name == "seeded"))
     assert verdicts == {(True, False), (False, False), (True, True), (False, True)}
-
-
-def test_structure_flags_bundle():
-    flags = structure_flags(make_zx_mod(4, [1]))
-    assert flags == {
-        "is_hyperring": True,
-        "strongly_distributive": True,
-        "has_identity": True,
-        "has_scalar_identity": True,
-        "identity": 1,
-    }
 
 
 def test_good_hom_identity_and_swap():
