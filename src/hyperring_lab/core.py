@@ -137,9 +137,10 @@ class FiniteHyperring:
     `add[a][b]` is an element, `mul[a][b]` a nonempty bitmask.  Derived data
     (zero, negation, power profiles, the law report, and the tables of the
     other modules) is computed lazily and kept in one memo per ring, read
-    and filled through `memo`; tables are treated as immutable after
-    construction.  `factors` is the pair of factor rings of a ring built by
-    `product_ring`, and None for every other ring.
+    and filled through `memo` and emptied by `drop_memo` (`run_suite` drops
+    each instance's memo once its checks have run); tables are treated as
+    immutable after construction.  `factors` is the pair of factor rings of
+    a ring built by `product_ring`, and None for every other ring.
     """
 
     __slots__ = ("order", "add", "mul", "name", "meta", "factors", "_cache")
@@ -226,6 +227,11 @@ class FiniteHyperring:
         except KeyError:
             value = self._cache[key] = build()
             return value
+
+    def drop_memo(self) -> None:
+        """Empty the memo in place; `factors` stays, and every table is
+        rebuilt on its next request."""
+        self._cache.clear()
 
     # -- structural elements -------------------------------------------------
 

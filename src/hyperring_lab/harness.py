@@ -217,7 +217,12 @@ def _selected_checks(cfg: SuiteConfig) -> tuple[Check, ...]:
 
 
 def _run_instance(ring, checks, params):
-    """All checks against one instance; shared caches stay warm on the ring."""
+    """All checks against one instance.
+
+    The ring's memo stays warm across its checks and is dropped once the
+    last one has run and any witness has been serialized: no later instance
+    reads it.  The memos of a product's factor rings are left as they are.
+    """
     results = []
     for check in checks:
         started = time.perf_counter()
@@ -233,6 +238,7 @@ def _run_instance(ring, checks, params):
                 "runtime_seconds": elapsed,
             }
         )
+    ring.drop_memo()
     return results
 
 
@@ -260,6 +266,12 @@ def run_suite(
     instances: Optional[list[FiniteHyperring]] = None,
     checks: Optional[tuple[Check, ...]] = None,
 ) -> SuiteReport:
+    """Every check against every instance, merged per check in stream order.
+
+    Each instance's memo is dropped after its checks, so the instances come
+    back with empty memos; only rings that are factors of a product in the
+    stream may still hold entries.
+    """
     started = time.perf_counter()
     threads = _resolve_threads(cfg)
     # Checks first, so an unknown check id is refused before the sweep is built.

@@ -133,7 +133,10 @@ def canonical_json(obj: Any) -> str:
 
 def read_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise MalformedTables("%s: JSON nested too deeply to read" % path) from None
 
 
 def write_json(path: str, obj: Any) -> None:

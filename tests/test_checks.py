@@ -65,9 +65,9 @@ def test_product_gated_checks_need_factor_metadata():
 
 def test_product_factors_survive_a_cleared_memo():
     """The factor pair is a field of the product ring, not a memo entry, so
-    the product checks still apply after the ring's cache is dropped."""
+    the product checks still apply after the ring's memo is dropped."""
     prod = product_ring(make_zx_mod(2, [1]), make_zx_mod(4, [1]))
-    prod._cache.clear()
+    prod.drop_memo()
     counts = [run(cid, prod).applicable for cid in ("T3_14", "L3_15", "T3_16")]
     assert counts == [108, 6, 180]
 

@@ -2,11 +2,19 @@
 
 import pytest
 
-from hyperring_lab import CHECKS, CheckParams, UnknownCheckId, get_check, make_zx_mod
+from hyperring_lab import (
+    CHECKS,
+    CheckParams,
+    UnknownCheckId,
+    get_check,
+    make_zx_mod,
+    product_ring,
+)
 from hyperring_lab.catalog import result_hash
 from hyperring_lab.checks import Counterexample, _check
 from hyperring_lab.harness import (
     SuiteConfig,
+    _run_instance,
     counterexample_to_dict,
     generate_instances,
     run_suite,
@@ -89,7 +97,6 @@ def test_two_genuine_counterexamples_frozen():
 def test_first_counterexample_is_genuine_for_coprime_products():
     """Re-derive the failing product case from raw tables, no engine shortcuts."""
     import oracles as orc
-    from hyperring_lab import product_ring
 
     ring = product_ring(make_zx_mod(2, [1]), make_zx_mod(4, [2]))
     n, add, mul = orc.tables(ring)
@@ -178,3 +185,37 @@ def test_default_sweep_report_hash_is_pinned():
     """The canonical report of the default sweep, which perfbench also pins:
     a kernel change that moves a verdict or a case count changes it."""
     assert result_hash(run_suite(SuiteConfig()).to_dict()) == "614809fc4ec45e22"
+
+
+def _small_default_rings():
+    rings = [r for r in generate_instances(SuiteConfig()) if r.order <= 6]
+    assert len(rings) == 39
+    return rings
+
+
+def test_run_instance_drops_the_memo_and_keeps_the_factors():
+    factors = (make_zx_mod(2, [1]), make_zx_mod(4, [1]))
+    prod = product_ring(*factors)
+    _run_instance(prod, CHECKS, CheckParams())
+    assert prod._cache == {}
+    assert prod.factors[0] is factors[0] and prod.factors[1] is factors[1]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_rerun_from_dropped_memos_gives_the_same_report(threads):
+    """A second run over the same rings starts from empty memos and must
+    rebuild every table to the same verdicts and case counts."""
+    rings = _small_default_rings()
+    cfg = SuiteConfig(threads=threads)
+    first = result_hash(run_suite(cfg, instances=rings).to_dict())
+    second = result_hash(run_suite(cfg, instances=rings).to_dict())
+    assert first == second
+
+
+def test_serial_run_leaves_memo_entries_only_on_product_factors():
+    rings = _small_default_rings()
+    run_suite(SuiteConfig(threads=1), instances=rings)
+    factor_ids = {id(f) for r in rings for f in (r.factors or ())}
+    holding = {id(r) for r in rings if r._cache}
+    assert holding
+    assert holding <= factor_ids

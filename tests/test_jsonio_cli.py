@@ -309,6 +309,79 @@ def test_cli_survives_corrupted_tables(tmp_path_factory, doc, s, n):
         assert code in (0, 1, 2), argv
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000
+_WRONG_VALUES = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.lists(st.lists(st.integers(0, 3), max_size=2), min_size=1, max_size=2),
+)
+
+
+@st.composite
+def malformed_docs(draw):
+    """JSON text of a ring document with a wrong shape or type somewhere:
+    a root that is no object, a non-integer order, a ragged or non-list row,
+    a cell of the wrong kind, a mistyped name or meta, or deep nesting."""
+    m = draw(st.integers(2, 4))
+    doc = ring_to_dict(make_zx_mod(m, [1]))
+    a, b = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    table = draw(st.sampled_from(["add", "mul"]))
+    kind = draw(
+        st.sampled_from(["root", "order", "ragged", "row", "cell", "name", "meta", "deep"])
+    )
+    if kind == "root":
+        root = st.one_of(st.none(), st.integers(), st.text(), st.lists(st.integers()))
+        return json.dumps(draw(root))
+    if kind == "order":
+        doc["order"] = draw(st.one_of(st.booleans(), st.floats(allow_nan=False), st.text()))
+    elif kind == "ragged":
+        row = doc[table][a]
+        if draw(st.booleans()):
+            del row[b]
+        else:
+            row.append(row[b])
+    elif kind == "row":
+        not_a_row = st.one_of(
+            st.none(), st.integers(), st.text(), st.dictionaries(st.text(), st.integers())
+        )
+        doc[table][a] = draw(not_a_row)
+    elif kind == "cell":
+        doc[table][a][b] = draw(_WRONG_VALUES)
+    elif kind == "name":
+        doc["name"] = draw(_WRONG_VALUES.filter(lambda v: not isinstance(v, str)))
+    elif kind == "meta":
+        doc["meta"] = draw(_WRONG_VALUES.filter(lambda v: not isinstance(v, dict)))
+    else:
+        if draw(st.booleans()):
+            return _DEEP
+        doc[table][a][b] = "DEEP"
+        return json.dumps(doc).replace('"DEEP"', _DEEP)
+    return json.dumps(doc)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(malformed_docs())
+def test_cli_refuses_malformed_documents(tmp_path_factory, text):
+    """Every ring command exits 2 with a message on a document of the wrong
+    shape or types, deep nesting included, never raising."""
+    path = tmp_path_factory.getbasetemp() / "malformed.json"
+    path.write_text(text)
+    for argv in (
+        ["validate", str(path)],
+        ["classify", str(path)],
+        ["profile", str(path)],
+        ["fundamental", str(path)],
+        ["closed", str(path), "--s", "2", "--n", "1"],
+    ):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code == 2, argv
+        assert err.getvalue().startswith("error: "), argv
+
+
 def test_cli_zx_sweep(capsys):
     assert main(["zx", "105", "2,4", "--n", "3"]) == 0
     out = capsys.readouterr().out
