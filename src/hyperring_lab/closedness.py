@@ -425,6 +425,19 @@ class ZxResidueModel:
     integers, which keeps 0 out of every hyperpower of a nonzero element;
     0 itself never violates any pair (its powers are {0}, inside d*Z), so
     the weak and plain notions agree on this model.
+
+    The residues are decided in closed form.  Let G be the gcd of the
+    multipliers.  For each prime p the least p-adic valuation of a product
+    of k-1 multipliers is (k-1)*v_p(G), so the gcd of those products is
+    G^(k-1), and a^k lies inside d*Z exactly when d divides a^k * G^(k-1),
+    that is when d' = d / gcd(d, G^(k-1)) divides a^k.  Prime by prime,
+    p^e dividing d' exactly, that asks for p^ceil(e/k) to divide a: the
+    residues whose k-th hyperpower lands in d*Z are the multiples of
+    m_k = prod p^ceil(e/k), a divisor of d.  Every multiple of m_s is a multiple of m_n
+    exactly when m_n divides m_s, so the least residue violating (s,n) is
+    m_s itself when m_s < d and m_n does not divide m_s, and there is none
+    otherwise.  d is factored once, by trial division; `power_residues` is
+    the definition, read off the products themselves.
     """
 
     def __init__(self, d: int, multipliers) -> None:
@@ -438,6 +451,16 @@ class ZxResidueModel:
         self.d = d
         self.multipliers = xs
         self._pi_cache: dict[int, frozenset[int]] = {0: frozenset({1 % d})}
+        g = math.gcd(*xs)
+        # (p, e, v_p(G)) for each prime power p^e exactly dividing d.
+        self._primes = []
+        for p, e in _factor(d):
+            v = 0
+            while g % p == 0:
+                g //= p
+                v += 1
+            self._primes.append((p, e, v))
+        self._land: dict[int, int] = {}
 
     def _pi(self, k: int) -> frozenset[int]:
         """Residues of all k-fold products of multipliers."""
@@ -457,23 +480,49 @@ class ZxResidueModel:
         base = pow(r, s, self.d)
         return frozenset(base * p % self.d for p in self._pi(s - 1))
 
+    def land_modulus(self, k: int) -> int:
+        """m_k: a^k lies inside d*Z exactly when m_k divides a."""
+        _require_exponent(k)
+        m = self._land.get(k)
+        if m is None:
+            m = 1
+            for p, e, v in self._primes:
+                left = e - (k - 1) * v
+                if left > 0:
+                    m *= p ** -(-left // k)
+            self._land[k] = m
+        return m
+
     def power_in_ideal(self, r: int, s: int) -> bool:
-        return self.power_residues(r, s) == {0}
+        return r % self.land_modulus(s) == 0
 
     def witness(self, s: int, n: int) -> Optional[int]:
         """Least residue class violating (s,n)-closedness of d*Z, or None."""
-        _require_exponent(s)
-        _require_exponent(n)
-        for r in range(1, self.d):
-            if self.power_in_ideal(r, s) and not self.power_in_ideal(r, n):
-                return r
-        return None
+        ms, mn = self.land_modulus(s), self.land_modulus(n)
+        return ms if ms < self.d and ms % mn else None
 
     def closed(self, s: int, n: int) -> bool:
         return self.witness(s, n) is None
 
     def weakly_closed(self, s: int, n: int) -> bool:
         return self.closed(s, n)
+
+
+def _factor(d: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing d >= 1, by trial division."""
+    out = []
+    p = 2
+    while p * p <= d:
+        if d % p == 0:
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if d > 1:
+        out.append((d, 1))
+    return out
 
 
 def zx_residue_closed(d: int, multipliers, s: int, n: int) -> bool:

@@ -20,6 +20,8 @@ Laws checked, in report order:
 
 Distributivity is only required as an inclusion; structures where it holds
 with equality are flagged by `is_strongly_distributive` but not privileged.
+Both run one distributive scan, `_distributive_witness`, with inclusion or
+with equality.
 """
 
 from __future__ import annotations
@@ -358,7 +360,14 @@ def _find_negs(add, n, zero):
 
 
 def validate_axioms(ring: FiniteHyperring) -> AxiomReport:
-    """Exhaustively check every law, returning first witnesses for failures."""
+    """Exhaustively check every law, returning first witnesses for failures.
+
+    The n^3 laws read few distinct cells, so within one call each kernel is
+    formed once per distinct cell: the products (a*b)*c and a*(b*c) of
+    associativity, the Minkowski sums of distributivity and the negated
+    cells of the sign rule.  When `mul` is symmetric the right distributive
+    law is the left one at the same (a, b, c), so its scan is not repeated.
+    """
     n = ring.order
     add = ring.add
     mul = ring.mul
@@ -367,19 +376,11 @@ def validate_axioms(ring: FiniteHyperring) -> AxiomReport:
     zero = _find_zero(add, n)
     checks.append(AxiomCheck("zero_identity", zero is not None, None))
 
-    witness = next(
-        ((a, b) for a, b in combinations(range(n), 2) if add[a][b] != add[b][a]),
-        None,
-    )
+    witness = _asymmetry(add)
     checks.append(AxiomCheck("add_commutative", witness is None, witness))
 
-    witness = next(
-        (
-            (a, b, c)
-            for a, b, c in product(range(n), repeat=3)
-            if add[add[a][b]][c] != add[a][add[b][c]]
-        ),
-        None,
+    witness = _associativity_witness(
+        add, add.__getitem__, lambda a, row: list(map(add[a].__getitem__, row))
     )
     checks.append(AxiomCheck("add_associative", witness is None, witness))
 
@@ -393,47 +394,25 @@ def validate_axioms(ring: FiniteHyperring) -> AxiomReport:
         if witness:
             negs = None
 
-    witness = next(
-        ((a, b) for a, b in combinations(range(n), 2) if mul[a][b] != mul[b][a]),
-        None,
-    )
-    checks.append(AxiomCheck("mul_commutative", witness is None, witness))
+    asymmetric = _asymmetry(mul)
+    checks.append(AxiomCheck("mul_commutative", asymmetric is None, asymmetric))
 
-    witness = next(
-        (
-            (a, b, c)
-            for a, b, c in product(range(n), repeat=3)
-            if ring.row_product(mul[a][b], c)
-            != _left_product(mul, a, mul[b][c])
-        ),
-        None,
+    # Both sides are read per distinct cell: A*c for every c, and a*B for every a.
+    cells = {cell for row in mul for cell in row}
+    times = {cell: [ring.row_product(cell, c) for c in range(n)] for cell in cells}
+    lefts = [{cell: _left_product(mul, a, cell) for cell in cells} for a in range(n)]
+    witness = _associativity_witness(
+        mul, times.__getitem__, lambda a, row: list(map(lefts[a].__getitem__, row))
     )
     checks.append(AxiomCheck("mul_associative", witness is None, witness))
 
-    witness = next(
-        (
-            (a, b, c)
-            for a, b, c in product(range(n), repeat=3)
-            if not is_subset(
-                mul[a][add[b][c]], ring.minkowski_sum(mul[a][b], mul[a][c])
-            )
-        ),
-        None,
-    )
+    sums: dict[int, dict[int, int]] = {}
+    witness = _distributive_witness(ring, mul, sums, exact=False)
     checks.append(
         AxiomCheck("left_distributive_inclusion", witness is None, witness)
     )
-
-    witness = next(
-        (
-            (a, b, c)
-            for a, b, c in product(range(n), repeat=3)
-            if not is_subset(
-                mul[add[b][c]][a], ring.minkowski_sum(mul[b][a], mul[c][a])
-            )
-        ),
-        None,
-    )
+    if asymmetric is not None:
+        witness = _distributive_witness(ring, _transpose(mul), sums, exact=False)
     checks.append(
         AxiomCheck("right_distributive_inclusion", witness is None, witness)
     )
@@ -441,17 +420,76 @@ def validate_axioms(ring: FiniteHyperring) -> AxiomReport:
     if negs is None:
         checks.append(AxiomCheck("sign_rule", False, None))
     else:
+        negated = {cell: mask_of(negs[t] for t in iter_bits(cell)) for cell in cells}
         witness = next(
             (
                 (a, b)
                 for a, b in product(range(n), repeat=2)
-                if mul[a][negs[b]] != mask_of(negs[t] for t in iter_bits(mul[a][b]))
+                if mul[a][negs[b]] != negated[mul[a][b]]
             ),
             None,
         )
         checks.append(AxiomCheck("sign_rule", witness is None, witness))
 
     return AxiomReport(axioms=tuple(checks))
+
+
+def _asymmetry(table) -> Optional[tuple[int, int]]:
+    """First (a, b) with a < b and table[a][b] != table[b][a], or None."""
+    return next(
+        ((a, b) for a, b in combinations(range(len(table)), 2) if table[a][b] != table[b][a]),
+        None,
+    )
+
+
+def _transpose(table) -> list[list[int]]:
+    return [list(col) for col in zip(*table)]
+
+
+def _associativity_witness(table, outer, inner) -> Optional[tuple[int, int, int]]:
+    """First (a, b, c) with (a.b).c != a.(b.c) in `table`, or None.
+
+    `outer(table[a][b])` lists (a.b).c and `inner(a, table[b])` lists
+    a.(b.c), over every c.
+    """
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            lhs, rhs = outer(table[a][b]), inner(a, table[b])
+            if lhs != rhs:
+                return (a, b, _first_difference(lhs, rhs))
+    return None
+
+
+def _distributive_witness(
+    ring: FiniteHyperring, rows, sums: dict, exact: bool
+) -> Optional[tuple[int, int, int]]:
+    """First (a, b, c) with rows[a][b+c] not inside rows[a][b] + rows[a][c]
+    (with `exact`, not equal to it), or None.
+
+    Row a of `rows` holds the cells a*x (the left law) or x*a (the right
+    law, read off the transposed table).  `sums` memoizes Minkowski sums by
+    the ordered pair of cells: when the addition does not commute, A + B
+    and B + A differ.
+    """
+    add = ring.add
+    for a, row in enumerate(rows):
+        distinct = set(row)
+        for b, x in enumerate(row):
+            by_y = sums.setdefault(x, {})
+            for y in distinct.difference(by_y):
+                by_y[y] = ring.minkowski_sum(x, y)
+            totals = list(map(by_y.__getitem__, row))
+            spread = list(map(row.__getitem__, add[b]))
+            if not exact:
+                spread = list(map(int.__or__, spread, totals))
+            if spread != totals:
+                return (a, b, _first_difference(spread, totals))
+    return None
+
+
+def _first_difference(xs: list, ys: list) -> int:
+    return next(i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
 
 
 def _left_product(mul, a: int, bmask: int) -> int:
@@ -465,37 +503,22 @@ def _left_product(mul, a: int, bmask: int) -> int:
 def is_strongly_distributive(ring: FiniteHyperring) -> bool:
     """True when distributivity holds with set equality on both sides.
 
-    The n^3 cells read few distinct Minkowski sums, so each is formed once,
-    memoized by the ordered pair of cells: on a table whose addition does
-    not commute, A + B and B + A differ.  When the product table is
-    symmetric the right-hand law is the left-hand one with the factors
-    swapped, so only tables with an asymmetric `mul` test it.
+    The scan is `validate_axioms`'s distributive scan with equality in place
+    of inclusion.  When the product table is symmetric the right-hand law is
+    the left-hand one with the factors swapped, so only tables with an
+    asymmetric `mul` test it.
     """
     return ring.memo("strong", lambda: _build_strong(ring))
 
 
 def _build_strong(ring: FiniteHyperring) -> bool:
-    n, add, mul = ring.order, ring.add, ring.mul
-    sums: dict[tuple[int, int], int] = {}
-
-    def equal_laws(rows) -> bool:
-        # Row a of `rows` holds the cells a*x (left law) or x*a (right law).
-        for row in rows:
-            for b in range(n):
-                x, total = row[b], add[b]
-                for c in range(n):
-                    key = (x, row[c])
-                    s = sums.get(key)
-                    if s is None:
-                        s = sums[key] = ring.minkowski_sum(x, row[c])
-                    if row[total[c]] != s:
-                        return False
-        return True
-
-    flag = equal_laws(mul)
-    if flag and any(mul[a][b] != mul[b][a] for a in range(n) for b in range(a)):
-        flag = equal_laws([list(col) for col in zip(*mul)])
-    return flag
+    mul = ring.mul
+    sums: dict[int, dict[int, int]] = {}
+    if _distributive_witness(ring, mul, sums, exact=True) is not None:
+        return False
+    return _asymmetry(mul) is None or (
+        _distributive_witness(ring, _transpose(mul), sums, exact=True) is None
+    )
 
 
 def scalar_identity(ring: FiniteHyperring) -> Optional[int]:

@@ -2,15 +2,20 @@
 
 Everything here works on frozensets and explicit enumeration -- no bitmasks,
 no caching, no periodicity shortcuts -- so agreement with the package is a
-meaningful check and not a tautology.  Only intended for small orders.  The
-one exception is `closed_combinations`, a reference for how a check's cases
-are grouped rather than for the algebra: it reads the package's land rows
-one (s,n) pair at a time.
+meaningful check and not a tautology.  Only intended for small orders.  Two
+exceptions read the package's rings directly.  `closed_combinations` is a
+reference for how a check's cases are grouped rather than for the algebra:
+it reads the package's land rows one (s,n) pair at a time.
+`validate_axioms_loops` is the loop form of `validate_axioms`, one kernel
+call per (a, b, c) and no memo, kept as the reference for the report the
+package gives, witnesses included.
 """
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 from hyperring_lab import ProperIdealRequired, ideal_product, proper_hyperideals
+from hyperring_lab.bitsets import is_subset, iter_bits, mask_of
+from hyperring_lab.core import AxiomCheck, AxiomReport
 from hyperring_lab.closedness import land_row
 
 TAGS = ("frozenset oracle",)
@@ -457,3 +462,106 @@ def closed_combinations(ring, p, part, omega_of):
                             (part, s, s, n, w),
                         )
     return count
+
+
+def _zero_or_none(n, add):
+    return next((e for e in range(n) if all(add[e][x] == x == add[x][e] for x in range(n))), None)
+
+
+def validate_axioms_loops(ring):
+    """`validate_axioms` as it was written before its kernels were memoized:
+    every law a loop in report order, each cell recomputed."""
+    n = ring.order
+    add = ring.add
+    mul = ring.mul
+    checks = []
+
+    zero = _zero_or_none(n, add)
+    checks.append(AxiomCheck("zero_identity", zero is not None, None))
+
+    witness = next(
+        ((a, b) for a, b in combinations(range(n), 2) if add[a][b] != add[b][a]),
+        None,
+    )
+    checks.append(AxiomCheck("add_commutative", witness is None, witness))
+
+    witness = next(
+        (
+            (a, b, c)
+            for a, b, c in product(range(n), repeat=3)
+            if add[add[a][b]][c] != add[a][add[b][c]]
+        ),
+        None,
+    )
+    checks.append(AxiomCheck("add_associative", witness is None, witness))
+
+    negs = None
+    if zero is None:
+        checks.append(AxiomCheck("add_inverse", False, None))
+    else:
+        negs = [next((b for b in range(n) if add[a][b] == zero), None) for a in range(n)]
+        witness = next(((a,) for a in range(n) if negs[a] is None), None)
+        checks.append(AxiomCheck("add_inverse", witness is None, witness))
+        if witness:
+            negs = None
+
+    witness = next(
+        ((a, b) for a, b in combinations(range(n), 2) if mul[a][b] != mul[b][a]),
+        None,
+    )
+    checks.append(AxiomCheck("mul_commutative", witness is None, witness))
+
+    def left_product(a, bmask):
+        out = 0
+        for y in iter_bits(bmask):
+            out |= mul[a][y]
+        return out
+
+    witness = next(
+        (
+            (a, b, c)
+            for a, b, c in product(range(n), repeat=3)
+            if ring.row_product(mul[a][b], c) != left_product(a, mul[b][c])
+        ),
+        None,
+    )
+    checks.append(AxiomCheck("mul_associative", witness is None, witness))
+
+    witness = next(
+        (
+            (a, b, c)
+            for a, b, c in product(range(n), repeat=3)
+            if not is_subset(
+                mul[a][add[b][c]], ring.minkowski_sum(mul[a][b], mul[a][c])
+            )
+        ),
+        None,
+    )
+    checks.append(AxiomCheck("left_distributive_inclusion", witness is None, witness))
+
+    witness = next(
+        (
+            (a, b, c)
+            for a, b, c in product(range(n), repeat=3)
+            if not is_subset(
+                mul[add[b][c]][a], ring.minkowski_sum(mul[b][a], mul[c][a])
+            )
+        ),
+        None,
+    )
+    checks.append(AxiomCheck("right_distributive_inclusion", witness is None, witness))
+
+    if negs is None:
+        checks.append(AxiomCheck("sign_rule", False, None))
+    else:
+        witness = next(
+            (
+                (a, b)
+                for a, b in product(range(n), repeat=2)
+                if mul[a][negs[b]] != mask_of(negs[t] for t in iter_bits(mul[a][b]))
+            ),
+            None,
+        )
+        checks.append(AxiomCheck("sign_rule", witness is None, witness))
+
+    return AxiomReport(axioms=tuple(checks))

@@ -1,5 +1,6 @@
 """(s,n)-closedness, weak closedness, omega/Omega profiles, and the residue model."""
 
+import itertools
 import math
 import random
 
@@ -29,6 +30,7 @@ from hyperring_lab import (
     zx_residue_closed,
     zx_residue_weakly_closed,
 )
+from hyperring_lab.bitsets import least
 from hyperring_lab.closedness import (
     big_omega_unchecked,
     closed_rows,
@@ -274,6 +276,51 @@ def test_residue_model_matches_finite_reduction():
         for s in range(1, 7):
             for n in range(1, 7):
                 assert model.closed(s, n) == is_sn_closed(ring, zero_ideal, s, n), (d, xs, s, n)
+
+
+def test_residue_model_matches_the_table_engine():
+    """The closed form against {0} inside zx(d; X mod d): the least open
+    residue of every pair s, n <= 10 for every d <= 16 and every X of one or
+    two multipliers below 3d, none a multiple of d."""
+    zero = mask_of([0])
+    for d in range(2, 17):
+        xs = [x for x in range(1, 3 * d) if x % d]
+        by_residues: dict = {}
+        for k in (1, 2):
+            for X in itertools.combinations(xs, k):
+                by_residues.setdefault(frozenset(x % d for x in X), []).append(X)
+        for residues, Xs in by_residues.items():
+            ring = make_zx_mod(d, residues)
+            rows = closed_rows(ring, zero, 10)
+            expect = {
+                (s, n): None if rows[s] >> n & 1 else least(open_mask(ring, zero, s, n))
+                for s in range(1, 11)
+                for n in range(1, 11)
+            }
+            for X in Xs:
+                model = ZxResidueModel(d, X)
+                for (s, n), w in expect.items():
+                    assert model.witness(s, n) == w, (d, X, s, n)
+
+
+def test_residue_model_matches_its_definition():
+    """`power_in_ideal` and `witness` against `power_residues` for d < 40,
+    with negative multipliers and multipliers divisible by d."""
+    rng = random.Random(16)
+    for d in range(2, 40):
+        pool = [x for x in range(-3 * d, 3 * d + 1) if x]
+        for _ in range(6):
+            model = ZxResidueModel(d, rng.sample(pool, rng.randrange(1, 4)))
+            lands = [None] + [
+                {r for r in range(d) if model.power_residues(r, k) == {0}}
+                for k in range(1, 9)
+            ]
+            for k in range(1, 9):
+                assert {r for r in range(d) if model.power_in_ideal(r, k)} == lands[k]
+            for s in range(1, 9):
+                for n in range(1, 9):
+                    w = min(lands[s] - lands[n], default=None)
+                    assert model.witness(s, n) == w, (d, model.multipliers, s, n)
 
 
 def test_residue_model_frozen_examples():

@@ -317,6 +317,49 @@ def test_strong_distributivity_matches_brute_force():
     assert verdicts == {(True, False), (False, False), (True, True), (False, True)}
 
 
+def _corrupted(rng, ring):
+    """The ring's tables with one or two cells overwritten.
+
+    An addition cell, a product cell without its mirror, a mirrored pair of
+    product cells, or one addition cell and one product cell: the first
+    leaves the addition non-commutative and the second the product table
+    asymmetric, so the right distributive scan runs on its own."""
+    n = ring.order
+    add = [list(row) for row in ring.add]
+    mul = [list(row) for row in ring.mul]
+    kind = rng.randrange(4)
+    if kind in (0, 3):
+        add[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    if kind in (1, 3):
+        mul[rng.randrange(n)][rng.randrange(n)] = rng.randrange(1, 1 << n)
+    if kind == 2:
+        a, b = rng.randrange(n), rng.randrange(n)
+        mul[a][b] = mul[b][a] = rng.randrange(1, 1 << n)
+    return FiniteHyperring.from_masks(add, mul, name="corrupted")
+
+
+def test_validator_matches_the_loop_oracle():
+    """`validate_axioms` gives the loop form's report, witnesses included,
+    and `is_strongly_distributive` the cell-by-cell verdict, on every default
+    ring and on 1,500 seeded corruptions of the default rings of order <= 6."""
+    rings = generate_instances(SuiteConfig())
+    rng = random.Random(16)
+    small = [r for r in rings if r.order <= 6]
+    rings += [_corrupted(rng, rng.choice(small)) for _ in range(1500)]
+    failing, split = set(), 0
+    for ring in rings:
+        report = validate_axioms(ring)
+        assert report == orc.validate_axioms_loops(ring), (ring.name, ring.add, ring.mul)
+        n, add, mul = orc.tables(ring)
+        assert is_strongly_distributive(ring) == orc.strongly_distributive(n, add, mul), (
+            ring.name, ring.add, ring.mul)
+        failing.update(report.failed())
+        split += (report["left_distributive_inclusion"].witness
+                  != report["right_distributive_inclusion"].witness)
+    assert failing == {c.name for c in report.axioms}
+    assert split > 100
+
+
 def test_good_hom_identity_and_swap():
     r = make_zx_mod(4, [2])
     ok, witness = check_good_hom(identity_hom(r))

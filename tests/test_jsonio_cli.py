@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -390,6 +391,30 @@ def test_cli_zx_sweep(capsys):
     out = capsys.readouterr().out
     assert "no (residue 2)" in out
     assert main(["zx", "6", "0,2", "--n", "1"]) == 2
+
+
+def test_cli_zx_decides_a_modulus_past_any_residue_loop(capsys):
+    """Moduli near 10^9 are decided without visiting the residues.
+
+    For the prime 1000000007 and X = {2, 3}, gcd 1, m_k = d for every k, so
+    no residue fails.  For d = 10^9 = 2^9 * 5^9 and X = {10}, d' = d / 10^(k-1)
+    gives m_1 = d, m_2 = 10^4, m_3 = 10^3 and m_4 = 10^2, so with n = 2 the
+    pairs s = 3 and s = 4 fail at 1000 and 100."""
+    start = time.perf_counter()
+    assert main(["zx", "1000000007", "2,3", "--n", "2", "--smax", "12"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["s=%d n=2: closed: yes" % s for s in range(1, 13)] + [
+        "closed for all s <= 12: yes"
+    ]
+    assert main(["zx", "1000000000", "10", "--n", "2", "--smax", "4"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "s=1 n=2: closed: yes",
+        "s=2 n=2: closed: yes",
+        "s=3 n=2: closed: no (residue 1000)",
+        "s=4 n=2: closed: no (residue 100)",
+        "closed for all s <= 4: no",
+    ]
+    assert time.perf_counter() - start < 0.5
 
 
 def test_cli_instances(capsys):
