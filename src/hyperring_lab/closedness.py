@@ -433,11 +433,11 @@ class ZxResidueModel:
     that is when d' = d / gcd(d, G^(k-1)) divides a^k.  Prime by prime,
     p^e dividing d' exactly, that asks for p^ceil(e/k) to divide a: the
     residues whose k-th hyperpower lands in d*Z are the multiples of
-    m_k = prod p^ceil(e/k), a divisor of d.  Every multiple of m_s is a multiple of m_n
-    exactly when m_n divides m_s, so the least residue violating (s,n) is
-    m_s itself when m_s < d and m_n does not divide m_s, and there is none
-    otherwise.  d is factored once, by trial division; `power_residues` is
-    the definition, read off the products themselves.
+    m_k = prod p^ceil(e/k), a divisor of d.  Every multiple of m_s is a
+    multiple of m_n exactly when m_n divides m_s, so the least residue
+    violating (s,n) is m_s itself when m_s < d and m_n does not divide m_s,
+    and there is none otherwise.  d is factored once, by trial division;
+    `power_residues` is the definition, read off the products themselves.
     """
 
     def __init__(self, d: int, multipliers) -> None:
@@ -453,13 +453,7 @@ class ZxResidueModel:
         self._pi_cache: dict[int, frozenset[int]] = {0: frozenset({1 % d})}
         g = math.gcd(*xs)
         # (p, e, v_p(G)) for each prime power p^e exactly dividing d.
-        self._primes = []
-        for p, e in _factor(d):
-            v = 0
-            while g % p == 0:
-                g //= p
-                v += 1
-            self._primes.append((p, e, v))
+        self._primes = [(p, e, _valuation(g, p)) for p, e in _factor(d)]
         self._land: dict[int, int] = {}
 
     def _pi(self, k: int) -> frozenset[int]:
@@ -508,16 +502,23 @@ class ZxResidueModel:
         return self.closed(s, n)
 
 
+def _valuation(x: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer x."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
 def _factor(d: int) -> list[tuple[int, int]]:
     """(p, e) for each prime power p^e exactly dividing d >= 1, by trial division."""
     out = []
     p = 2
     while p * p <= d:
         if d % p == 0:
-            e = 0
-            while d % p == 0:
-                d //= p
-                e += 1
+            e = _valuation(d, p)
+            d //= p**e
             out.append((p, e))
         p += 1 if p == 2 else 2
     if d > 1:

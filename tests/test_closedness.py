@@ -307,10 +307,13 @@ def test_residue_model_matches_its_definition():
     """`power_in_ideal` and `witness` against `power_residues` for d < 40,
     with negative multipliers and multipliers divisible by d."""
     rng = random.Random(16)
+    negative = divisible = 0
     for d in range(2, 40):
         pool = [x for x in range(-3 * d, 3 * d + 1) if x]
         for _ in range(6):
             model = ZxResidueModel(d, rng.sample(pool, rng.randrange(1, 4)))
+            negative += model.multipliers[0] < 0
+            divisible += any(x % d == 0 for x in model.multipliers)
             lands = [None] + [
                 {r for r in range(d) if model.power_residues(r, k) == {0}}
                 for k in range(1, 9)
@@ -321,6 +324,7 @@ def test_residue_model_matches_its_definition():
                 for n in range(1, 9):
                     w = min(lands[s] - lands[n], default=None)
                     assert model.witness(s, n) == w, (d, model.multipliers, s, n)
+    assert negative > 50 and divisible > 20
 
 
 def test_residue_model_frozen_examples():
