@@ -11,20 +11,29 @@ stream the first counterexample reported is the least one.
 A check is written as a generator that pays per verdict, not per case.  It
 yields only its failing cases, each as a plain tuple
 ``(ideals, elements, sn, fmt, args)``, and its notes as ``str``; it returns
-the number of cases it examined, and a hypothesis guard that rules the whole
-ring out returns 0.  A case computes its verdict as a mask and forms a
-witness (``least``) only when that mask is nonzero.  Where a check quantifies
-over exponent pairs, it reads the verdicts of one ideal from its closed-pair
-rows (`closedness.closed_rows`, entry s, bit n), so a case that holds costs
-one bit.  Its hypotheses are per-s masks in the same layout, and
+the number of cases it examined.  A case computes its verdict as a mask and
+forms a witness (``least``) only when that mask is nonzero.  Where a check
+quantifies over exponent pairs, it reads the verdicts of one ideal from its
+closed-pair rows (`closedness.closed_rows`, entry s, bit n), so a case that
+holds costs one bit.  Its hypotheses are per-s masks in the same layout, and
 `open_pairs` forms witnesses at the failing pairs only.  One
 runner, `_collect`, takes the count from the generator's return value and
 turns the first failing case into a `Counterexample` whose detail is
 ``fmt % args``; a generator that returns no count raises `TypeError`.
 
-Statements quantified over all exponents are decided on a finite window:
-every element's hyperpowers are eventually periodic, so containment masks
-stabilize at the ring's power bound and nothing changes beyond it.
+A statement's hypotheses on the ring and on its ideal are registry data, not
+code in the generator.  `requires` names ring predicates, tried in order up
+to the first that fails; a ring that fails one has 0 cases and its
+generator is never called.  With `each`, the generator takes one proper
+hyperideal q, as ``gen(ring, q, p)``, and runs on every q that `each`
+admits, in enumeration order; the counts are summed.  A hypothesis that
+rules out only part of a check stays in its generator.
+
+Exponent pairs are decided on the window s <= smax, n <= nmax only.  Every
+element's hyperpowers are eventually periodic, so every verdict repeats
+from some exponent on, but on the default sweep that exponent can pass the
+window: the power bound exceeds 6 on 52 of the 275 rings, and 26 of them
+need exponents up to 8 before every pair is decided.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ from .core import (
     FiniteHyperring,
     HomMap,
     UnknownCheckId,
+    canonical_identity,
     check_good_hom,
     factor_mask,
     identity_hom,
@@ -142,9 +152,54 @@ def _collect(check_id, gen, ring, p):
     return out
 
 
-def _check(check_id, statement, gen, note=""):
-    """Registry entry whose fn runs `gen` through `_collect`; it pickles."""
-    return Check(check_id, statement, partial(_collect, check_id, gen), note)
+def _cases(gen, requires, each, ring, p):
+    """Case stream of `gen` on one hyperring under its hypotheses."""
+    if not all(holds(ring) for holds in requires):
+        return 0
+    if each is None:
+        return (yield from gen(ring, p))
+    count = 0
+    for q in proper_hyperideals(ring):
+        if each(ring, q):
+            got = yield from gen(ring, q, p)
+            if type(got) is not int:
+                return got  # _collect names the check
+            count += got
+    return count
+
+
+def _check(check_id, statement, gen, note="", requires=(), each=None):
+    """Registry entry whose fn runs `gen` under its hypotheses through
+    `_collect`; every hypothesis is a named function, so it pickles."""
+    cases = partial(_cases, gen, requires, each)
+    return Check(check_id, statement, partial(_collect, check_id, cases), note)
+
+
+# -- hypotheses ---------------------------------------------------------------------
+
+
+def _any_ideal(ring, q):
+    return True
+
+
+def _has_identity(ring):
+    return canonical_identity(ring) is not None
+
+
+def _has_scalar_identity(ring):
+    return scalar_identity(ring) is not None
+
+
+def _has_nonzero_scalar_identity(ring):
+    return scalar_identity(ring) not in (None, ring.zero)
+
+
+def _is_product(ring):
+    return bool(ring.factors)
+
+
+def _factors_have_nonzero_scalar_identity(ring):
+    return all(map(_has_nonzero_scalar_identity, ring.factors))
 
 
 # -- shared shortcuts -------------------------------------------------------------
@@ -201,24 +256,21 @@ def _box_mask(m1, m2, n2):
 # -- closed hyperideals -----------------------------------------------------------
 
 
-def _absorbing_closed(ring, p):
+def _absorbing_closed(ring, q, p):
     ks = max(ring.power_bound(), p.smax)
     count = 0
-    for q in proper_hyperideals(ring):
-        if not is_C_hyperideal(ring, q):
+    for n in range(1, p.absorbing_max_n + 1):
+        if not is_n_absorbing(ring, q, n):
             continue
-        for n in range(1, p.absorbing_max_n + 1):
-            if not is_n_absorbing(ring, q, n):
-                continue
-            count += ks
-            for s, _, w in open_pairs(ring, q, [0] + [1 << n] * ks):
-                yield (
-                    (q,),
-                    (w,),
-                    (s, n),
-                    "%d-absorbing C-hyperideal not (%d,%d)-closed at %d",
-                    (n, s, n, w),
-                )
+        count += ks
+        for s, _, w in open_pairs(ring, q, [0] + [1 << n] * ks):
+            yield (
+                (q,),
+                (w,),
+                (s, n),
+                "%d-absorbing C-hyperideal not (%d,%d)-closed at %d",
+                (n, s, n, w),
+            )
     return count
 
 
@@ -335,125 +387,110 @@ def _coprime_products(ring, p):
     )
 
 
-def _square_sum(ring, p):
+def _square_sum(ring, q, p):
     all_ideals = enumerate_hyperideals(ring)
     count = 0
-    for q in proper_hyperideals(ring):
-        if not is_strong_C_hyperideal(ring, q):
+    for s in range(1, p.smax + 1):
+        if open_mask(ring, q, s, 2):
             continue
-        for s in range(1, p.smax + 1):
-            if open_mask(ring, q, s, 2):
+        for pm in all_ideals:
+            if not is_subset(set_power(ring, pm, s), q):
                 continue
-            for pm in all_ideals:
-                if not is_subset(set_power(ring, pm, s), q):
-                    continue
-                count += 1
-                p2 = set_power(ring, pm, 2)
-                if not is_subset(ring.minkowski_sum(p2, p2), q):
-                    yield (
-                        (q, pm),
-                        (),
-                        (s, 2),
-                        "P^%d inside Q but P^2+P^2 escapes Q",
-                        (s,),
-                    )
-    return count
-
-
-def _class_ring_transfer(ring, p):
-    count = 0
-    for q in proper_hyperideals(ring):
-        tr = ideal_in_fundamental(ring, q, p.smax, p.nmax)
-        if tr.skipped:
-            yield "skip ideal %s: %s" % (members(q), tr.note)
-            continue
-        count += len(tr.pairs)
-        for s, n, hyper, ringside in tr.pairs:
-            if hyper != ringside:
+            count += 1
+            p2 = set_power(ring, pm, 2)
+            if not is_subset(ring.minkowski_sum(p2, p2), q):
                 yield (
-                    (q,),
+                    (q, pm),
                     (),
-                    (s, n),
-                    "hyperring side %s but class-ring side %s",
-                    (hyper, not hyper),
+                    (s, 2),
+                    "P^%d inside Q but P^2+P^2 escapes Q",
+                    (s,),
                 )
     return count
 
 
-def _radical_characterization(ring, p):
-    bound = ring.power_bound()
-    # Entry s masks the n >= s, the pairs claimed closed for every ideal.
-    upper = [0] + [_upto(p.nmax) & -(1 << s) for s in range(1, p.smax + 1)]
-    count = 0
-    for q in proper_hyperideals(ring):
-        count += _bits(upper) + 1
-        for s, n, w in open_pairs(ring, q, upper):
-            yield ((q,), (w,), (s, n), "pair with s <= n not closed at %d", (w,))
-        radical_fixed = radical(ring, q) == q
-        # land(k) grows with k up to the power bound and stays constant
-        # after it, so every pair is closed exactly when (bound, 1) is.
-        always_closed = not open_mask(ring, q, bound, 1)
-        if radical_fixed != always_closed:
+def _class_ring_transfer(ring, q, p):
+    tr = ideal_in_fundamental(ring, q, p.smax, p.nmax)
+    if tr.skipped:
+        yield "skip ideal %s: %s" % (members(q), tr.note)
+        return 0
+    for s, n, hyper, ringside in tr.pairs:
+        if hyper != ringside:
             yield (
                 (q,),
                 (),
-                None,
-                "radical-fixed %s but closed-for-all-pairs %s",
-                (radical_fixed, not radical_fixed),
+                (s, n),
+                "hyperring side %s but class-ring side %s",
+                (hyper, not hyper),
             )
-    return count
+    return len(tr.pairs)
 
 
-def _step_down(ring, p):
+def _radical_characterization(ring, q, p):
+    # Entry s masks the n >= s, the pairs claimed closed for every ideal.
+    upper = [0] + [_upto(p.nmax) & -(1 << s) for s in range(1, p.smax + 1)]
+    for s, n, w in open_pairs(ring, q, upper):
+        yield ((q,), (w,), (s, n), "pair with s <= n not closed at %d", (w,))
+    radical_fixed = radical(ring, q) == q
+    # land(k) grows with k up to the power bound and stays constant
+    # after it, so every pair is closed exactly when (bound, 1) is.
+    always_closed = not open_mask(ring, q, ring.power_bound(), 1)
+    if radical_fixed != always_closed:
+        yield (
+            (q,),
+            (),
+            None,
+            "radical-fixed %s but closed-for-all-pairs %s",
+            (radical_fixed, not radical_fixed),
+        )
+    return _bits(upper) + 1
+
+
+def _step_down(ring, q, p):
     ns = _upto(p.nmax)
+    closed = closed_rows(ring, q, max(p.smax, p.nmax) + 1)
+    # Entry s+1 masks the n != s with (s, n) and (s+1, n+1) closed, so
+    # that open_pairs tests the conclusion (s+1, n).
+    hyp = [0, 0] + [
+        closed[s] & closed[s + 1] >> 1 & ns & ~(1 << s)
+        for s in range(1, p.smax + 1)
+    ]
+    for s, n, w in open_pairs(ring, q, hyp):
+        yield (
+            (q,),
+            (w,),
+            (s, n),
+            "(%d,%d) and (%d,%d) closed but (%d,%d) open at %d",
+            (s - 1, n, s, n + 1, s, n, w),
+        )
+    return _bits(hyp)
+
+
+def _pair_monotone(ring, q, p):
+    kk = _kmax(ring, p)
+    closed = closed_rows(ring, q, kk)
+    # opens[s] masks the n <= kk with (s, n) open; seen ORs opens[1..s],
+    # so some (s2, n2) with s2 <= s and n2 >= n is open when seen >> n.
+    opens = [None] + [~closed[s] & _upto(kk) for s in range(1, p.smax + 1)]
+    seen = 0
     count = 0
-    for q in proper_hyperideals(ring):
-        closed = closed_rows(ring, q, max(p.smax, p.nmax) + 1)
-        # Entry s+1 masks the n != s with (s, n) and (s+1, n+1) closed, so
-        # that open_pairs tests the conclusion (s+1, n).
-        hyp = [0, 0] + [
-            closed[s] & closed[s + 1] >> 1 & ns & ~(1 << s)
-            for s in range(1, p.smax + 1)
-        ]
-        count += _bits(hyp)
-        for s, n, w in open_pairs(ring, q, hyp):
+    for s in range(1, p.smax + 1):
+        seen |= opens[s]
+        for n in range(1, p.nmax + 1):
+            if opens[s] >> n & 1:
+                continue
+            count += 1
+            if not seen >> n:
+                continue
+            s2 = next(t for t in range(1, s + 1) if opens[t] >> n)
+            bad = (s2, n + least(opens[s2] >> n))
             yield (
                 (q,),
-                (w,),
-                (s, n),
-                "(%d,%d) and (%d,%d) closed but (%d,%d) open at %d",
-                (s - 1, n, s, n + 1, s, n, w),
+                (),
+                bad,
+                "(%d,%d) closed but weaker pair %s open",
+                (s, n, bad),
             )
-    return count
-
-
-def _pair_monotone(ring, p):
-    kk = _kmax(ring, p)
-    every_n = _upto(kk)
-    count = 0
-    for q in proper_hyperideals(ring):
-        closed = closed_rows(ring, q, kk)
-        # opens[s] masks the n <= kk with (s, n) open; seen ORs opens[1..s],
-        # so some (s2, n2) with s2 <= s and n2 >= n is open when seen >> n.
-        opens = [None] + [~closed[s] & every_n for s in range(1, p.smax + 1)]
-        seen = 0
-        for s in range(1, p.smax + 1):
-            seen |= opens[s]
-            for n in range(1, p.nmax + 1):
-                if opens[s] >> n & 1:
-                    continue
-                count += 1
-                if not seen >> n:
-                    continue
-                s2 = next(t for t in range(1, s + 1) if opens[t] >> n)
-                bad = (s2, n + least(opens[s2] >> n))
-                yield (
-                    (q,),
-                    (),
-                    bad,
-                    "(%d,%d) closed but weaker pair %s open",
-                    (s, n, bad),
-                )
     return count
 
 
@@ -462,51 +499,43 @@ def _first_open(closed, n, kk):
     return next((t for t in range(1, kk + 1) if not closed[t] >> n & 1), None)
 
 
-def _two_absorbing_spread(ring, p):
+def _two_absorbing_spread(ring, q, p):
     kk = _kmax(ring, p)
+    closed = closed_rows(ring, q, kk + 1)
+    bad = _first_open(closed, 2, kk)
     count = 0
-    for q in proper_hyperideals(ring):
-        if not is_C_hyperideal(ring, q):
+    for n in range(3, kk + 1):
+        if not closed[n] & closed[n + 1] & 4:
             continue
-        closed = closed_rows(ring, q, kk + 1)
-        bad = _first_open(closed, 2, kk)
-        for n in range(3, kk + 1):
-            if not closed[n] & closed[n + 1] & 4:
-                continue
-            count += 1
-            if bad is not None:
-                yield (
-                    (q,),
-                    (),
-                    (bad, 2),
-                    "(%d,2),(%d,2) closed but (%d,2) open",
-                    (n, n + 1, bad),
-                )
+        count += 1
+        if bad is not None:
+            yield (
+                (q,),
+                (),
+                (bad, 2),
+                "(%d,2),(%d,2) closed but (%d,2) open",
+                (n, n + 1, bad),
+            )
     return count
 
 
-def _half_exponent_spread(ring, p):
+def _half_exponent_spread(ring, q, p):
     kk = _kmax(ring, p)
-    count = 0
-    for q in proper_hyperideals(ring):
-        if not is_C_hyperideal(ring, q):
-            continue
-        closed = closed_rows(ring, q, kk)
-        bads = [None] + [_first_open(closed, n, kk) for n in range(1, p.nmax + 1)]
-        # Entry s masks the closed (s, n) with n <= nmax and 2n <= s.
-        hyp = [0] + [closed[s] & _upto(min(p.nmax, s // 2)) for s in range(1, kk + 1)]
-        for s, n in _pairs(hyp):
-            count += 1
-            bad = bads[n]
-            if bad is not None:
-                yield (
-                    (q,),
-                    (),
-                    (bad, n),
-                    "(%d,%d) closed with 2n <= s but (%d,%d) open",
-                    (s, n, bad, n),
-                )
-    return count
+    closed = closed_rows(ring, q, kk)
+    bads = [None] + [_first_open(closed, n, kk) for n in range(1, p.nmax + 1)]
+    # Entry s masks the closed (s, n) with n <= nmax and 2n <= s.
+    hyp = [0] + [closed[s] & _upto(min(p.nmax, s // 2)) for s in range(1, kk + 1)]
+    for s, n in _pairs(hyp):
+        bad = bads[n]
+        if bad is not None:
+            yield (
+                (q,),
+                (),
+                (bad, n),
+                "(%d,%d) closed with 2n <= s but (%d,%d) open",
+                (s, n, bad, n),
+            )
+    return _bits(hyp)
 
 
 def _order_comparisons(ring, p):
@@ -535,45 +564,41 @@ def _order_comparisons(ring, p):
     return count
 
 
-def _omega_jump(ring, p):
-    kk = _kmax(ring, p)
+def _omega_jump(ring, q, p):
     count = 0
-    for q in proper_hyperideals(ring):
-        for s in range(1, kk + 1):
-            w = omega_unchecked(ring, q, s)
-            if w >= s:
-                continue
-            count += 1
-            w2 = omega_unchecked(ring, q, s + 1)
-            if not (w2 == w or w2 >= w + 2):
-                yield (
-                    (q,),
-                    (),
-                    (s, w),
-                    "omega(%d)=%d but omega(%d)=%d",
-                    (s, w, s + 1, w2),
-                )
+    for s in range(1, _kmax(ring, p) + 1):
+        w = omega_unchecked(ring, q, s)
+        if w >= s:
+            continue
+        count += 1
+        w2 = omega_unchecked(ring, q, s + 1)
+        if not (w2 == w or w2 >= w + 2):
+            yield (
+                (q,),
+                (),
+                (s, w),
+                "omega(%d)=%d but omega(%d)=%d",
+                (s, w, s + 1, w2),
+            )
     return count
 
 
-def _Omega_jump(ring, p):
-    kk = _kmax(ring, p)
+def _Omega_jump(ring, q, p):
     count = 0
-    for q in proper_hyperideals(ring):
-        for n in range(1, kk + 1):
-            big = big_omega_unchecked(ring, q, n)
-            if big <= n:
-                continue
-            count += 1
-            big2 = big_omega_unchecked(ring, q, n + 1)
-            if not (big2 == big or big2 >= big + 2):
-                yield (
-                    (q,),
-                    (),
-                    None,
-                    "Omega(%d)=%s but Omega(%d)=%s",
-                    (n, big, n + 1, big2),
-                )
+    for n in range(1, _kmax(ring, p) + 1):
+        big = big_omega_unchecked(ring, q, n)
+        if big <= n:
+            continue
+        count += 1
+        big2 = big_omega_unchecked(ring, q, n + 1)
+        if not (big2 == big or big2 >= big + 2):
+            yield (
+                (q,),
+                (),
+                None,
+                "Omega(%d)=%s but Omega(%d)=%s",
+                (n, big, n + 1, big2),
+            )
     return count
 
 
@@ -651,33 +676,6 @@ def _intersection_equivalence(ring, p, lhs_fn, rhs_fn, fmt):
     return count
 
 
-def _omega_exactness(ring, p):
-    return (
-        yield from _intersection_equivalence(
-            ring, p, _omega_is_max, _pairset_equal,
-            "omega equality %s but pair-set equality %s",
-        )
-    )
-
-
-def _Omega_exactness(ring, p):
-    return (
-        yield from _intersection_equivalence(
-            ring, p, _Omega_is_min, _pairset_equal,
-            "Omega equality %s but pair-set equality %s",
-        )
-    )
-
-
-def _invariant_equivalence(ring, p):
-    return (
-        yield from _intersection_equivalence(
-            ring, p, _omega_is_max, _Omega_is_min,
-            "omega equality %s but Omega equality %s",
-        )
-    )
-
-
 # -- weakly closed hyperideals ----------------------------------------------------
 
 
@@ -729,44 +727,33 @@ def _weakly_basics(ring, p):
     return count
 
 
-def _tough_zero_shift(ring, p):
-    add = ring.add
+def _tough_zero_shift(ring, q, p):
+    inside = members(q)
+    weak = _window_rows(ring, (q,), p, True)
+    free = tough_free_rows(ring, q, max(p.smax, p.nmax))
     count = 0
-    for q in proper_hyperideals(ring):
-        if not is_strong_C_hyperideal(ring, q):
-            continue
-        inside = members(q)
-        weak = _window_rows(ring, (q,), p, True)
-        free = tough_free_rows(ring, q, max(p.smax, p.nmax))
-        # Tough-free pairs have no tough zero, so no case.
-        for s, n in _pairs([0] + [weak[s] & ~free[s] for s in range(1, p.smax + 1)]):
-            zs = zero_in_mask(ring, s)
-            for x in iter_bits(tough_zero_mask(ring, q, s, n)):
-                count += 1
-                row = add[x]
-                bad = next((a for a in inside if not zs >> row[a] & 1), None)
-                if bad is not None:
-                    yield (
-                        (q,),
-                        (x, bad),
-                        (s, n),
-                        "tough zero %d but 0 not in (%d+%d)^%d",
-                        (x, x, bad, s),
-                    )
+    # Tough-free pairs have no tough zero, so no case.
+    for s, n in _pairs([0] + [weak[s] & ~free[s] for s in range(1, p.smax + 1)]):
+        zs = zero_in_mask(ring, s)
+        for x in iter_bits(tough_zero_mask(ring, q, s, n)):
+            count += 1
+            row = ring.add[x]
+            bad = next((a for a in inside if not zs >> row[a] & 1), None)
+            if bad is not None:
+                yield (
+                    (q,),
+                    (x, bad),
+                    (s, n),
+                    "tough zero %d but 0 not in (%d+%d)^%d",
+                    (x, x, bad, s),
+                )
     return count
 
 
-def _weakly_nilpotent(ring, p):
-    ups = nilpotents(ring)
-    count = 0
-    for q in proper_hyperideals(ring):
-        if not is_strong_C_hyperideal(ring, q):
-            continue
-        hyp = _weakly_not_closed(ring, q, p)
-        count += _bits(hyp)
-        escape = q & ~ups
-        if not escape:
-            continue
+def _weakly_nilpotent(ring, q, p):
+    hyp = _weakly_not_closed(ring, q, p)
+    escape = q & ~nilpotents(ring)
+    if escape:
         shown = members(escape)[:1]
         for sn in _pairs(hyp):
             yield (
@@ -776,7 +763,7 @@ def _weakly_nilpotent(ring, p):
                 "weakly-not-closed ideal contains non-nilpotent %s",
                 (shown,),
             )
-    return count
+    return _bits(hyp)
 
 
 def _all_weakly_closed(ring, p, ideals, rhs, fmt):
@@ -794,14 +781,6 @@ def _all_weakly_closed(ring, p, ideals, rhs, fmt):
 
 
 def _nilpotent_ideal_criterion(ring, p):
-    e = scalar_identity(ring)
-    if (
-        not is_strongly_distributive(ring)
-        or e is None
-        or e == ring.zero
-        or not has_i_set(ring)
-    ):
-        return 0
     ups = nilpotents(ring)
     inside = [q for q in proper_hyperideals(ring) if is_subset(q, ups)]
     return (
@@ -841,9 +820,6 @@ def _regular_implies_Regular(ring, p):
 
 
 def _regular_iff_small_exponent(ring, p):
-    e = scalar_identity(ring)
-    if not is_strongly_distributive(ring) or e is None:
-        return 0
     um = units(ring)
     zw = weak_zero_divisors(ring)
     pool = ring.full & ~(um | zw)
@@ -890,8 +866,6 @@ def _regular_step(ring, p):
 
 def _units_Regular(ring, p):
     um = units(ring)
-    if um is None:
-        return 0
     top = max(p.smax, p.nmax)
     exps = _upto(p.nmax)
     count = 0
@@ -905,8 +879,6 @@ def _units_Regular(ring, p):
 
 
 def _every_ideal_weakly(ring, p):
-    if not is_strongly_distributive(ring) or not has_i_set(ring):
-        return 0
     ups = nilpotents(ring)
     top = max(p.smax, p.nmax)
     rows = [regularity_rows(ring, a, top) for a in members(ring.full & ~ups)]
@@ -1017,25 +989,11 @@ def _quotient_transport(ring, p):
     return count
 
 
-def _scalar_identity_factors(ring):
-    factors = ring.factors
-    if not factors:
-        return None
-    f1, f2 = factors
-    e1, e2 = scalar_identity(f1), scalar_identity(f2)
-    if e1 is None or e2 is None or e1 == f1.zero or e2 == f2.zero:
-        return None
-    return f1, f2
-
-
 def _box_equivalence(ring, p):
-    factors = _scalar_identity_factors(ring)
-    if factors is None:
-        return 0
-    f1, f2 = factors
+    f1, f2 = ring.factors
     n2 = f2.order
     count = 0
-    for side, fac in enumerate(factors):
+    for side, fac in enumerate(ring.factors):
         for q in proper_hyperideals(fac):
             if not is_C_hyperideal(fac, q):
                 continue
@@ -1059,10 +1017,7 @@ def _box_equivalence(ring, p):
 
 
 def _box_C_hyperideal(ring, p):
-    factors = ring.factors
-    if not factors:
-        return 0
-    f1, f2 = factors
+    f1, f2 = ring.factors
     n2 = f2.order
     count = 0
     for i1 in enumerate_hyperideals(f1):
@@ -1096,10 +1051,7 @@ def _one_sided_criterion(fa, qa, fb, qb, p):
 
 
 def _box_decomposition(ring, p):
-    factors = _scalar_identity_factors(ring)
-    if factors is None:
-        return 0
-    f1, f2 = factors
+    f1, f2 = ring.factors
     n2 = f2.order
     none = [0] * (p.smax + 1)
     count = 0
@@ -1131,6 +1083,7 @@ CHECKS: tuple[Check, ...] = (
         "T2_3",
         "A proper n-absorbing C-hyperideal is (s,n)-closed for every s.",
         _absorbing_closed,
+        each=is_C_hyperideal,
     ),
     _check(
         "T2_4",
@@ -1166,42 +1119,49 @@ CHECKS: tuple[Check, ...] = (
         "If Q is an (s,2)-closed strong C-hyperideal and P is a hyperideal "
         "with P^s inside Q, then P^2 + P^2 lies inside Q.",
         _square_sum,
+        each=is_strong_C_hyperideal,
     ),
     _check(
         "T2_9",
         "A proper hyperideal is (s,n)-closed exactly when its image in the "
         "ring of co-occurrence classes is (s,n)-closed.",
         _class_ring_transfer,
+        each=_any_ideal,
     ),
     _check(
         "R2_rad",
         "Pairs with s <= n are always closed, and a proper hyperideal equals "
         "its radical exactly when every pair is closed.",
         _radical_characterization,
+        each=_any_ideal,
     ),
     _check(
         "T2_10",
         "If (s,n) and (s+1,n+1) are closed pairs with s != n, then (s+1,n) "
         "is a closed pair.",
         _step_down,
+        each=_any_ideal,
     ),
     _check(
         "L2_11",
         "If (s,n) is a closed pair, so is every (s',n') with s' <= s and "
         "n' >= n.",
         _pair_monotone,
+        each=_any_ideal,
     ),
     _check(
         "T2_12i",
         "For a proper C-hyperideal: if (n,2) and (n+1,2) are closed pairs "
         "for some n >= 3, then (t,2) is a closed pair for every t.",
         _two_absorbing_spread,
+        each=is_C_hyperideal,
     ),
     _check(
         "T2_12ii",
         "For a proper C-hyperideal: if (s,n) is a closed pair with 2n <= s, "
         "then (t,n) is a closed pair for every t.",
         _half_exponent_spread,
+        each=is_C_hyperideal,
     ),
     _check(
         "R2_omega",
@@ -1214,12 +1174,14 @@ CHECKS: tuple[Check, ...] = (
         "If omega(s) < s then omega(s+1) equals omega(s) or is at least "
         "omega(s) + 2.",
         _omega_jump,
+        each=_any_ideal,
     ),
     _check(
         "T2_14",
         "If Omega(n) > n then Omega(n+1) equals Omega(n) or is at least "
         "Omega(n) + 2.",
         _Omega_jump,
+        each=_any_ideal,
     ),
     _check(
         "T2_15",
@@ -1233,20 +1195,29 @@ CHECKS: tuple[Check, ...] = (
         "omega of the intersection equals the pointwise max exactly when the "
         "closed-pair set of the intersection is the intersection of the "
         "closed-pair sets.",
-        _omega_exactness,
+        partial(
+            _intersection_equivalence, lhs_fn=_omega_is_max, rhs_fn=_pairset_equal,
+            fmt="omega equality %s but pair-set equality %s",
+        ),
     ),
     _check(
         "T2_17",
         "Omega of the intersection equals the pointwise min exactly when the "
         "closed-pair set of the intersection is the intersection of the "
         "closed-pair sets.",
-        _Omega_exactness,
+        partial(
+            _intersection_equivalence, lhs_fn=_Omega_is_min, rhs_fn=_pairset_equal,
+            fmt="Omega equality %s but pair-set equality %s",
+        ),
     ),
     _check(
         "C2_18",
         "omega of the intersection equals the pointwise max exactly when "
         "Omega of the intersection equals the pointwise min.",
-        _invariant_equivalence,
+        partial(
+            _intersection_equivalence, lhs_fn=_omega_is_max, rhs_fn=_Omega_is_min,
+            fmt="omega equality %s but Omega equality %s",
+        ),
     ),
     _check(
         "D3_w",
@@ -1261,12 +1232,14 @@ CHECKS: tuple[Check, ...] = (
         "If a weakly (s,n)-closed strong C-hyperideal has a tough zero x, "
         "then 0 lies in (x+a)^s for every a in the ideal.",
         _tough_zero_shift,
+        each=is_strong_C_hyperideal,
     ),
     _check(
         "T3_5",
         "A weakly (s,n)-closed strong C-hyperideal that is not (s,n)-closed "
         "consists of nilpotent elements.",
         _weakly_nilpotent,
+        each=is_strong_C_hyperideal,
     ),
     _check(
         "T3_6",
@@ -1275,6 +1248,7 @@ CHECKS: tuple[Check, ...] = (
         "nilpotent set is weakly (s,n)-closed exactly when 0 lies in x^s for "
         "every nilpotent x.",
         _nilpotent_ideal_criterion,
+        requires=(is_strongly_distributive, _has_nonzero_scalar_identity, has_i_set),
     ),
     _check(
         "D3_reg",
@@ -1287,6 +1261,7 @@ CHECKS: tuple[Check, ...] = (
         "element outside the weak zero divisors and the units is "
         "(s,n)-regular exactly when s <= n.",
         _regular_iff_small_exponent,
+        requires=(is_strongly_distributive, _has_scalar_identity),
         note=(
             "vacuous at every finite order: strong distributivity makes "
             "b -> a*b collapse to disjoint singleton images for a outside "
@@ -1303,6 +1278,7 @@ CHECKS: tuple[Check, ...] = (
         "T3_11",
         "Every unit is (s,n)-Regular for all pairs (s,n).",
         _units_Regular,
+        requires=(_has_identity,),
     ),
     _check(
         "T3_12",
@@ -1311,6 +1287,7 @@ CHECKS: tuple[Check, ...] = (
         "non-nilpotent element is (s,n)-Regular and 0 lies in a^s for every "
         "nilpotent a.",
         _every_ideal_weakly,
+        requires=(is_strongly_distributive, has_i_set),
     ),
     _check(
         "T3_13hom",
@@ -1332,12 +1309,14 @@ CHECKS: tuple[Check, ...] = (
         "weakly (s,n)-closed, Q1 (s,n)-closed, and Q1 x G2 (s,n)-closed are "
         "equivalent.",
         _box_equivalence,
+        requires=(_is_product, _factors_have_nonzero_scalar_identity),
     ),
     _check(
         "L3_15",
         "I1 and I2 are C-hyperideals exactly when I1 x I2 is a C-hyperideal "
         "of the product.",
         _box_C_hyperideal,
+        requires=(_is_product,),
     ),
     _check(
         "T3_16",
@@ -1346,6 +1325,7 @@ CHECKS: tuple[Check, ...] = (
         "when it decomposes as a box of C-hyperideals satisfying the "
         "one-sided weakly-not-closed criterion.",
         _box_decomposition,
+        requires=(_is_product, _factors_have_nonzero_scalar_identity),
     ),
 )
 

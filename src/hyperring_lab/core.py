@@ -335,9 +335,6 @@ class FiniteHyperring:
             bound = max(bound, prof.tail + prof.period)
         return bound
 
-    def zero_in_power(self, a: int, k: int) -> bool:
-        return bool(self.power(a, k) >> self.zero & 1)
-
 
 def _find_zero(add, n):
     for e in range(n):

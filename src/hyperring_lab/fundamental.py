@@ -9,9 +9,11 @@ The classes are exactly the cosets of the additive subgroup N generated by
 differences within single product sets (see the derivation in `ideals`), so
 the class ring is `ideals.coset_ring` on N: the same builder, and the same
 representative-pair well-definedness check, as the quotient by a hyperideal.
-On top of that every product of classes must be a single class, and every
-commutative-ring law is checked on the class tables; a failure raises with
-the law and its witness.
+On top of that every product of classes must be a single class, and the
+class tables must pass `validate_axioms`; the first law they break raises
+with its witness.  With singleton products those laws are the
+commutative-ring laws: a*0 = 0 follows from distributivity over the
+additive group.
 
 An ideal's image is taken through the coset projection, and its class-ring
 closedness is ordinary closedness in the quotient, whose products are
@@ -21,7 +23,7 @@ singletons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NoReturn, Optional
+from typing import Optional
 
 from .bitsets import least, members
 from .closedness import open_mask
@@ -30,6 +32,7 @@ from .core import (
     FiniteHyperring,
     HomMap,
     WellDefinednessFailure,
+    validate_axioms,
 )
 from .ideals import (
     coset_partition,
@@ -70,35 +73,6 @@ class FundamentalRing:
         return self.class_of[self.source.zero]
 
 
-def _broken(law: str, *witness: int) -> NoReturn:
-    raise AxiomFailure("class ring breaks %s at classes %s" % (law, witness))
-
-
-def _verify_ring_axioms(fr: FundamentalRing) -> None:
-    """Raise `AxiomFailure` at the first commutative-ring law the tables break."""
-    add, mul, zero = fr.add, fr.mul, fr.zero
-    rng = range(fr.order)
-    for a in rng:
-        if add[a][zero] != a:
-            _broken("zero_identity", a)
-        if mul[a][zero] != zero:
-            _broken("zero_absorbs", a)
-        if zero not in add[a]:
-            _broken("add_inverse", a)
-        for b in rng:
-            if add[a][b] != add[b][a]:
-                _broken("add_commutative", a, b)
-            if mul[a][b] != mul[b][a]:
-                _broken("mul_commutative", a, b)
-            for c in rng:
-                if add[add[a][b]][c] != add[a][add[b][c]]:
-                    _broken("add_associative", a, b, c)
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    _broken("mul_associative", a, b, c)
-                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                    _broken("distributive", a, b, c)
-
-
 def fundamental_ring(ring: FiniteHyperring) -> FundamentalRing:
     """Build and fully verify the class ring; cached per hyperring."""
     return ring.memo("fundamental", lambda: _build_fundamental(ring))
@@ -114,7 +88,12 @@ def _build_fundamental(ring: FiniteHyperring) -> FundamentalRing:
                     "product of classes (%d,%d) straddles classes %s"
                     % (i, j, members(cell))
                 )
-    fr = FundamentalRing(
+    failed = next((c for c in validate_axioms(quot).axioms if not c.ok), None)
+    if failed is not None:
+        raise AxiomFailure(
+            "class ring breaks %s at classes %s" % (failed.name, failed.witness)
+        )
+    return FundamentalRing(
         source=ring,
         classes=tuple(proj.preimage_mask(1 << i) for i in quot.elements),
         class_of=proj.table,
@@ -122,8 +101,6 @@ def _build_fundamental(ring: FiniteHyperring) -> FundamentalRing:
         mul=tuple(tuple(least(cell) for cell in row) for row in quot.mul),
         projection=proj,
     )
-    _verify_ring_axioms(fr)
-    return fr
 
 
 @dataclass(frozen=True)

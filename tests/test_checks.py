@@ -8,10 +8,12 @@ from hyperring_lab import (
     SuiteConfig,
     checks,
     generate_instances,
+    is_C_hyperideal,
     make_zx_mod,
     mask_of,
     members,
     product_ring,
+    proper_hyperideals,
     units,
     weak_zero_divisors,
 )
@@ -19,6 +21,7 @@ from hyperring_lab.checks import (
     CHECKS,
     CheckParams,
     _box_mask,
+    _check,
     _hom_pool,
     get_check,
 )
@@ -95,11 +98,43 @@ def test_closed_pair_rows_are_keyed_by_set_and_kind_only():
         assert type(key[1]) is int and key[2] in ("closed", "weak", "tough"), key
 
 
+def _unreachable(*args):
+    raise AssertionError("called on a ring its hypotheses rule out")
+
+
 def test_identity_gated_product_checks_skip_identityless_factors():
     prod = product_ring(make_zx_mod(2, [1]), make_zx_mod(4, [2]))
     assert run("T3_14", prod).applicable == 0
     assert run("T3_16", prod).applicable == 0
     assert run("L3_15", prod).applicable > 0
+    # Under T3_14's hypotheses a generator is never called on this product,
+    # nor on a plain ring, where the factor test after the product test
+    # is never reached either.
+    requires = get_check("T3_14").fn.args[1].args[1]
+    gated = _check("GATED", "Never runs on these rings.", _unreachable, requires=requires)
+    for ring in (prod, make_zx_mod(4, [1])):
+        out = gated.fn(ring, PARAMS)
+        assert (out.applicable, out.notes, out.counterexample) == (0, [], None)
+    short = _check("SHORT", "Stops at its first hypothesis.", _unreachable,
+                   requires=(checks._is_product, _unreachable))
+    assert short.fn(make_zx_mod(4, [1]), PARAMS).applicable == 0
+
+
+def test_each_hands_over_the_admitted_proper_ideals_in_order():
+    ring = product_ring(make_zx_mod(2, [1]), make_zx_mod(6, [1, 3]))
+    seen = []
+
+    def record(ring, q, params):
+        seen.append(q)
+        yield "ideal %s" % members(q)
+        return 2
+
+    out = _check("EACH", "Records each ideal.", record, each=is_C_hyperideal).fn(ring, PARAMS)
+    assert [members(q) for q in seen] == [[0, 2, 4], [0, 1, 2, 3, 4, 5], [0, 2, 4, 6, 8, 10]]
+    assert seen == [q for q in proper_hyperideals(ring) if is_C_hyperideal(ring, q)]
+    assert len(proper_hyperideals(ring)) == 7
+    assert out.applicable == 6
+    assert out.notes == ["ideal %s" % members(q) for q in seen]
 
 
 def test_element_pool_for_regularity_split_is_empty_at_finite_order():

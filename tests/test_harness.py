@@ -11,7 +11,7 @@ from hyperring_lab import (
     product_ring,
 )
 from hyperring_lab.catalog import result_hash
-from hyperring_lab.checks import Counterexample, _check
+from hyperring_lab.checks import Counterexample, _any_ideal, _check
 from hyperring_lab.harness import (
     SuiteConfig,
     _run_instance,
@@ -136,14 +136,21 @@ def test_corrupted_check_is_reported():
 
 
 def test_collect_refuses_a_generator_without_a_case_count():
-    """A forgotten `return count` must not read as a check with 0 cases."""
+    """A forgotten `return count` must not read as a check with 0 cases,
+    whether the generator runs on the ring or on each of its ideals."""
 
     def uncounted(ring, params):
         yield "a note"
 
-    fake = _check("UNCOUNTED", "Returns no case count.", uncounted)
-    with pytest.raises(TypeError, match="UNCOUNTED returned None"):
-        fake.fn(make_zx_mod(3, [1]), CheckParams())
+    def uncounted_per_ideal(ring, q, params):
+        yield "a note"
+
+    for fake in (
+        _check("UNCOUNTED", "Returns no case count.", uncounted),
+        _check("UNCOUNTED", "Returns no case count.", uncounted_per_ideal, each=_any_ideal),
+    ):
+        with pytest.raises(TypeError, match="UNCOUNTED returned None"):
+            fake.fn(make_zx_mod(3, [1]), CheckParams())
 
 
 def test_counterexample_dict_carries_full_tables():

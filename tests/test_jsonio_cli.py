@@ -184,7 +184,7 @@ def test_cli_fundamental_names_the_broken_class_ring_law(tmp_path, capsys):
     assert main(["fundamental", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: class ring breaks distributive at classes (1, 1, 1)\n"
+    assert captured.err == "error: class ring breaks add_associative at classes (1, 1, 2)\n"
 
 
 def test_cli_fundamental_names_the_element_shared_by_overlapping_cosets(tmp_path, capsys):
