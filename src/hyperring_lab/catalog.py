@@ -1,8 +1,8 @@
-"""Content-addressed on-disk store for hyperrings and suite results.
+"""Content-addressed on-disk store for suite results.
 
-Documents are keyed by the SHA-256 of their canonical JSON encoding, so
-storing the same ring or report twice is a no-op and two runs agree exactly
-when their stored ids agree.
+Reports are keyed by the SHA-256 of their canonical JSON encoding, so
+storing the same report twice is a no-op and two runs agree exactly when
+their stored ids agree.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ import json
 import os
 from typing import Any
 
-from .core import FiniteHyperring
-from .jsonio import canonical_json, read_json, ring_from_dict, ring_to_dict
+from .jsonio import canonical_json, read_json
 
 ID_LENGTH = 16
 
@@ -28,39 +27,23 @@ def result_hash(report_dict: dict) -> str:
 
 
 class Catalog:
-    """Directory layout: <root>/rings/<id>.json and <root>/results/<id>.json."""
+    """Directory layout: <root>/results/<id>.json."""
 
     def __init__(self, root: str):
         self.root = root
-        self.rings_dir = os.path.join(root, "rings")
         self.results_dir = os.path.join(root, "results")
-        os.makedirs(self.rings_dir, exist_ok=True)
         os.makedirs(self.results_dir, exist_ok=True)
 
-    def _write(self, directory: str, obj: Any) -> str:
-        doc_id = content_id(obj)
-        path = os.path.join(directory, doc_id + ".json")
+    def put_result(self, report_dict: dict) -> str:
+        doc_id = content_id(report_dict)
+        path = os.path.join(self.results_dir, doc_id + ".json")
         if not os.path.exists(path):
             tmp = path + ".tmp"
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(obj, fh, indent=2, sort_keys=True)
+                json.dump(report_dict, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             os.replace(tmp, path)
         return doc_id
-
-    def put_ring(self, ring: FiniteHyperring) -> str:
-        return self._write(self.rings_dir, ring_to_dict(ring))
-
-    def get_ring(self, ring_id: str) -> FiniteHyperring:
-        return ring_from_dict(read_json(os.path.join(self.rings_dir, ring_id + ".json")))
-
-    def list_rings(self) -> list[str]:
-        return sorted(
-            name[:-5] for name in os.listdir(self.rings_dir) if name.endswith(".json")
-        )
-
-    def put_result(self, report_dict: dict) -> str:
-        return self._write(self.results_dir, report_dict)
 
     def get_result(self, result_id: str) -> dict:
         return read_json(os.path.join(self.results_dir, result_id + ".json"))

@@ -49,7 +49,6 @@ from .closedness import (
     closed_rows,
     land_mask,
     omega_unchecked,
-    open_mask,
     open_pairs,
     regularity_rows,
     tough_free_rows,
@@ -389,9 +388,10 @@ def _coprime_products(ring, p):
 
 def _square_sum(ring, q, p):
     all_ideals = enumerate_hyperideals(ring)
+    closed = closed_rows(ring, q, max(p.smax, 2))
     count = 0
     for s in range(1, p.smax + 1):
-        if open_mask(ring, q, s, 2):
+        if not closed[s] >> 2 & 1:
             continue
         for pm in all_ideals:
             if not is_subset(set_power(ring, pm, s), q):
@@ -434,7 +434,8 @@ def _radical_characterization(ring, q, p):
     radical_fixed = radical(ring, q) == q
     # land(k) grows with k up to the power bound and stays constant
     # after it, so every pair is closed exactly when (bound, 1) is.
-    always_closed = not open_mask(ring, q, ring.power_bound(), 1)
+    bound = ring.power_bound()
+    always_closed = bool(closed_rows(ring, q, bound)[bound] >> 1 & 1)
     if radical_fixed != always_closed:
         yield (
             (q,),

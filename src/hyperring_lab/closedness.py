@@ -28,6 +28,13 @@ column n.  `tough_free_rows` marks the pairs with no tough zero the same
 way.  `open_pairs` forms the least witness of each failing pair on demand
 from `open_mask` / `weakly_open_mask`; no witness is stored.
 
+The rule: rows decide verdicts, masks only form witnesses.  Every verdict
+over exponent pairs -- each window check, omega, Omega and the class-ring
+transfer -- is one bit of the closed-pair rows, and `open_mask`,
+`weakly_open_mask` and `tough_zero_mask` are called only to form a witness
+or to list the elements that break a pair.  A single-pair entry point such
+as `is_sn_closed` asks for the least witness and holds when there is none.
+
 Element regularity keeps one pair of regularity rows per (ring, element):
 entry s holds the n with a^n inside a^s * b for a single element b
 (regular) and the n with a^n inside a^s * G (Regular).  The products
@@ -130,7 +137,8 @@ def zero_in_mask(ring: FiniteHyperring, k: int) -> int:
 # These take the ideal on trust: no hyperideal validation, only the exponent
 # check.  The check registry and the closed-pair tables below call them where
 # the hypotheses already guarantee proper hyperideals; the public functions
-# further down validate their input and then delegate here.
+# further down validate their input once, with `_require_query`, and then
+# delegate here.
 
 
 def open_mask(ring: FiniteHyperring, imask: int, s: int, n: int) -> int:
@@ -238,13 +246,17 @@ def big_omega_unchecked(ring: FiniteHyperring, imask: int, n: int) -> float:
 # -- validated entry points -------------------------------------------------------
 
 
+def _require_query(ring: FiniteHyperring, imask: int, *exponents: int) -> None:
+    """Refuse a set that is not a proper hyperideal, then exponents below 1."""
+    require_proper(ring, imask)
+    _require_exponent(min(exponents))
+
+
 def sn_closed_witness(
     ring: FiniteHyperring, imask: int, s: int, n: int
 ) -> Optional[int]:
     """Least element breaking (s,n)-closedness, or None."""
-    require_proper(ring, imask)
-    _require_exponent(s)
-    _require_exponent(n)
+    _require_query(ring, imask, s, n)
     return least(open_mask(ring, imask, s, n))
 
 
@@ -256,9 +268,7 @@ def weakly_sn_closed_witness(
     ring: FiniteHyperring, imask: int, s: int, n: int
 ) -> Optional[int]:
     """Least element breaking weak (s,n)-closedness, or None."""
-    require_proper(ring, imask)
-    _require_exponent(s)
-    _require_exponent(n)
+    _require_query(ring, imask, s, n)
     return least(weakly_open_mask(ring, imask, s, n))
 
 
@@ -274,23 +284,19 @@ def find_tough_zero(
     When Q is a C-hyperideal, 0 in x^s already forces x^s inside Q (the
     power set meets Q at 0), so such an x directly breaks (s,n)-closedness.
     """
-    require_proper(ring, imask)
-    _require_exponent(s)
-    _require_exponent(n)
+    _require_query(ring, imask, s, n)
     return least(tough_zero_mask(ring, imask, s, n))
 
 
 def omega(ring: FiniteHyperring, imask: int, s: int) -> int:
     """Least n with the ideal (s,n)-closed; always within 1..s."""
-    require_proper(ring, imask)
-    _require_exponent(s)
+    _require_query(ring, imask, s)
     return omega_unchecked(ring, imask, s)
 
 
 def big_omega(ring: FiniteHyperring, imask: int, n: int) -> float:
     """Greatest s with the ideal (s,n)-closed; inf when every s works."""
-    require_proper(ring, imask)
-    _require_exponent(n)
+    _require_query(ring, imask, n)
     return big_omega_unchecked(ring, imask, n)
 
 
@@ -307,9 +313,6 @@ class ClosedProfile:
     def omega_at(self, s: int) -> int:
         return self.omega[s - 1]
 
-    def Omega_at(self, n: int) -> float:
-        return self.Omega[n - 1]
-
 
 def closed_profile(
     ring: FiniteHyperring, imask: int, smax: int = 6, nmax: int = 6
@@ -320,13 +323,14 @@ def closed_profile(
     the ideal while its (omega(s)-1)-th power does not, certifying that
     omega(s) cannot be lowered; exponents with omega(s) = 1 need none.
     """
-    om = tuple(omega(ring, imask, s) for s in range(1, smax + 1))
-    big = tuple(big_omega(ring, imask, n) for n in range(1, nmax + 1))
+    require_proper(ring, imask)
+    om = tuple(omega_unchecked(ring, imask, s) for s in range(1, smax + 1))
+    big = tuple(big_omega_unchecked(ring, imask, n) for n in range(1, nmax + 1))
     wits: dict[int, int] = {}
     for s in range(1, smax + 1):
         n = om[s - 1]
         if n > 1:
-            w = sn_closed_witness(ring, imask, s, n - 1)
+            w = least(open_mask(ring, imask, s, n - 1))
             assert w is not None
             wits[s] = w
     return ClosedProfile(

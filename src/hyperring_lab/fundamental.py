@@ -17,7 +17,9 @@ additive group.
 
 An ideal's image is taken through the coset projection, and its class-ring
 closedness is ordinary closedness in the quotient, whose products are
-singletons.
+singletons.  The transfer compares the closed-pair rows of both sides: the
+ideal's rows in the hyperring against its image's rows in the quotient, bit
+by bit over the window.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bitsets import least, members
-from .closedness import open_mask
+from .closedness import closed_rows
 from .core import (
     AxiomFailure,
     FiniteHyperring,
@@ -134,36 +136,26 @@ def ideal_in_fundamental(
     image = proj.image_mask(qmask)
     image_is_ideal = is_hyperideal(quot, image)
     image_proper = image != quot.full
-    if not image_proper or not image_is_ideal:
-        reason = (
-            "image is the whole class ring"
-            if not image_proper
-            else "image is not an ideal of the class ring"
+    pairs = ()
+    if not image_proper:
+        note = "image is the whole class ring"
+    elif not image_is_ideal:
+        note = "image is not an ideal of the class ring"
+    else:
+        note = ""
+        k = max(smax, nmax)
+        hyper, ringside = closed_rows(ring, qmask, k), closed_rows(quot, image, k)
+        pairs = tuple(
+            (s, n, bool(hyper[s] >> n & 1), bool(ringside[s] >> n & 1))
+            for s in range(1, smax + 1)
+            for n in range(1, nmax + 1)
         )
-        return TransferResult(
-            image=image,
-            image_is_ideal=image_is_ideal,
-            image_proper=image_proper,
-            skipped=True,
-            note=reason,
-            pairs=(),
-            first_mismatch=None,
-        )
-    pairs = []
-    first = None
-    for s in range(1, smax + 1):
-        for n in range(1, nmax + 1):
-            hyper = not open_mask(ring, qmask, s, n)
-            ringside = not open_mask(quot, image, s, n)
-            pairs.append((s, n, hyper, ringside))
-            if hyper != ringside and first is None:
-                first = (s, n)
     return TransferResult(
         image=image,
         image_is_ideal=image_is_ideal,
         image_proper=image_proper,
-        skipped=False,
-        note="",
-        pairs=tuple(pairs),
-        first_mismatch=first,
+        skipped=bool(note),
+        note=note,
+        pairs=pairs,
+        first_mismatch=next(((s, n) for s, n, h, r in pairs if h != r), None),
     )

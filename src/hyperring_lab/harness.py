@@ -15,7 +15,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, repeat
 from typing import Optional
 
 from .bitsets import members
@@ -242,10 +242,6 @@ def _run_instance(ring, checks, params):
     return results
 
 
-def _run_instance_packed(args):
-    return _run_instance(*args)
-
-
 def _resolve_threads(cfg: SuiteConfig) -> int:
     """Worker count from the config, else the environment, else 1."""
     if cfg.threads is not None:
@@ -284,10 +280,10 @@ def run_suite(
         # Largest rings first, one per task, so no worker is left with the
         # order-16 tail; results go back into stream order for the merge.
         schedule = sorted(range(len(instances)), key=lambda i: -instances[i].order)
-        work = [(instances[i], checks, params) for i in schedule]
+        work = [instances[i] for i in schedule]
         per_instance = [None] * len(instances)
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            done = pool.map(_run_instance_packed, work, chunksize=1)
+            done = pool.map(_run_instance, work, repeat(checks), repeat(params), chunksize=1)
             for i, results in zip(schedule, done):
                 per_instance[i] = results
     else:

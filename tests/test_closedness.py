@@ -30,6 +30,7 @@ from hyperring_lab import (
     zx_residue_closed,
     zx_residue_weakly_closed,
 )
+from hyperring_lab import closedness
 from hyperring_lab.bitsets import least
 from hyperring_lab.closedness import (
     big_omega_unchecked,
@@ -218,6 +219,16 @@ def test_profile_witnesses_are_sharp():
         assert n > 1
         assert r.power(w, s) & ~mask_of([0]) == 0
         assert r.power(w, n - 1) & ~mask_of([0]) != 0
+
+
+def test_closed_profile_validates_its_ideal_once(monkeypatch):
+    calls = []
+    real = closedness.require_proper
+    monkeypatch.setattr(
+        closedness, "require_proper", lambda ring, imask: calls.append(imask) or real(ring, imask)
+    )
+    prof = closed_profile(make_zx_mod(8, [2]), mask_of([0]), 6, 6)
+    assert prof.witnesses and calls == [mask_of([0])]
 
 
 def test_tough_zero_frozen():

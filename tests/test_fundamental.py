@@ -126,8 +126,10 @@ def test_class_ring_tables_match_partition_oracle():
 
 
 def test_transfer_verdicts_match_class_ring_oracle():
-    """Image, its ideal test and every verdict of both sides, against
-    frozenset references on the oracle's class ring."""
+    """Image, its ideal test, every verdict of both sides and the first
+    mismatch, against frozenset references on the oracle's class ring.  The
+    non-square window (4, 7) runs first, on fresh rings, so rows read only
+    up to smax would miss the n above it."""
     for ring in small_default_rings():
         n, add, mul = orc.tables(ring)
         classes, cadd, cmul = orc.class_ring_tables(n, add, mul)
@@ -137,16 +139,20 @@ def test_transfer_verdicts_match_class_ring_oracle():
             Q = frozenset(members(q))
             image = frozenset(i for i, c in enumerate(classes) if c & Q)
             is_ideal = orc.is_ideal(k, cadd, cmul_sets, image)
-            tr = ideal_in_fundamental(ring, q, 6, 6)
             where = (ring.name, sorted(Q))
-            assert frozenset(members(tr.image)) == image, where
-            assert tr.image_is_ideal == is_ideal, where
-            assert tr.skipped == (len(image) == k or not is_ideal), where
-            if tr.skipped:
-                continue
-            assert [(s, e) for s, e, _, _ in tr.pairs] == [
-                (s, e) for s in range(1, 7) for e in range(1, 7)
-            ], where
-            for s, e, hyper, ringside in tr.pairs:
-                assert hyper == orc.sn_closed(n, add, mul, Q, s, e), where + (s, e)
-                assert ringside == orc.ring_ideal_closed(cmul, image, s, e), where + (s, e)
+            for smax, nmax in ((4, 7), (6, 6)):
+                tr = ideal_in_fundamental(ring, q, smax, nmax)
+                assert frozenset(members(tr.image)) == image, where
+                assert tr.image_is_ideal == is_ideal, where
+                assert tr.skipped == (len(image) == k or not is_ideal), where
+                if tr.skipped:
+                    continue
+                expected = [
+                    (s, e, orc.sn_closed(n, add, mul, Q, s, e),
+                     orc.ring_ideal_closed(cmul, image, s, e))
+                    for s in range(1, smax + 1)
+                    for e in range(1, nmax + 1)
+                ]
+                assert list(tr.pairs) == expected, where + (smax, nmax)
+                mismatch = [(s, e) for s, e, hyper, ringside in expected if hyper != ringside]
+                assert tr.first_mismatch == (mismatch[0] if mismatch else None), where

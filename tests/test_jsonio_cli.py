@@ -90,14 +90,8 @@ def test_canonical_json_is_stable_and_strips_timing():
 
 def test_catalog_round_trip(tmp_path):
     cat = Catalog(str(tmp_path))
-    ring = make_zx_mod(6, [1])
-    rid = cat.put_ring(ring)
-    assert rid == content_id(ring_to_dict(ring))
-    assert cat.put_ring(ring) == rid
-    assert cat.list_rings() == [rid]
-    back = cat.get_ring(rid)
-    assert back.mul == ring.mul
     res_id = cat.put_result({"passed": True, "total_runtime_seconds": 4.2})
+    assert res_id == content_id({"passed": True})
     assert cat.get_result(res_id) == {"passed": True, "total_runtime_seconds": 4.2}
     assert cat.put_result({"passed": True, "total_runtime_seconds": 9.9}) == res_id
 
