@@ -12,7 +12,7 @@ import json
 import os
 from typing import Any
 
-from .jsonio import canonical_json, read_json
+from .jsonio import canonical_json
 
 ID_LENGTH = 16
 
@@ -44,11 +44,3 @@ class Catalog:
                 fh.write("\n")
             os.replace(tmp, path)
         return doc_id
-
-    def get_result(self, result_id: str) -> dict:
-        return read_json(os.path.join(self.results_dir, result_id + ".json"))
-
-    def list_results(self) -> list[str]:
-        return sorted(
-            name[:-5] for name in os.listdir(self.results_dir) if name.endswith(".json")
-        )

@@ -18,8 +18,10 @@ closed-pair rows (`closedness.closed_rows`, entry s, bit n), so a case that
 holds costs one bit.  Its hypotheses are per-s masks in the same layout, and
 `open_pairs` forms witnesses at the failing pairs only.  One
 runner, `_collect`, takes the count from the generator's return value and
-turns the first failing case into a `Counterexample` whose detail is
-``fmt % args``; a generator that returns no count raises `TypeError`.
+turns the first failing case into the report's counterexample record: the
+check id, the instance name, the ring's full tables, the ideals' members,
+the elements, the pair and ``fmt % args`` as its detail.  A generator that
+returns no count raises `TypeError`.
 
 A statement's hypotheses on the ring and on its ideal are registry data, not
 code in the generator.  `requires` names ring predicates, tried in order up
@@ -87,6 +89,7 @@ from .ideals import (
     units,
     weak_zero_divisors,
 )
+from .jsonio import ring_to_dict
 
 
 @dataclass(frozen=True)
@@ -99,22 +102,12 @@ class CheckParams:
     absorbing_max_n: int = 3
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    check_id: str
-    ring: FiniteHyperring
-    ideals: tuple[int, ...]
-    elements: tuple[int, ...]
-    sn: Optional[tuple[int, int]]
-    detail: str
-
-
 @dataclass
 class RingOutcome:
     """Accumulated result of running one check over one hyperring."""
 
     applicable: int = 0
-    counterexample: Optional[Counterexample] = None
+    counterexample: Optional[dict] = None
     notes: list[str] = field(default_factory=list)
 
 
@@ -140,9 +133,15 @@ def _collect(check_id, gen, ring, p):
             out.notes.append(case)
         elif out.counterexample is None:
             ideals, elements, sn, fmt, args = case
-            out.counterexample = Counterexample(
-                check_id, ring, ideals, elements, sn, fmt % args
-            )
+            out.counterexample = {
+                "check": check_id,
+                "instance": ring.name,
+                "ring": ring_to_dict(ring),
+                "ideals": [members(m) for m in ideals],
+                "elements": list(elements),
+                "sn": list(sn) if sn else None,
+                "detail": fmt % args,
+            }
     if type(count) is not int:
         raise TypeError(
             "check %s returned %r instead of its case count" % (check_id, count)

@@ -53,6 +53,8 @@ from .core import FiniteHyperring
 from .ideals import require_proper
 
 INF = math.inf
+# ZxResidueModel factors d by trial division, O(sqrt d): about 1 s at this bound.
+ZX_MAX_MODULUS = 10**14
 
 
 def _require_exponent(k: int) -> None:
@@ -310,9 +312,6 @@ class ClosedProfile:
     Omega: tuple[float, ...]
     witnesses: dict[int, int]
 
-    def omega_at(self, s: int) -> int:
-        return self.omega[s - 1]
-
 
 def closed_profile(
     ring: FiniteHyperring, imask: int, smax: int = 6, nmax: int = 6
@@ -440,13 +439,16 @@ class ZxResidueModel:
     m_k = prod p^ceil(e/k), a divisor of d.  Every multiple of m_s is a
     multiple of m_n exactly when m_n divides m_s, so the least residue
     violating (s,n) is m_s itself when m_s < d and m_n does not divide m_s,
-    and there is none otherwise.  d is factored once, by trial division;
-    `power_residues` is the definition, read off the products themselves.
+    and there is none otherwise.  d is factored once, by trial division, so
+    it is refused above `ZX_MAX_MODULUS`; `power_residues` is the
+    definition, read off the products themselves.
     """
 
     def __init__(self, d: int, multipliers) -> None:
         if d < 2:
             raise ValueError("modulus must be at least 2")
+        if d > ZX_MAX_MODULUS:
+            raise ValueError("modulus must be at most 10^14, got %d" % d)
         xs = sorted(set(int(x) for x in multipliers))
         if not xs:
             raise ValueError("need at least one multiplier")

@@ -14,15 +14,13 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, repeat
 from typing import Optional
 
-from .bitsets import members
-from .checks import CHECKS, Check, CheckParams, Counterexample, get_check
+from .checks import CHECKS, Check, CheckParams, get_check
 from .core import FiniteHyperring, make_zx_mod, product_ring
 from .ideals import ENUMERATION_ORDER_BOUND
-from .jsonio import ring_to_dict
 
 THREADS_ENV = "HYPERRING_LAB_THREADS"
 
@@ -145,18 +143,6 @@ class SuiteReport:
         }
 
 
-def counterexample_to_dict(ce: Counterexample) -> dict:
-    return {
-        "check": ce.check_id,
-        "instance": ce.ring.name,
-        "ring": ring_to_dict(ce.ring),
-        "ideals": [members(m) for m in ce.ideals],
-        "elements": list(ce.elements),
-        "sn": list(ce.sn) if ce.sn else None,
-        "detail": ce.detail,
-    }
-
-
 def zx_instances(cfg: SuiteConfig) -> list[FiniteHyperring]:
     out = []
     for m in range(2, cfg.zx_max_modulus + 1):
@@ -217,27 +203,18 @@ def _selected_checks(cfg: SuiteConfig) -> tuple[Check, ...]:
 
 
 def _run_instance(ring, checks, params):
-    """All checks against one instance.
+    """(RingOutcome, seconds) of each check against one instance, in order.
 
-    The ring's memo stays warm across its checks and is dropped once the
-    last one has run and any witness has been serialized: no later instance
-    reads it.  The memos of a product's factor rings are left as they are.
+    A check's outcome already holds its counterexample as the report's
+    record, so nothing refers back to the ring.  The ring's memo stays warm
+    across its checks and is dropped once the last one has run: no later
+    instance reads it.  The memos of a product's factor rings are left as
+    they are.
     """
     results = []
     for check in checks:
         started = time.perf_counter()
-        outcome = check.fn(ring, params)
-        elapsed = time.perf_counter() - started
-        ce = outcome.counterexample
-        results.append(
-            {
-                "check": check.id,
-                "applicable": outcome.applicable,
-                "counterexample": counterexample_to_dict(ce) if ce else None,
-                "notes": list(outcome.notes),
-                "runtime_seconds": elapsed,
-            }
-        )
+        results.append((check.fn(ring, params), time.perf_counter() - started))
     ring.drop_memo()
     return results
 
@@ -297,16 +274,16 @@ def run_suite(
         notes: list[str] = []
         runtime = 0.0
         for ring, results in zip(instances, per_instance):
-            row = results[pos]
+            outcome, seconds = results[pos]
             examined += 1
-            applicable += row["applicable"]
-            runtime += row["runtime_seconds"]
-            for note in row["notes"]:
+            applicable += outcome.applicable
+            runtime += seconds
+            for note in outcome.notes:
                 tagged = "%s: %s" % (ring.name, note)
                 if tagged not in notes and len(notes) < 12:
                     notes.append(tagged)
-            if counterexample is None and row["counterexample"]:
-                counterexample = row["counterexample"]
+            if counterexample is None:
+                counterexample = outcome.counterexample
         reports.append(
             TheoremReport(
                 check_id=check.id,

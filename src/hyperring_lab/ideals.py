@@ -472,12 +472,10 @@ def _is_i_set(ring: FiniteHyperring, xi: int) -> bool:
     return True
 
 
-def find_i_sets(
-    ring: FiniteHyperring, order_bound: int = I_SET_ORDER_BOUND
-) -> list[int]:
+def find_i_sets(ring: FiniteHyperring) -> list[int]:
     """All subsets xi (some member nonzero) with x in sum of x*e over e in xi."""
-    if ring.order > order_bound:
-        raise OrderTooLarge("i-set search capped at order %d" % order_bound)
+    if ring.order > I_SET_ORDER_BOUND:
+        raise OrderTooLarge("i-set search capped at order %d" % I_SET_ORDER_BOUND)
     zero_bit = 1 << ring.zero
     out = []
     for xi in range(1, 1 << ring.order):
@@ -489,14 +487,14 @@ def find_i_sets(
     return out
 
 
-def has_i_set(ring: FiniteHyperring, order_bound: int = I_SET_ORDER_BOUND) -> bool:
+def has_i_set(ring: FiniteHyperring) -> bool:
     """Existence decided by shortcuts where sound, else exhaustive search.
 
     A weak identity e gives the i-set {e} directly.  When every product cell
     is a singleton the structure is an ordinary ring, sums of cells collapse
     to x*(sum of members), and an i-set forces a multiplicative identity --
     so no identity means no i-set.  Only structures fitting neither shortcut
-    fall through to the search (bounded by `order_bound`).
+    fall through to the search (bounded by `I_SET_ORDER_BOUND`).
     """
     if weak_identities(ring):
         return True
@@ -504,7 +502,7 @@ def has_i_set(ring: FiniteHyperring, order_bound: int = I_SET_ORDER_BOUND) -> bo
         size(ring.mul[a][b]) == 1 for a in ring.elements for b in ring.elements
     ):
         return False
-    return bool(find_i_sets(ring, order_bound))
+    return bool(find_i_sets(ring))
 
 
 # -- ideal arithmetic --------------------------------------------------------------

@@ -215,7 +215,7 @@ def test_profile_witnesses_are_sharp():
     r = make_zx_mod(8, [2])
     prof = closed_profile(r, mask_of([0]), 6, 6)
     for s, w in prof.witnesses.items():
-        n = prof.omega_at(s)
+        n = prof.omega[s - 1]
         assert n > 1
         assert r.power(w, s) & ~mask_of([0]) == 0
         assert r.power(w, n - 1) & ~mask_of([0]) != 0

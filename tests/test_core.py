@@ -254,6 +254,13 @@ def test_memo_stores_nothing_when_the_build_raises(memo_builds):
     assert "neg" not in ring._cache
 
 
+def test_star_import_binds_every_exported_name():
+    assert len(set(hyperring_lab.__all__)) == len(hyperring_lab.__all__)
+    namespace: dict = {}
+    exec("from hyperring_lab import *", namespace)
+    assert [n for n in hyperring_lab.__all__ if n not in namespace] == []
+
+
 def test_only_core_touches_the_memo_dict():
     package = Path(hyperring_lab.__file__).parent
     touching = sorted(

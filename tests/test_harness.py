@@ -11,14 +11,8 @@ from hyperring_lab import (
     product_ring,
 )
 from hyperring_lab.catalog import result_hash
-from hyperring_lab.checks import Counterexample, _any_ideal, _check
-from hyperring_lab.harness import (
-    SuiteConfig,
-    _run_instance,
-    counterexample_to_dict,
-    generate_instances,
-    run_suite,
-)
+from hyperring_lab.checks import _any_ideal, _check
+from hyperring_lab.harness import SuiteConfig, _run_instance, generate_instances, run_suite
 from hyperring_lab.jsonio import canonical_json
 
 ALL_IDS = [
@@ -154,12 +148,35 @@ def test_collect_refuses_a_generator_without_a_case_count():
 
 
 def test_counterexample_dict_carries_full_tables():
+    """The first failing case becomes the report's record, tables included."""
+
+    def fails_twice(ring, params):
+        yield (1,), (2,), (3, 1), "demo %s", ("first",)
+        yield (3,), (1,), None, "demo %s", ("second",)
+        return 2
+
     ring = make_zx_mod(4, [1])
-    ce = Counterexample("X", ring, (1,), (2,), (3, 1), "demo")
-    doc = counterexample_to_dict(ce)
+    doc = _check("X", "Fails twice.", fails_twice).fn(ring, CheckParams()).counterexample
+    assert doc["check"] == "X" and doc["instance"] == "zx(4;1)"
     assert doc["ring"]["order"] == 4
     assert doc["ring"]["mul"][1][1] == [1]
     assert doc["ideals"] == [[0]] and doc["elements"] == [2] and doc["sn"] == [3, 1]
+    assert doc["detail"] == "demo first"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_check_outcome_counterexample_is_the_report_record(threads):
+    """A check's own counterexample is the one the report carries, with one
+    worker and through the pool (a passing ring goes first, so the pool runs)."""
+    ring = product_ring(make_zx_mod(2, [1]), make_zx_mod(4, [2]))
+    assert ring.name == "zx(2;1)xzx(4;2)"
+    own = get_check("C2_7").fn(ring, CheckParams()).counterexample
+    report = run_suite(
+        SuiteConfig(check_ids=("C2_7",), threads=threads),
+        instances=[make_zx_mod(2, [1]), ring],
+    )
+    assert own is not None
+    assert report.reports[0].counterexample == own
 
 
 def test_parallel_merge_equals_sequential():

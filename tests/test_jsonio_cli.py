@@ -92,7 +92,8 @@ def test_catalog_round_trip(tmp_path):
     cat = Catalog(str(tmp_path))
     res_id = cat.put_result({"passed": True, "total_runtime_seconds": 4.2})
     assert res_id == content_id({"passed": True})
-    assert cat.get_result(res_id) == {"passed": True, "total_runtime_seconds": 4.2}
+    stored = json.loads((tmp_path / "results" / (res_id + ".json")).read_text())
+    assert stored == {"passed": True, "total_runtime_seconds": 4.2}
     assert cat.put_result({"passed": True, "total_runtime_seconds": 9.9}) == res_id
 
 
@@ -387,6 +388,15 @@ def test_cli_zx_sweep(capsys):
     assert main(["zx", "6", "0,2", "--n", "1"]) == 2
 
 
+def test_cli_zx_refuses_a_modulus_too_large_to_factor(capsys):
+    """d is factored by trial division, about 9 s for the prime 10^16 + 61, so
+    a modulus above 10^14 is refused before any work."""
+    start = time.perf_counter()
+    assert main(["zx", "10000000000000061", "2", "--n", "2"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "modulus must be at most 10^14" in capsys.readouterr().err
+
+
 def test_cli_zx_decides_a_modulus_past_any_residue_loop(capsys):
     """Moduli near 10^9 are decided without visiting the residues.
 
@@ -434,8 +444,8 @@ def test_cli_verify_reports_failures(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "FAIL" in out and "zx(4;1,3)" in out
     assert "stored in" in out
-    cat = Catalog(str(tmp_path))
-    stored = cat.get_result(cat.list_results()[0])
+    [path] = (tmp_path / "results").glob("*.json")
+    stored = json.loads(path.read_text())
     assert stored["reports"][0]["counterexample"]["sn"] == [2, 1]
 
 
