@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .bitsets import mask_of, members
 from .catalog import Catalog, result_hash
@@ -205,23 +206,16 @@ def _require_writable_targets(args):
         raise HyperringError("--catalog path %s is not a directory" % args.catalog)
 
 
+def _suite_config(args):
+    """SuiteConfig of the suite flags given; SuiteConfig defaults the rest."""
+    given = vars(args)
+    names = [f.name for f in fields(SuiteConfig)]
+    return SuiteConfig(**{name: given[name] for name in names if name in given})
+
+
 def cmd_verify(args):
     _require_writable_targets(args)
-    cfg = SuiteConfig(
-        zx_max_modulus=args.zx_max_modulus,
-        zx_max_multipliers=args.zx_max_multipliers,
-        product_factor_max_order=args.product_factor_max_order,
-        max_order=args.max_order,
-        s_max=args.smax,
-        n_max=args.nmax,
-        tuple_max=args.tuple_max,
-        absorbing_max_n=args.absorbing_max_n,
-        random_count=args.random,
-        seed=args.seed,
-        check_ids=None if args.checks is None else tuple(args.checks.split(",")),
-        threads=args.threads,
-    )
-    report = run_suite(cfg)
+    report = run_suite(_suite_config(args))
     doc = report.to_dict()
     if args.table or not args.json:
         _print_suite_table(report)
@@ -243,8 +237,7 @@ def cmd_verify(args):
 
 
 def cmd_instances(args):
-    cfg = SuiteConfig(random_count=args.random, seed=args.seed)
-    for ring in generate_instances(cfg):
+    for ring in generate_instances(_suite_config(args)):
         print("%-18s order=%d" % (ring.name, ring.order))
     return 0
 
@@ -298,27 +291,39 @@ def build_parser():
     p.add_argument("--weakly", action="store_true")
     p.set_defaults(fn=cmd_zx)
 
-    p = sub.add_parser("verify", help="run the full check suite")
-    p.add_argument("--zx-max-modulus", type=int, default=10)
-    p.add_argument("--zx-max-multipliers", type=int, default=2)
-    p.add_argument("--product-factor-max-order", type=int, default=6)
-    p.add_argument("--max-order", type=int, default=16)
-    p.add_argument("--smax", type=int, default=6)
-    p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--tuple-max", type=int, default=3)
-    p.add_argument("--absorbing-max-n", type=int, default=3)
-    p.add_argument("--random", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--checks", help="comma-separated check ids (default: all)")
+    # The suite flags of verify and instances store under SuiteConfig's field
+    # names, and only when given: SuiteConfig holds the defaults.
+    given_only = argparse.SUPPRESS
+    p = sub.add_parser("verify", help="run the full check suite", argument_default=given_only)
+    p.add_argument("--zx-max-modulus", type=int)
+    p.add_argument("--zx-max-multipliers", type=int)
+    p.add_argument("--product-factor-max-order", type=int)
+    p.add_argument("--max-order", type=int)
+    p.add_argument("--smax", type=int, dest="s_max", metavar="SMAX")
+    p.add_argument("--nmax", type=int, dest="n_max", metavar="NMAX")
+    p.add_argument("--tuple-max", type=int)
+    p.add_argument("--absorbing-max-n", type=int)
+    p.add_argument("--random", type=int, dest="random_count", metavar="RANDOM")
+    p.add_argument("--seed", type=int)
+    p.add_argument(
+        "--checks", type=lambda ids: tuple(ids.split(",")), dest="check_ids",
+        metavar="CHECKS", help="comma-separated check ids (default: all)",
+    )
     p.add_argument("--threads", type=int)
-    p.add_argument("--catalog", help="store the result in this directory")
-    p.add_argument("--json", help="write canonical report JSON to a file, or - for stdout")
-    p.add_argument("--table", action="store_true", help="print the table even with --json")
+    p.add_argument("--catalog", default=None, help="store the result in this directory")
+    p.add_argument(
+        "--json", default=None, help="write canonical report JSON to a file, or - for stdout"
+    )
+    p.add_argument(
+        "--table", action="store_true", default=False, help="print the table even with --json"
+    )
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("instances", help="list the generated instance stream")
-    p.add_argument("--random", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser(
+        "instances", help="list the generated instance stream", argument_default=given_only
+    )
+    p.add_argument("--random", type=int, dest="random_count", metavar="RANDOM")
+    p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_instances)
 
     return parser
@@ -328,13 +333,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (HyperringError, OSError) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as err:
+    except json.JSONDecodeError as err:  # a ValueError, so it goes first
         print("error: invalid JSON: %s" % err, file=sys.stderr)
         return 2
-    except ValueError as err:
+    except (HyperringError, OSError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

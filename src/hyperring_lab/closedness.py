@@ -493,9 +493,6 @@ class ZxResidueModel:
             self._land[k] = m
         return m
 
-    def power_in_ideal(self, r: int, s: int) -> bool:
-        return r % self.land_modulus(s) == 0
-
     def witness(self, s: int, n: int) -> Optional[int]:
         """Least residue class violating (s,n)-closedness of d*Z, or None."""
         ms, mn = self.land_modulus(s), self.land_modulus(n)

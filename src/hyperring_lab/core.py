@@ -154,17 +154,7 @@ class FiniteHyperring:
         name: str = "",
         meta: Optional[dict] = None,
     ):
-        mul_masks = []
-        n = len(add)
-        for a in range(n):
-            if len(mul) != n or len(mul[a]) != n:
-                raise MalformedTables("product table is not %d x %d" % (n, n))
-            row = []
-            for b in range(n):
-                cell = mask_of(mul[a][b])
-                row.append(cell)
-            mul_masks.append(row)
-        self._init_from_masks(add, mul_masks, name, meta)
+        self._init_from_masks(add, [[mask_of(c) for c in row] for row in mul], name, meta)
 
     @classmethod
     def from_masks(

@@ -10,11 +10,10 @@ configuration reproduce the same counterexample.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, combinations_with_replacement, repeat
 from typing import Optional
 
@@ -22,24 +21,25 @@ from .checks import CHECKS, Check, CheckParams, get_check
 from .core import FiniteHyperring, make_zx_mod, product_ring
 from .ideals import ENUMERATION_ORDER_BOUND
 
-THREADS_ENV = "HYPERRING_LAB_THREADS"
-
-# Least allowed value of each sweep, window and count field of SuiteConfig.
+# Least allowed value of each sweep, window, count and worker field of SuiteConfig.
 _COUNT_FLOORS = (
     ("zx_max_modulus", 2),
     ("zx_max_multipliers", 1),
+    ("product_factor_max_order", 1),
     ("max_order", 2),
     ("s_max", 1),
     ("n_max", 1),
     ("tuple_max", 1),
     ("absorbing_max_n", 1),
     ("random_count", 0),
+    ("threads", 1),
 )
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Instance-generation and window bounds for one suite run."""
+    """Instance-generation and window bounds for one suite run, defaulted
+    and checked here only: a bad field is refused at construction."""
 
     zx_max_modulus: int = 10
     zx_max_multipliers: int = 2
@@ -52,7 +52,7 @@ class SuiteConfig:
     random_count: int = 0
     seed: int = 0
     check_ids: Optional[tuple[str, ...]] = None
-    threads: Optional[int] = None
+    threads: int = 1
 
     def __post_init__(self) -> None:
         # An empty sweep or a degenerate window would pass most checks
@@ -63,6 +63,21 @@ class SuiteConfig:
                 raise ValueError(
                     "%s must be an integer >= %d, got %r" % (name, low, value)
                 )
+        if type(self.seed) is not int:
+            raise ValueError("seed must be an integer, got %r" % (self.seed,))
+        if self.max_order > ENUMERATION_ORDER_BOUND:
+            raise ValueError(
+                "max_order %d exceeds the hyperideal enumeration cap of order %d"
+                % (self.max_order, ENUMERATION_ORDER_BOUND)
+            )
+        if self.check_ids is not None:
+            if type(self.check_ids) is not tuple or not self.check_ids:
+                raise ValueError(
+                    "check_ids must name at least one check, in a tuple, got %r"
+                    % (self.check_ids,)
+                )
+            for check_id in self.check_ids:
+                get_check(check_id)
 
     def params(self) -> CheckParams:
         return CheckParams(
@@ -73,19 +88,10 @@ class SuiteConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "zx_max_modulus": self.zx_max_modulus,
-            "zx_max_multipliers": self.zx_max_multipliers,
-            "product_factor_max_order": self.product_factor_max_order,
-            "max_order": self.max_order,
-            "s_max": self.s_max,
-            "n_max": self.n_max,
-            "tuple_max": self.tuple_max,
-            "absorbing_max_n": self.absorbing_max_n,
-            "random_count": self.random_count,
-            "seed": self.seed,
-            "check_ids": list(self.check_ids) if self.check_ids else None,
-        }
+        # The worker count does not change the report, so it is left out.
+        doc = asdict(self)
+        del doc["threads"]
+        return doc
 
 
 @dataclass
@@ -171,16 +177,7 @@ def random_zx_instances(cfg: SuiteConfig, taken: set) -> list[FiniteHyperring]:
 
 
 def generate_instances(cfg: SuiteConfig) -> list[FiniteHyperring]:
-    """Deterministic instance stream, sorted by (order, name).
-
-    A `max_order` the checks could not enumerate is refused before any ring
-    is built.
-    """
-    if cfg.max_order > ENUMERATION_ORDER_BOUND:
-        raise ValueError(
-            "max_order %d exceeds the hyperideal enumeration cap of order %d"
-            % (cfg.max_order, ENUMERATION_ORDER_BOUND)
-        )
+    """Deterministic instance stream, sorted by (order, name)."""
     base = [r for r in zx_instances(cfg) if r.order <= cfg.max_order]
     factors = [r for r in base if r.order <= cfg.product_factor_max_order]
     products = []
@@ -192,14 +189,6 @@ def generate_instances(cfg: SuiteConfig) -> list[FiniteHyperring]:
     stream = base + products + extras
     stream.sort(key=lambda r: (r.order, r.name or ""))
     return stream
-
-
-def _selected_checks(cfg: SuiteConfig) -> tuple[Check, ...]:
-    if cfg.check_ids is None:
-        return CHECKS
-    if not cfg.check_ids:
-        raise ValueError("check_ids must name at least one check")
-    return tuple(get_check(cid) for cid in cfg.check_ids)
 
 
 def _run_instance(ring, checks, params):
@@ -219,21 +208,6 @@ def _run_instance(ring, checks, params):
     return results
 
 
-def _resolve_threads(cfg: SuiteConfig) -> int:
-    """Worker count from the config, else the environment, else 1."""
-    if cfg.threads is not None:
-        source, value = "threads", cfg.threads
-    else:
-        source, value = THREADS_ENV, os.environ.get(THREADS_ENV, "").strip()
-        if not value:
-            return 1
-        if value.isdecimal():
-            value = int(value)
-    if type(value) is not int or value < 1:
-        raise ValueError("%s must be a positive integer, got %r" % (source, value))
-    return value
-
-
 def run_suite(
     cfg: SuiteConfig = SuiteConfig(),
     instances: Optional[list[FiniteHyperring]] = None,
@@ -246,20 +220,18 @@ def run_suite(
     stream may still hold entries.
     """
     started = time.perf_counter()
-    threads = _resolve_threads(cfg)
-    # Checks first, so an unknown check id is refused before the sweep is built.
     if checks is None:
-        checks = _selected_checks(cfg)
+        checks = CHECKS if cfg.check_ids is None else tuple(map(get_check, cfg.check_ids))
     if instances is None:
         instances = generate_instances(cfg)
     params = cfg.params()
-    if threads > 1 and len(instances) > 1:
+    if cfg.threads > 1 and len(instances) > 1:
         # Largest rings first, one per task, so no worker is left with the
         # order-16 tail; results go back into stream order for the merge.
         schedule = sorted(range(len(instances)), key=lambda i: -instances[i].order)
         work = [instances[i] for i in schedule]
         per_instance = [None] * len(instances)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
             done = pool.map(_run_instance, work, repeat(checks), repeat(params), chunksize=1)
             for i, results in zip(schedule, done):
                 per_instance[i] = results

@@ -7,6 +7,7 @@ from hyperring_lab import (
     CheckParams,
     UnknownCheckId,
     get_check,
+    harness,
     make_zx_mod,
     product_ring,
 )
@@ -61,6 +62,49 @@ def test_random_instances_are_seed_stable():
     assert len(first) == 285
     other = [r.name for r in generate_instances(SuiteConfig(random_count=10, seed=8))]
     assert other != first
+
+
+@pytest.mark.parametrize(
+    "field, value, error, message",
+    [
+        ("zx_max_modulus", 1, ValueError, "zx_max_modulus must be an integer >= 2, got 1"),
+        ("zx_max_multipliers", 0, ValueError,
+         "zx_max_multipliers must be an integer >= 1, got 0"),
+        ("product_factor_max_order", None, ValueError,
+         "product_factor_max_order must be an integer >= 1, got None"),
+        ("product_factor_max_order", 0, ValueError,
+         "product_factor_max_order must be an integer >= 1, got 0"),
+        ("max_order", 1, ValueError, "max_order must be an integer >= 2, got 1"),
+        ("max_order", 17, ValueError,
+         "max_order 17 exceeds the hyperideal enumeration cap of order 16"),
+        ("s_max", 0, ValueError, "s_max must be an integer >= 1, got 0"),
+        ("n_max", 6.0, ValueError, "n_max must be an integer >= 1, got 6.0"),
+        ("tuple_max", 0, ValueError, "tuple_max must be an integer >= 1, got 0"),
+        ("absorbing_max_n", True, ValueError,
+         "absorbing_max_n must be an integer >= 1, got True"),
+        ("random_count", -1, ValueError, "random_count must be an integer >= 0, got -1"),
+        ("seed", [1], ValueError, "seed must be an integer, got [1]"),
+        ("seed", "7", ValueError, "seed must be an integer, got '7'"),
+        ("threads", None, ValueError, "threads must be an integer >= 1, got None"),
+        ("threads", 0, ValueError, "threads must be an integer >= 1, got 0"),
+        ("check_ids", (), ValueError, "check_ids must name at least one check"),
+        ("check_ids", ["C2_7"], ValueError, "check_ids must name at least one check"),
+        ("check_ids", "C2_7", ValueError, "check_ids must name at least one check"),
+        ("check_ids", ("C2_7", "T9_99"), UnknownCheckId, "no check named 'T9_99'"),
+    ],
+)
+def test_suite_config_refuses_each_bad_field_at_construction(
+    monkeypatch, field, value, error, message
+):
+    """Every bad field is refused by SuiteConfig itself, naming the field (or
+    the unknown id), before any ring is built."""
+    built = []
+    monkeypatch.setattr(harness, "make_zx_mod", lambda *args: built.append(args))
+    monkeypatch.setattr(harness, "product_ring", lambda *args: built.append(args))
+    with pytest.raises(error) as refused:
+        SuiteConfig(**{field: value})
+    assert str(refused.value).startswith(message)
+    assert built == []
 
 
 def test_empty_instance_list_is_vacuous_success():

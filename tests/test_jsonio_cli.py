@@ -1,5 +1,6 @@
 """JSON round-trips, strict decoding, the catalog store, and the CLI."""
 
+import dataclasses
 import io
 import json
 import math
@@ -9,7 +10,15 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperring_lab import MalformedTables, harness, make_zx_mod, mask_of, members, product_ring
+from hyperring_lab import (
+    MalformedTables,
+    cli,
+    harness,
+    make_zx_mod,
+    mask_of,
+    members,
+    product_ring,
+)
 from hyperring_lab.catalog import Catalog, content_id
 from hyperring_lab.cli import main
 from hyperring_lab.closedness import closed_profile
@@ -215,6 +224,8 @@ def test_cli_fundamental_names_the_element_shared_by_overlapping_cosets(tmp_path
          "zx_max_modulus must be an integer >= 2, got -5"),
         (["verify", "--zx-max-multipliers", "0"],
          "zx_max_multipliers must be an integer >= 1, got 0"),
+        (["verify", "--product-factor-max-order", "0"],
+         "product_factor_max_order must be an integer >= 1, got 0"),
     ],
 )
 def test_cli_refuses_degenerate_windows_and_negative_counts(
@@ -451,13 +462,48 @@ def test_cli_verify_reports_failures(capsys, tmp_path):
 
 def test_cli_verify_rejects_negative_thread_count(capsys):
     assert main(["verify", "--checks", "R2_rad", "--threads", "-4"]) == 2
-    assert "threads must be a positive integer" in capsys.readouterr().err
+    assert "threads must be an integer >= 1, got -4" in capsys.readouterr().err
 
 
-def test_cli_verify_rejects_non_integer_thread_environment(monkeypatch, capsys):
-    monkeypatch.setenv("HYPERRING_LAB_THREADS", "abc")
-    assert main(["verify", "--checks", "R2_rad"]) == 2
-    assert "HYPERRING_LAB_THREADS must be a positive integer" in capsys.readouterr().err
+# Each SuiteConfig field: the flag that sets it, its text and a non-default value.
+SUITE_FLAGS = {
+    "zx_max_modulus": ("--zx-max-modulus", "5", 5),
+    "zx_max_multipliers": ("--zx-max-multipliers", "1", 1),
+    "product_factor_max_order": ("--product-factor-max-order", "2", 2),
+    "max_order": ("--max-order", "8", 8),
+    "s_max": ("--smax", "3", 3),
+    "n_max": ("--nmax", "4", 4),
+    "tuple_max": ("--tuple-max", "2", 2),
+    "absorbing_max_n": ("--absorbing-max-n", "2", 2),
+    "random_count": ("--random", "3", 3),
+    "seed": ("--seed", "7", 7),
+    "check_ids": ("--checks", "C2_7,T2_9", ("C2_7", "T2_9")),
+    "threads": ("--threads", "2", 2),
+}
+
+
+def test_cli_suite_flags_hand_over_only_what_was_given(monkeypatch, capsys):
+    """verify with no flag runs exactly SuiteConfig(), and each flag sets its
+    own field and no other; so does instances with its two flags."""
+    default = harness.SuiteConfig()
+    assert set(SUITE_FLAGS) == {f.name for f in dataclasses.fields(default)}
+    handed = []
+
+    def record(cfg):
+        handed.append(cfg)
+        return harness.run_suite(cfg, instances=[])
+
+    monkeypatch.setattr(cli, "run_suite", record)
+    assert main(["verify"]) == 0
+    assert handed.pop() == default
+    for name, (flag, text, value) in SUITE_FLAGS.items():
+        assert main(["verify", flag, text]) == 0
+        assert value != getattr(default, name)
+        assert handed.pop() == dataclasses.replace(default, **{name: value})
+    monkeypatch.setattr(cli, "generate_instances", lambda cfg: handed.append(cfg) or [])
+    assert main(["instances"]) == 0
+    assert main(["instances", "--random", "3", "--seed", "7"]) == 0
+    assert handed == [default, harness.SuiteConfig(random_count=3, seed=7)]
 
 
 def test_cli_verify_refuses_max_order_above_enumeration_cap(monkeypatch, capsys):
