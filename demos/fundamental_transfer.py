@@ -8,6 +8,7 @@ from hyperring_lab import (
     mask_of,
     members,
 )
+from hyperring_lab.bitsets import least
 
 
 def show_collapse(ring):
@@ -15,10 +16,10 @@ def show_collapse(ring):
     print("instance %s" % ring.name)
     classes = gamma_star_classes(ring)
     print("  classes: %s" % [members(c) for c in classes])
-    fr = fundamental_ring(ring)
-    print("  class ring order %d" % fr.order)
-    print("  add: %s" % [list(r) for r in fr.add])
-    print("  mul: %s" % [list(r) for r in fr.mul])
+    quot, _ = fundamental_ring(ring)
+    print("  class ring order %d" % quot.order)
+    print("  add: %s" % [list(r) for r in quot.add])
+    print("  mul: %s" % [[least(c) for c in r] for r in quot.mul])
 
 
 def probe_transfer(ring, ideal_members):

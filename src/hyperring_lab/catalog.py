@@ -10,20 +10,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any
 
 from .jsonio import canonical_json
 
 ID_LENGTH = 16
 
 
-def content_id(obj: Any) -> str:
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()[:ID_LENGTH]
-
-
 def result_hash(report_dict: dict) -> str:
     """Stable id of a suite report; timing fields do not participate."""
-    return content_id(report_dict)
+    digest = hashlib.sha256(canonical_json(report_dict).encode("utf-8"))
+    return digest.hexdigest()[:ID_LENGTH]
 
 
 class Catalog:
@@ -35,7 +31,7 @@ class Catalog:
         os.makedirs(self.results_dir, exist_ok=True)
 
     def put_result(self, report_dict: dict) -> str:
-        doc_id = content_id(report_dict)
+        doc_id = result_hash(report_dict)
         path = os.path.join(self.results_dir, doc_id + ".json")
         if not os.path.exists(path):
             tmp = path + ".tmp"

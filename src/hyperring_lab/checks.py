@@ -31,11 +31,11 @@ hyperideal q, as ``gen(ring, q, p)``, and runs on every q that `each`
 admits, in enumeration order; the counts are summed.  A hypothesis that
 rules out only part of a check stays in its generator.
 
-Exponent pairs are decided on the window s <= smax, n <= nmax only.  Every
-element's hyperpowers are eventually periodic, so every verdict repeats
-from some exponent on, but on the default sweep that exponent can pass the
-window: the power bound exceeds 6 on 52 of the 275 rings, and 26 of them
-need exponents up to 8 before every pair is decided.
+Pairs are decided on the window s <= p.s_max, n <= p.n_max of the validated
+`SuiteConfig` p only.  Every element's hyperpowers are eventually periodic,
+so every verdict repeats from some exponent on, but on the default sweep
+that exponent can pass the window: the power bound exceeds 6 on 52 of the
+275 rings, and 26 of them need exponents up to 8 before every pair is decided.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .bitsets import is_subset, iter_bits, least, members
 from .closedness import (
@@ -91,15 +91,8 @@ from .ideals import (
 )
 from .jsonio import ring_to_dict
 
-
-@dataclass(frozen=True)
-class CheckParams:
-    """Window bounds shared by all checks."""
-
-    smax: int = 6
-    nmax: int = 6
-    tuple_max: int = 3
-    absorbing_max_n: int = 3
+if TYPE_CHECKING:
+    from .harness import SuiteConfig
 
 
 @dataclass
@@ -115,7 +108,7 @@ class RingOutcome:
 class Check:
     id: str
     statement: str
-    fn: Callable[[FiniteHyperring, CheckParams], RingOutcome]
+    fn: Callable[[FiniteHyperring, SuiteConfig], RingOutcome]
     note: str = ""
 
 
@@ -204,7 +197,7 @@ def _factors_have_nonzero_scalar_identity(ring):
 
 
 def _kmax(ring, p):
-    return max(ring.power_bound(), p.smax, p.nmax)
+    return max(ring.power_bound(), p.s_max, p.n_max)
 
 
 def _upto(k):
@@ -225,13 +218,13 @@ def _pairs(rows):
 
 
 def _window_rows(ring, ideals, p, weak=False):
-    """Per-s masks of the pairs with s <= smax and n <= nmax at which every
+    """Per-s masks of the pairs with s <= s_max and n <= n_max at which every
     one of `ideals` is (weakly) closed; entry 0 is 0."""
-    top = max(p.smax, p.nmax)
-    out = [0] + [_upto(p.nmax)] * p.smax
+    top = max(p.s_max, p.n_max)
+    out = [0] + [_upto(p.n_max)] * p.s_max
     for q in ideals:
         rows = closed_rows(ring, q, top, weak)
-        for s in range(1, p.smax + 1):
+        for s in range(1, p.s_max + 1):
             out[s] &= rows[s]
     return out
 
@@ -255,7 +248,7 @@ def _box_mask(m1, m2, n2):
 
 
 def _absorbing_closed(ring, q, p):
-    ks = max(ring.power_bound(), p.smax)
+    ks = max(ring.power_bound(), p.s_max)
     count = 0
     for n in range(1, p.absorbing_max_n + 1):
         if not is_n_absorbing(ring, q, n):
@@ -275,10 +268,10 @@ def _absorbing_closed(ring, q, p):
 def _prime_products(ring, p):
     primes = prime_hyperideals(ring)
     count = 0
-    ns = _upto(p.nmax)
+    ns = _upto(p.n_max)
     for t in range(1, p.tuple_max + 1):
         # Entry s masks the n >= min(s, t).
-        hyp = [0] + [ns & -(1 << min(s, t)) for s in range(1, p.smax + 1)]
+        hyp = [0] + [ns & -(1 << min(s, t)) for s in range(1, p.s_max + 1)]
         for combo in combinations_with_replacement(primes, t):
             prod = combo[0]
             for q in combo[1:]:
@@ -301,9 +294,9 @@ def _closed_combinations(ring, p, part):
     (s,n)-closed.  The cases of one combo are a mask over the window, tested
     against the aggregate's closed-pair rows."""
     propers = proper_hyperideals(ring)
-    ns = _upto(p.nmax)
+    ns = _upto(p.n_max)
     omegas = {
-        q: [omega_unchecked(ring, q, s) for s in range(1, p.smax + 1)]
+        q: [omega_unchecked(ring, q, s) for s in range(1, p.s_max + 1)]
         for q in propers
     }
     bound = sum if part == "product" else max
@@ -387,9 +380,9 @@ def _coprime_products(ring, p):
 
 def _square_sum(ring, q, p):
     all_ideals = enumerate_hyperideals(ring)
-    closed = closed_rows(ring, q, max(p.smax, 2))
+    closed = closed_rows(ring, q, max(p.s_max, 2))
     count = 0
-    for s in range(1, p.smax + 1):
+    for s in range(1, p.s_max + 1):
         if not closed[s] >> 2 & 1:
             continue
         for pm in all_ideals:
@@ -409,7 +402,7 @@ def _square_sum(ring, q, p):
 
 
 def _class_ring_transfer(ring, q, p):
-    tr = ideal_in_fundamental(ring, q, p.smax, p.nmax)
+    tr = ideal_in_fundamental(ring, q, p.s_max, p.n_max)
     if tr.skipped:
         yield "skip ideal %s: %s" % (members(q), tr.note)
         return 0
@@ -427,7 +420,7 @@ def _class_ring_transfer(ring, q, p):
 
 def _radical_characterization(ring, q, p):
     # Entry s masks the n >= s, the pairs claimed closed for every ideal.
-    upper = [0] + [_upto(p.nmax) & -(1 << s) for s in range(1, p.smax + 1)]
+    upper = [0] + [_upto(p.n_max) & -(1 << s) for s in range(1, p.s_max + 1)]
     for s, n, w in open_pairs(ring, q, upper):
         yield ((q,), (w,), (s, n), "pair with s <= n not closed at %d", (w,))
     radical_fixed = radical(ring, q) == q
@@ -447,13 +440,13 @@ def _radical_characterization(ring, q, p):
 
 
 def _step_down(ring, q, p):
-    ns = _upto(p.nmax)
-    closed = closed_rows(ring, q, max(p.smax, p.nmax) + 1)
+    ns = _upto(p.n_max)
+    closed = closed_rows(ring, q, max(p.s_max, p.n_max) + 1)
     # Entry s+1 masks the n != s with (s, n) and (s+1, n+1) closed, so
     # that open_pairs tests the conclusion (s+1, n).
     hyp = [0, 0] + [
         closed[s] & closed[s + 1] >> 1 & ns & ~(1 << s)
-        for s in range(1, p.smax + 1)
+        for s in range(1, p.s_max + 1)
     ]
     for s, n, w in open_pairs(ring, q, hyp):
         yield (
@@ -471,12 +464,12 @@ def _pair_monotone(ring, q, p):
     closed = closed_rows(ring, q, kk)
     # opens[s] masks the n <= kk with (s, n) open; seen ORs opens[1..s],
     # so some (s2, n2) with s2 <= s and n2 >= n is open when seen >> n.
-    opens = [None] + [~closed[s] & _upto(kk) for s in range(1, p.smax + 1)]
+    opens = [None] + [~closed[s] & _upto(kk) for s in range(1, p.s_max + 1)]
     seen = 0
     count = 0
-    for s in range(1, p.smax + 1):
+    for s in range(1, p.s_max + 1):
         seen |= opens[s]
-        for n in range(1, p.nmax + 1):
+        for n in range(1, p.n_max + 1):
             if opens[s] >> n & 1:
                 continue
             count += 1
@@ -522,9 +515,9 @@ def _two_absorbing_spread(ring, q, p):
 def _half_exponent_spread(ring, q, p):
     kk = _kmax(ring, p)
     closed = closed_rows(ring, q, kk)
-    bads = [None] + [_first_open(closed, n, kk) for n in range(1, p.nmax + 1)]
-    # Entry s masks the closed (s, n) with n <= nmax and 2n <= s.
-    hyp = [0] + [closed[s] & _upto(min(p.nmax, s // 2)) for s in range(1, kk + 1)]
+    bads = [None] + [_first_open(closed, n, kk) for n in range(1, p.n_max + 1)]
+    # Entry s masks the closed (s, n) with n <= n_max and 2n <= s.
+    hyp = [0] + [closed[s] & _upto(min(p.n_max, s // 2)) for s in range(1, kk + 1)]
     for s, n in _pairs(hyp):
         bad = bads[n]
         if bad is not None:
@@ -541,7 +534,7 @@ def _half_exponent_spread(ring, q, p):
 def _orders(ring, q, kk):
     """(closed-pair rows, omega, Omega) of the ideal q for s, n <= kk, each
     in the entry-s layout with entry 0 set to 0.  One memo entry per ring,
-    ideal and kk, shared by R2_omega and T2_15-C2_18; an intersection that
+    ideal and kk, read by R2_omega and T2_13-C2_18; an intersection that
     the enumeration left out (on tables that fail the axioms) is built on
     its first lookup like any other ideal."""
 
@@ -577,13 +570,14 @@ def _order_comparisons(ring, p):
 
 
 def _omega_jump(ring, q, p):
+    kk = _kmax(ring, p)
+    omegas = _orders(ring, q, kk + 1)[_OMEGA]
     count = 0
-    for s in range(1, _kmax(ring, p) + 1):
-        w = omega_unchecked(ring, q, s)
+    for s in range(1, kk + 1):
+        w, w2 = omegas[s], omegas[s + 1]
         if w >= s:
             continue
         count += 1
-        w2 = omega_unchecked(ring, q, s + 1)
         if not (w2 == w or w2 >= w + 2):
             yield (
                 (q,),
@@ -596,13 +590,14 @@ def _omega_jump(ring, q, p):
 
 
 def _Omega_jump(ring, q, p):
+    kk = _kmax(ring, p)
+    bigs = _orders(ring, q, kk + 1)[_BIG_OMEGA]
     count = 0
-    for n in range(1, _kmax(ring, p) + 1):
-        big = big_omega_unchecked(ring, q, n)
+    for n in range(1, kk + 1):
+        big, big2 = bigs[n], bigs[n + 1]
         if big <= n:
             continue
         count += 1
-        big2 = big_omega_unchecked(ring, q, n + 1)
         if not (big2 == big or big2 >= big + 2):
             yield (
                 (q,),
@@ -687,7 +682,7 @@ def _weakly_basics(ring, p):
                 "intersection of weakly (%d,%d)-closed ideals open at %d",
                 (s, n, w),
             )
-    top = max(p.smax, p.nmax)
+    top = max(p.s_max, p.n_max)
     for q in propers:
         hyp = _window_rows(ring, (q,), p, True)
         count += _bits(hyp)
@@ -707,7 +702,7 @@ def _weakly_basics(ring, p):
         free = tough_free_rows(ring, q, top)
         # Not closed exactly when some tough zero exists: a case fails where
         # the closed and tough-free bits differ.
-        fail = [0] + [hyp[s] & (closed[s] ^ free[s]) for s in range(1, p.smax + 1)]
+        fail = [0] + [hyp[s] & (closed[s] ^ free[s]) for s in range(1, p.s_max + 1)]
         for s, n in _pairs(fail):
             tough = tough_zero_mask(ring, q, s, n)
             yield (
@@ -723,10 +718,10 @@ def _weakly_basics(ring, p):
 def _tough_zero_shift(ring, q, p):
     inside = members(q)
     weak = _window_rows(ring, (q,), p, True)
-    free = tough_free_rows(ring, q, max(p.smax, p.nmax))
+    free = tough_free_rows(ring, q, max(p.s_max, p.n_max))
     count = 0
     # Tough-free pairs have no tough zero, so no case.
-    for s, n in _pairs([0] + [weak[s] & ~free[s] for s in range(1, p.smax + 1)]):
+    for s, n in _pairs([0] + [weak[s] & ~free[s] for s in range(1, p.s_max + 1)]):
         zs = zero_in_mask(ring, s)
         for x in iter_bits(tough_zero_mask(ring, q, s, n)):
             count += 1
@@ -764,8 +759,8 @@ def _all_weakly_closed(ring, p, ideals, rhs, fmt):
     (s,n)-closed exactly when rhs(s, n) holds."""
     every = _window_rows(ring, ideals, p, True)
     count = 0
-    for s in range(1, p.smax + 1):
-        for n in range(1, min(s - 1, p.nmax) + 1):
+    for s in range(1, p.s_max + 1):
+        for n in range(1, min(s - 1, p.n_max) + 1):
             count += 1
             every_weak = bool(every[s] >> n & 1)
             if every_weak != rhs(s, n):
@@ -793,12 +788,12 @@ def _nilpotent_ideal_criterion(ring, p):
 
 
 def _regular_implies_Regular(ring, p):
-    top = max(p.smax, p.nmax)
-    exps = _upto(p.nmax)
+    top = max(p.s_max, p.n_max)
+    exps = _upto(p.n_max)
     count = 0
     for a in ring.elements:
         rows = regularity_rows(ring, a, top)
-        for s in range(1, p.smax + 1):
+        for s in range(1, p.s_max + 1):
             regular, Regular = rows[s]
             count += (regular & exps).bit_count()
             for n in iter_bits(regular & ~Regular & exps):
@@ -816,13 +811,13 @@ def _regular_iff_small_exponent(ring, p):
     um = units(ring)
     zw = weak_zero_divisors(ring)
     pool = ring.full & ~(um | zw)
-    top = max(p.smax, p.nmax)
-    exps = _upto(p.nmax)
+    top = max(p.s_max, p.n_max)
+    exps = _upto(p.n_max)
     count = 0
     for a in members(pool):
         rows = regularity_rows(ring, a, top)
-        for s in range(1, p.smax + 1):
-            count += p.nmax
+        for s in range(1, p.s_max + 1):
+            count += p.n_max
             at_least_s = exps & ~((1 << s) - 1)
             regular = rows[s][0]
             for n in iter_bits((regular ^ at_least_s) & exps):
@@ -837,12 +832,12 @@ def _regular_iff_small_exponent(ring, p):
 
 
 def _regular_step(ring, p):
-    top = max(p.smax + 1, p.nmax)
-    exps = _upto(p.nmax)
+    top = max(p.s_max + 1, p.n_max)
+    exps = _upto(p.n_max)
     count = 0
     for a in ring.elements:
         rows = regularity_rows(ring, a, top)
-        for s in range(2, p.smax + 1):
+        for s in range(2, p.s_max + 1):
             below_s = (1 << s) - 2
             hyp = rows[s][0] & below_s & exps
             count += hyp.bit_count()
@@ -859,13 +854,13 @@ def _regular_step(ring, p):
 
 def _units_Regular(ring, p):
     um = units(ring)
-    top = max(p.smax, p.nmax)
-    exps = _upto(p.nmax)
+    top = max(p.s_max, p.n_max)
+    exps = _upto(p.n_max)
     count = 0
     for a in members(um):
         rows = regularity_rows(ring, a, top)
-        for s in range(1, p.smax + 1):
-            count += p.nmax
+        for s in range(1, p.s_max + 1):
+            count += p.n_max
             for n in iter_bits(exps & ~rows[s][1]):
                 yield ((), (a,), (s, n), "unit not (%d,%d)-Regular", (s, n))
     return count
@@ -873,7 +868,7 @@ def _units_Regular(ring, p):
 
 def _every_ideal_weakly(ring, p):
     ups = nilpotents(ring)
-    top = max(p.smax, p.nmax)
+    top = max(p.s_max, p.n_max)
     rows = [regularity_rows(ring, a, top) for a in members(ring.full & ~ups)]
 
     def rhs(s, n):
@@ -994,7 +989,7 @@ def _box_equivalence(ring, p):
                 box = _box_mask(q, f2.full, n2)
             else:
                 box = _box_mask(f1.full, q, n2)
-            count += p.smax * p.nmax
+            count += p.s_max * p.n_max
             i = _window_rows(ring, (box,), p, True)
             ii = _window_rows(fac, (q,), p)
             iii = _window_rows(ring, (box,), p)
@@ -1033,26 +1028,26 @@ def _one_sided_criterion(fa, qa, fb, qb, p):
     """Per-s masks of one disjunct of the box decomposition criterion:
     qa weakly closed but not closed, with the one-sided conditions on qb."""
     if qa == fa.full:
-        return [0] * (p.smax + 1)
+        return [0] * (p.s_max + 1)
     out = _weakly_not_closed(fa, qa, p)
-    for s in range(1, p.smax + 1):
+    for s in range(1, p.s_max + 1):
         if land_mask(fb, qb, s) & ~zero_in_mask(fb, s):
             out[s] = 0
         elif qb != fb.full and land_mask(fa, qa, s) & ~zero_in_mask(fa, s):
-            out[s] &= closed_rows(fb, qb, max(p.smax, p.nmax))[s]
+            out[s] &= closed_rows(fb, qb, max(p.s_max, p.n_max))[s]
     return out
 
 
 def _box_decomposition(ring, p):
     f1, f2 = ring.factors
     n2 = f2.order
-    none = [0] * (p.smax + 1)
+    none = [0] * (p.s_max + 1)
     count = 0
     for q in proper_hyperideals(ring):
         q1 = factor_mask(q, n2, 0)
         q2 = factor_mask(q, n2, 1)
         decomposes = _box_mask(q1, q2, n2) == q
-        count += p.smax * p.nmax
+        count += p.s_max * p.n_max
         lhs = _weakly_not_closed(ring, q, p) if is_C_hyperideal(ring, q) else none
         rhs = none
         if decomposes and is_C_hyperideal(f1, q1) and is_C_hyperideal(f2, q2):

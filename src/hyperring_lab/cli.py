@@ -122,11 +122,10 @@ def cmd_profile(args):
 
 def cmd_fundamental(args):
     ring = _load_ring(args.ring)
-    fr = fundamental_ring(ring)
+    doc = fundamental_to_dict(*fundamental_ring(ring))
     if args.json:
-        print(json.dumps(fundamental_to_dict(fr), indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        doc = fundamental_to_dict(fr)
         print("classes: %s" % (doc["classes"],))
         print("add: %s" % (doc["add"],))
         print("mul: %s" % (doc["mul"],))

@@ -322,6 +322,8 @@ def closed_profile(
     the ideal while its (omega(s)-1)-th power does not, certifying that
     omega(s) cannot be lowered; exponents with omega(s) = 1 need none.
     """
+    if smax < 1 or nmax < 1:
+        raise ValueError("window smax=%d, nmax=%d is below 1" % (smax, nmax))
     require_proper(ring, imask)
     om = tuple(omega_unchecked(ring, imask, s) for s in range(1, smax + 1))
     big = tuple(big_omega_unchecked(ring, imask, n) for n in range(1, nmax + 1))

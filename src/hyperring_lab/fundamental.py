@@ -13,7 +13,7 @@ On top of that every product of classes must be a single class, and the
 class tables must pass `validate_axioms`; the first law they break raises
 with its witness.  With singleton products those laws are the
 commutative-ring laws: a*0 = 0 follows from distributivity over the
-additive group.
+additive group.  The class ring is that quotient, with its projection.
 
 An ideal's image is taken through the coset projection, and its class-ring
 closedness is ordinary closedness in the quotient, whose products are
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bitsets import least, members
+from .bitsets import members
 from .closedness import closed_rows
 from .core import (
     AxiomFailure,
@@ -50,59 +50,29 @@ def gamma_star_classes(ring: FiniteHyperring) -> list[int]:
     return coset_partition(ring, cooccurrence_subgroup(ring))[0]
 
 
-@dataclass(frozen=True)
-class FundamentalRing:
-    """Ordinary commutative ring of co-occurrence classes.
+def fundamental_ring(ring: FiniteHyperring) -> tuple[FiniteHyperring, HomMap]:
+    """Class ring and projection, as `quotient_by_ideal` returns them: the
+    classes are numbered in the order of their least members, and `least`
+    reads a product cell as its class.  Fully verified and cached per ring."""
 
-    `projection` maps the source onto the class quotient built by
-    `coset_ring`; the tables here are that quotient's, with each singleton
-    product cell read as its class index.
-    """
+    def build():
+        name = "%s/gamma*" % (ring.name or "ring")
+        quot, proj = coset_ring(ring, cooccurrence_subgroup(ring), name, "fundamental")
+        for i, row in enumerate(quot.mul):
+            for j, cell in enumerate(row):
+                if cell & (cell - 1):
+                    raise WellDefinednessFailure(
+                        "product of classes (%d,%d) straddles classes %s"
+                        % (i, j, members(cell))
+                    )
+        failed = next((c for c in validate_axioms(quot).axioms if not c.ok), None)
+        if failed is not None:
+            raise AxiomFailure(
+                "class ring breaks %s at classes %s" % (failed.name, failed.witness)
+            )
+        return quot, proj
 
-    source: FiniteHyperring
-    classes: tuple[int, ...]
-    class_of: tuple[int, ...]
-    add: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
-    projection: HomMap
-
-    @property
-    def order(self) -> int:
-        return len(self.classes)
-
-    @property
-    def zero(self) -> int:
-        return self.class_of[self.source.zero]
-
-
-def fundamental_ring(ring: FiniteHyperring) -> FundamentalRing:
-    """Build and fully verify the class ring; cached per hyperring."""
-    return ring.memo("fundamental", lambda: _build_fundamental(ring))
-
-
-def _build_fundamental(ring: FiniteHyperring) -> FundamentalRing:
-    name = "%s/gamma*" % (ring.name or "ring")
-    quot, proj = coset_ring(ring, cooccurrence_subgroup(ring), name, "fundamental")
-    for i, row in enumerate(quot.mul):
-        for j, cell in enumerate(row):
-            if cell & (cell - 1):
-                raise WellDefinednessFailure(
-                    "product of classes (%d,%d) straddles classes %s"
-                    % (i, j, members(cell))
-                )
-    failed = next((c for c in validate_axioms(quot).axioms if not c.ok), None)
-    if failed is not None:
-        raise AxiomFailure(
-            "class ring breaks %s at classes %s" % (failed.name, failed.witness)
-        )
-    return FundamentalRing(
-        source=ring,
-        classes=tuple(proj.preimage_mask(1 << i) for i in quot.elements),
-        class_of=proj.table,
-        add=tuple(tuple(row) for row in quot.add),
-        mul=tuple(tuple(least(cell) for cell in row) for row in quot.mul),
-        projection=proj,
-    )
+    return ring.memo("fundamental", build)
 
 
 @dataclass(frozen=True)
@@ -130,9 +100,10 @@ def ideal_in_fundamental(
     When the image collapses to the whole class ring, ring-side closedness is
     undefined and the comparison is marked skipped rather than failed.
     """
+    if smax < 1 or nmax < 1:
+        raise ValueError("window smax=%d, nmax=%d is below 1" % (smax, nmax))
     require_proper(ring, qmask)
-    proj = fundamental_ring(ring).projection
-    quot = proj.target
+    quot, proj = fundamental_ring(ring)
     image = proj.image_mask(qmask)
     image_is_ideal = is_hyperideal(quot, image)
     image_proper = image != quot.full

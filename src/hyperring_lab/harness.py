@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from itertools import combinations, combinations_with_replacement, repeat
 from typing import Optional
 
-from .checks import CHECKS, Check, CheckParams, get_check
+from .checks import CHECKS, Check, get_check
 from .core import FiniteHyperring, make_zx_mod, product_ring
 from .ideals import ENUMERATION_ORDER_BOUND
 
@@ -78,14 +78,6 @@ class SuiteConfig:
                 )
             for check_id in self.check_ids:
                 get_check(check_id)
-
-    def params(self) -> CheckParams:
-        return CheckParams(
-            smax=self.s_max,
-            nmax=self.n_max,
-            tuple_max=self.tuple_max,
-            absorbing_max_n=self.absorbing_max_n,
-        )
 
     def to_dict(self) -> dict:
         # The worker count does not change the report, so it is left out.
@@ -191,7 +183,7 @@ def generate_instances(cfg: SuiteConfig) -> list[FiniteHyperring]:
     return stream
 
 
-def _run_instance(ring, checks, params):
+def _run_instance(ring, checks, cfg):
     """(RingOutcome, seconds) of each check against one instance, in order.
 
     A check's outcome already holds its counterexample as the report's
@@ -203,7 +195,7 @@ def _run_instance(ring, checks, params):
     results = []
     for check in checks:
         started = time.perf_counter()
-        results.append((check.fn(ring, params), time.perf_counter() - started))
+        results.append((check.fn(ring, cfg), time.perf_counter() - started))
     ring.drop_memo()
     return results
 
@@ -224,7 +216,6 @@ def run_suite(
         checks = CHECKS if cfg.check_ids is None else tuple(map(get_check, cfg.check_ids))
     if instances is None:
         instances = generate_instances(cfg)
-    params = cfg.params()
     if cfg.threads > 1 and len(instances) > 1:
         # Largest rings first, one per task, so no worker is left with the
         # order-16 tail; results go back into stream order for the merge.
@@ -232,11 +223,11 @@ def run_suite(
         work = [instances[i] for i in schedule]
         per_instance = [None] * len(instances)
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            done = pool.map(_run_instance, work, repeat(checks), repeat(params), chunksize=1)
+            done = pool.map(_run_instance, work, repeat(checks), repeat(cfg), chunksize=1)
             for i, results in zip(schedule, done):
                 per_instance[i] = results
     else:
-        per_instance = [_run_instance(ring, checks, params) for ring in instances]
+        per_instance = [_run_instance(ring, checks, cfg) for ring in instances]
 
     reports = []
     for pos, check in enumerate(checks):

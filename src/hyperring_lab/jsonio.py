@@ -13,10 +13,9 @@ import json
 import math
 from typing import Any
 
-from .bitsets import mask_of, members
+from .bitsets import least, mask_of, members
 from .closedness import ClosedProfile
-from .core import FiniteHyperring, MalformedTables
-from .fundamental import FundamentalRing
+from .core import FiniteHyperring, HomMap, MalformedTables
 from .ideals import classify_ideal
 
 VOLATILE_KEYS = frozenset({"runtime_seconds", "total_runtime_seconds"})
@@ -106,11 +105,11 @@ def profile_to_dict(profile: ClosedProfile) -> dict:
     }
 
 
-def fundamental_to_dict(fr: FundamentalRing) -> dict:
+def fundamental_to_dict(quot: FiniteHyperring, proj: HomMap) -> dict:
     return {
-        "classes": [members(c) for c in fr.classes],
-        "add": [list(row) for row in fr.add],
-        "mul": [list(row) for row in fr.mul],
+        "classes": [members(proj.preimage_mask(1 << i)) for i in quot.elements],
+        "add": [list(row) for row in quot.add],
+        "mul": [[least(cell) for cell in row] for row in quot.mul],
     }
 
 

@@ -426,9 +426,9 @@ def closed_combinations(ring, p, part, omega_of):
     its case count.
     """
     propers = proper_hyperideals(ring)
-    top = max(p.smax, p.nmax)
+    top = max(p.s_max, p.n_max)
     omegas = {
-        q: [None] + [omega_of(ring, q, s) for s in range(1, p.smax + 1)]
+        q: [None] + [omega_of(ring, q, s) for s in range(1, p.s_max + 1)]
         for q in propers
     }
     count = 0
@@ -443,11 +443,11 @@ def closed_combinations(ring, p, part, omega_of):
                 for q in combo:
                     agg &= q
             land = land_row(ring, agg, top)
-            for s in range(1, p.smax + 1):
+            for s in range(1, p.s_max + 1):
                 nis = [omegas[q][s] for q in combo]
                 low = min(s, sum(nis) if part == "product" else max(nis))
                 ls = land[s]
-                ns = range(max(1, low), p.nmax + 1)
+                ns = range(max(1, low), p.n_max + 1)
                 count += len(ns)
                 for n in ns:
                     bad = ls & ~land[n]

@@ -19,7 +19,6 @@ from hyperring_lab import (
 )
 from hyperring_lab.checks import (
     CHECKS,
-    CheckParams,
     _box_mask,
     _check,
     _hom_pool,
@@ -30,7 +29,7 @@ from hyperring_lab.core import check_good_hom
 
 import oracles as orc
 
-PARAMS = CheckParams()
+PARAMS = SuiteConfig()
 
 
 def run(check_id, ring, params=PARAMS):
@@ -194,7 +193,7 @@ def _drain(gen):
             return items, stop.value
 
 
-@pytest.mark.parametrize("params", [PARAMS, CheckParams(smax=7, nmax=4, tuple_max=2)])
+@pytest.mark.parametrize("params", [PARAMS, SuiteConfig(s_max=7, n_max=4, tuple_max=2)])
 @pytest.mark.parametrize("part", ["product", "intersection"])
 def test_closed_combinations_match_the_per_pair_reference(part, params, monkeypatch):
     """T2_5i/ii test one pair mask per aggregate; with omega lowered so that
@@ -221,11 +220,10 @@ def _case_stream_digest():
     default instance, drained in registry order per instance."""
     digest = hashlib.sha256()
     cfg = SuiteConfig()
-    params = cfg.params()
     for ring in generate_instances(cfg):
         for check in CHECKS:
             # Each registry fn is partial(_collect, id, gen); drain gen itself.
-            failures = check.fn.args[1](ring, params)
+            failures = check.fn.args[1](ring, cfg)
             digest.update(repr((ring.name, check.id)).encode())
             while True:
                 try:

@@ -231,6 +231,14 @@ def test_closed_profile_validates_its_ideal_once(monkeypatch):
     assert prof.witnesses and calls == [mask_of([0])]
 
 
+def test_closed_profile_refuses_a_window_below_one():
+    """An empty window would read as a profile with no entries."""
+    ring = make_zx_mod(4, [1, 3])
+    for smax, nmax in ((-2, 3), (3, 0)):
+        with pytest.raises(ValueError, match="below 1"):
+            closed_profile(ring, mask_of([0]), smax, nmax)
+
+
 def test_tough_zero_frozen():
     r = make_zx_mod(4, [1])
     assert find_tough_zero(r, mask_of([0]), 2, 1) == 2

@@ -3,9 +3,11 @@
 import pytest
 
 from hyperring_lab import (
+    FiniteHyperring,
     NotAHyperideal,
     ProperIdealRequired,
     SuiteConfig,
+    enumerate_hyperideals,
     fundamental_ring,
     gamma_star_classes,
     generate_instances,
@@ -15,7 +17,10 @@ from hyperring_lab import (
     members,
     product_ring,
     proper_hyperideals,
+    validate_axioms,
 )
+from hyperring_lab.bitsets import least
+from hyperring_lab.closedness import closed_rows
 
 import oracles as orc
 
@@ -35,32 +40,43 @@ def test_gamma_star_matches_transitive_closure_oracle():
         assert engine == orc.gamma_star_partition(n, add, mul), ring.name
 
 
+def class_members(quot, proj):
+    """Members of each class, in the quotient's element order."""
+    return [members(proj.preimage_mask(1 << i)) for i in quot.elements]
+
+
+def class_products(quot):
+    """The quotient's product table with each singleton cell read as its class."""
+    return [[least(cell) for cell in row] for row in quot.mul]
+
+
 def test_fundamental_ring_frozen_tables():
-    fr = fundamental_ring(make_zx_mod(4, [1, 3]))
-    assert [members(c) for c in fr.classes] == [[0, 2], [1, 3]]
-    assert fr.add == ((0, 1), (1, 0))
-    assert fr.mul == ((0, 0), (0, 1))
-    assert fr.order == 2 and fr.zero == 0
-    assert fr.class_of == (0, 1, 0, 1)
-    assert orc.ring_power(fr.mul, 1, 5) == 1 and orc.ring_power(fr.mul, 0, 2) == 0
+    quot, proj = fundamental_ring(make_zx_mod(4, [1, 3]))
+    assert class_members(quot, proj) == [[0, 2], [1, 3]]
+    assert quot.add == [[0, 1], [1, 0]]
+    mul = class_products(quot)
+    assert mul == [[0, 0], [0, 1]]
+    assert quot.order == 2 and quot.zero == 0
+    assert proj.table == (0, 1, 0, 1)
+    assert orc.ring_power(mul, 1, 5) == 1 and orc.ring_power(mul, 0, 2) == 0
 
 
 def test_fundamental_ring_collapses_singleton_classes():
     r = make_zx_mod(5, [2])
-    fr = fundamental_ring(r)
-    assert fr.order == 5
+    quot, _ = fundamental_ring(r)
+    assert quot.order == 5
     for a in range(5):
         for b in range(5):
-            assert fr.add[a][b] == r.add[a][b]
-            assert mask_of([fr.mul[a][b]]) == r.mul[a][b]
+            assert quot.add[a][b] == r.add[a][b]
+            assert quot.mul[a][b] == r.mul[a][b]
 
 
 def test_fundamental_ring_axioms_hold_across_families():
     for ring in [make_zx_mod(6, [2, 3]), make_zx_mod(8, [2]), make_zx_mod(9, [3]),
                  product_ring(make_zx_mod(2, [1]), make_zx_mod(4, [2]))]:
-        fr = fundamental_ring(ring)
-        assert fr.order >= 1
-        assert fr.add[fr.zero] == tuple(range(fr.order))
+        quot, _ = fundamental_ring(ring)
+        assert quot.order >= 1
+        assert quot.add[quot.zero] == list(quot.elements)
 
 
 def test_transfer_detects_one_direction_gap():
@@ -103,11 +119,21 @@ def test_transfer_validates_input():
         ideal_in_fundamental(r, r.full, 3, 3)
 
 
+def test_transfer_refuses_a_window_below_one():
+    """An empty window would record no pairs and read as equivalent, though
+    the (3,3) window finds the mismatch at (2,1)."""
+    r = make_zx_mod(4, [1, 3])
+    assert ideal_in_fundamental(r, mask_of([0]), 3, 3).first_mismatch == (2, 1)
+    for smax, nmax in ((0, 6), (6, 0)):
+        with pytest.raises(ValueError, match="below 1"):
+            ideal_in_fundamental(r, mask_of([0]), smax, nmax)
+
+
 def test_ring_ideal_closed_basics():
-    fr = fundamental_ring(make_zx_mod(4, [1, 3]))
-    assert orc.ring_ideal_closed(fr.mul, {0}, 2, 1)
+    mul = class_products(fundamental_ring(make_zx_mod(4, [1, 3]))[0])
+    assert orc.ring_ideal_closed(mul, {0}, 2, 1)
     with pytest.raises(ProperIdealRequired):
-        orc.ring_ideal_closed(fr.mul, {0, 1}, 2, 1)
+        orc.ring_ideal_closed(mul, {0, 1}, 2, 1)
 
 
 def small_default_rings():
@@ -119,10 +145,37 @@ def small_default_rings():
 def test_class_ring_tables_match_partition_oracle():
     for ring in small_default_rings():
         classes, cadd, cmul = orc.class_ring_tables(*orc.tables(ring))
-        fr = fundamental_ring(ring)
-        assert [frozenset(members(c)) for c in fr.classes] == classes, ring.name
-        assert fr.add == tuple(map(tuple, cadd)), ring.name
-        assert fr.mul == tuple(map(tuple, cmul)), ring.name
+        quot, proj = fundamental_ring(ring)
+        assert list(map(frozenset, class_members(quot, proj))) == classes, ring.name
+        assert quot.add == cadd, ring.name
+        assert class_products(quot) == cmul, ring.name
+
+
+def test_class_ring_is_a_hyperring_the_library_accepts():
+    """The class ring is an ordinary FiniteHyperring: it passes
+    validate_axioms, its lattice is the oracle's ideal list of the class
+    tables, and its closed-pair rows agree with the ordinary-ring oracle."""
+    for ring in small_default_rings():
+        quot, proj = fundamental_ring(ring)
+        assert isinstance(quot, FiniteHyperring) and proj.target is quot
+        assert validate_axioms(quot).ok, ring.name
+        classes, cadd, cmul = orc.class_ring_tables(*orc.tables(ring))
+        k = len(classes)
+        cmul_sets = [[frozenset([c]) for c in row] for row in cmul]
+        lattice = enumerate_hyperideals(quot)
+        assert set(map(frozenset, map(members, lattice))) == set(
+            orc.all_ideals(k, cadd, cmul_sets)
+        ), ring.name
+        for j in lattice:
+            if j == quot.full:
+                continue
+            rows = closed_rows(quot, j, 4)
+            J = frozenset(members(j))
+            for s in range(1, 5):
+                for n in range(1, 5):
+                    assert bool(rows[s] >> n & 1) == orc.ring_ideal_closed(
+                        cmul, J, s, n
+                    ), (ring.name, sorted(J), s, n)
 
 
 def test_transfer_verdicts_match_class_ring_oracle():

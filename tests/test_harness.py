@@ -4,7 +4,6 @@ import pytest
 
 from hyperring_lab import (
     CHECKS,
-    CheckParams,
     UnknownCheckId,
     get_check,
     harness,
@@ -188,7 +187,7 @@ def test_collect_refuses_a_generator_without_a_case_count():
         _check("UNCOUNTED", "Returns no case count.", uncounted_per_ideal, each=_any_ideal),
     ):
         with pytest.raises(TypeError, match="UNCOUNTED returned None"):
-            fake.fn(make_zx_mod(3, [1]), CheckParams())
+            fake.fn(make_zx_mod(3, [1]), SuiteConfig())
 
 
 def test_counterexample_dict_carries_full_tables():
@@ -200,7 +199,7 @@ def test_counterexample_dict_carries_full_tables():
         return 2
 
     ring = make_zx_mod(4, [1])
-    doc = _check("X", "Fails twice.", fails_twice).fn(ring, CheckParams()).counterexample
+    doc = _check("X", "Fails twice.", fails_twice).fn(ring, SuiteConfig()).counterexample
     assert doc["check"] == "X" and doc["instance"] == "zx(4;1)"
     assert doc["ring"]["order"] == 4
     assert doc["ring"]["mul"][1][1] == [1]
@@ -214,7 +213,7 @@ def test_check_outcome_counterexample_is_the_report_record(threads):
     worker and through the pool (a passing ring goes first, so the pool runs)."""
     ring = product_ring(make_zx_mod(2, [1]), make_zx_mod(4, [2]))
     assert ring.name == "zx(2;1)xzx(4;2)"
-    own = get_check("C2_7").fn(ring, CheckParams()).counterexample
+    own = get_check("C2_7").fn(ring, SuiteConfig()).counterexample
     report = run_suite(
         SuiteConfig(check_ids=("C2_7",), threads=threads),
         instances=[make_zx_mod(2, [1]), ring],
@@ -264,7 +263,7 @@ def _small_default_rings():
 def test_run_instance_drops_the_memo_and_keeps_the_factors():
     factors = (make_zx_mod(2, [1]), make_zx_mod(4, [1]))
     prod = product_ring(*factors)
-    _run_instance(prod, CHECKS, CheckParams())
+    _run_instance(prod, CHECKS, SuiteConfig())
     assert prod._cache == {}
     assert prod.factors[0] is factors[0] and prod.factors[1] is factors[1]
 

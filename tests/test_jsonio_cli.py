@@ -19,7 +19,7 @@ from hyperring_lab import (
     members,
     product_ring,
 )
-from hyperring_lab.catalog import Catalog, content_id
+from hyperring_lab.catalog import Catalog, result_hash
 from hyperring_lab.cli import main
 from hyperring_lab.closedness import closed_profile
 from hyperring_lab.fundamental import fundamental_ring
@@ -87,7 +87,7 @@ def test_ideal_and_fundamental_encodings():
     ring = make_zx_mod(4, [1])
     doc = ideal_to_dict(ring, mask_of([0, 2]))
     assert doc["members"] == [0, 2] and doc["class"]["prime"]
-    fdoc = fundamental_to_dict(fundamental_ring(make_zx_mod(4, [1, 3])))
+    fdoc = fundamental_to_dict(*fundamental_ring(make_zx_mod(4, [1, 3])))
     assert fdoc == {"classes": [[0, 2], [1, 3]], "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
 
 
@@ -100,7 +100,7 @@ def test_canonical_json_is_stable_and_strips_timing():
 def test_catalog_round_trip(tmp_path):
     cat = Catalog(str(tmp_path))
     res_id = cat.put_result({"passed": True, "total_runtime_seconds": 4.2})
-    assert res_id == content_id({"passed": True})
+    assert res_id == result_hash({"passed": True})
     stored = json.loads((tmp_path / "results" / (res_id + ".json")).read_text())
     assert stored == {"passed": True, "total_runtime_seconds": 4.2}
     assert cat.put_result({"passed": True, "total_runtime_seconds": 9.9}) == res_id
