@@ -533,10 +533,11 @@ def _half_exponent_spread(ring, q, p):
 
 def _orders(ring, q, kk):
     """(closed-pair rows, omega, Omega) of the ideal q for s, n <= kk, each
-    in the entry-s layout with entry 0 set to 0.  One memo entry per ring,
-    ideal and kk, read by R2_omega and T2_13-C2_18; an intersection that
-    the enumeration left out (on tables that fail the axioms) is built on
-    its first lookup like any other ideal."""
+    in the entry-s layout with entry 0 set to 0.  One memo entry per ring
+    and ideal, read by R2_omega and T2_13-C2_18 (T2_13 and T2_14 compute
+    their one value at kk + 1 themselves); an intersection that the
+    enumeration left out (on tables that fail the axioms) is built on its
+    first lookup like any other ideal."""
 
     def build():
         every_n = _upto(kk)
@@ -571,7 +572,7 @@ def _order_comparisons(ring, p):
 
 def _omega_jump(ring, q, p):
     kk = _kmax(ring, p)
-    omegas = _orders(ring, q, kk + 1)[_OMEGA]
+    omegas = _orders(ring, q, kk)[_OMEGA] + [omega_unchecked(ring, q, kk + 1)]
     count = 0
     for s in range(1, kk + 1):
         w, w2 = omegas[s], omegas[s + 1]
@@ -591,7 +592,7 @@ def _omega_jump(ring, q, p):
 
 def _Omega_jump(ring, q, p):
     kk = _kmax(ring, p)
-    bigs = _orders(ring, q, kk + 1)[_BIG_OMEGA]
+    bigs = _orders(ring, q, kk)[_BIG_OMEGA] + [big_omega_unchecked(ring, q, kk + 1)]
     count = 0
     for n in range(1, kk + 1):
         big, big2 = bigs[n], bigs[n + 1]

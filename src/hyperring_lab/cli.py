@@ -241,59 +241,47 @@ def cmd_instances(args):
     return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="hyperring-lab",
-        description="finite multiplicative hyperrings: ideals, closedness, suite checks",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check the hyperring axioms of a JSON file")
+def _ring_arguments(p):
     p.add_argument("ring")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("classify", help="classify hyperideals of a ring")
+
+def _classify_arguments(p):
     p.add_argument("ring")
     p.add_argument("--ideal", default="@enumerate")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("profile", help="omega/Omega closedness profile of ideals")
+
+def _profile_arguments(p):
     p.add_argument("ring")
     p.add_argument("--ideal", default="@enumerate")
     p.add_argument("--smax", type=int, default=6)
     p.add_argument("--nmax", type=int, default=6)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_profile)
 
-    p = sub.add_parser("fundamental", help="ring of co-occurrence classes")
-    p.add_argument("ring")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_fundamental)
 
-    p = sub.add_parser("closed", help="test (s,n)-closedness of ideals")
+def _closed_arguments(p):
     p.add_argument("ring")
     p.add_argument("--ideal", default="@enumerate")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weakly", action="store_true")
-    p.set_defaults(fn=cmd_closed)
 
-    p = sub.add_parser(
-        "zx", help="closedness of d*Z in the integer multiplier model"
-    )
+
+def _zx_arguments(p):
     p.add_argument("modulus", type=int)
     p.add_argument("multipliers", help="comma-separated nonzero integers")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--smax", type=int, default=12)
     p.add_argument("--weakly", action="store_true")
-    p.set_defaults(fn=cmd_zx)
 
-    # The suite flags of verify and instances store under SuiteConfig's field
-    # names, and only when given: SuiteConfig holds the defaults.
-    given_only = argparse.SUPPRESS
-    p = sub.add_parser("verify", help="run the full check suite", argument_default=given_only)
+
+def _instances_arguments(p):
+    p.add_argument("--random", type=int, dest="random_count", metavar="RANDOM")
+    p.add_argument("--seed", type=int)
+
+
+def _verify_arguments(p):
     p.add_argument("--zx-max-modulus", type=int)
     p.add_argument("--zx-max-multipliers", type=int)
     p.add_argument("--product-factor-max-order", type=int)
@@ -302,8 +290,7 @@ def build_parser():
     p.add_argument("--nmax", type=int, dest="n_max", metavar="NMAX")
     p.add_argument("--tuple-max", type=int)
     p.add_argument("--absorbing-max-n", type=int)
-    p.add_argument("--random", type=int, dest="random_count", metavar="RANDOM")
-    p.add_argument("--seed", type=int)
+    _instances_arguments(p)
     p.add_argument(
         "--checks", type=lambda ids: tuple(ids.split(",")), dest="check_ids",
         metavar="CHECKS", help="comma-separated check ids (default: all)",
@@ -316,20 +303,56 @@ def build_parser():
     p.add_argument(
         "--table", action="store_true", default=False, help="print the table even with --json"
     )
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser(
-        "instances", help="list the generated instance stream", argument_default=given_only
+
+# The subcommands in help order, as (name, help, argument adder, handler).
+SUBCOMMANDS = (
+    ("validate", "check the hyperring axioms of a JSON file", _ring_arguments, cmd_validate),
+    ("classify", "classify hyperideals of a ring", _classify_arguments, cmd_classify),
+    ("profile", "omega/Omega closedness profile of ideals", _profile_arguments, cmd_profile),
+    ("fundamental", "ring of co-occurrence classes", _ring_arguments, cmd_fundamental),
+    ("closed", "test (s,n)-closedness of ideals", _closed_arguments, cmd_closed),
+    ("zx", "closedness of d*Z in the integer multiplier model", _zx_arguments, cmd_zx),
+    ("verify", "run the full check suite", _verify_arguments, cmd_verify),
+    ("instances", "list the generated instance stream", _instances_arguments, cmd_instances),
+)
+
+# The suite flags of verify and instances store under SuiteConfig's field
+# names, and only when given: SuiteConfig holds the defaults.
+_GIVEN_ONLY = ("verify", "instances")
+
+
+def build_parser(names=None):
+    """The parser with the subcommands named, or with all of them.
+
+    Built with fewer, it still spells every name in its usage line, so its
+    usage reads as the whole parser's.  Only a missing or unknown subcommand
+    would show the difference in its message, and main builds them all then.
+    """
+    parser = argparse.ArgumentParser(
+        prog="hyperring-lab",
+        description="finite multiplicative hyperrings: ideals, closedness, suite checks",
     )
-    p.add_argument("--random", type=int, dest="random_count", metavar="RANDOM")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_instances)
-
+    chosen = [row for row in SUBCOMMANDS if names is None or row[0] in names]
+    spelled = {}
+    if len(chosen) < len(SUBCOMMANDS):
+        spelled["metavar"] = "{%s}" % ",".join(row[0] for row in SUBCOMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, **spelled)
+    for name, help_text, add_arguments, handler in chosen:
+        default = argparse.SUPPRESS if name in _GIVEN_ONLY else None
+        p = sub.add_parser(name, help=help_text, argument_default=default)
+        add_arguments(p)
+        p.set_defaults(fn=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command.  Only the named subcommand's parser is built; help,
+    a missing or an unknown subcommand build them all."""
+    if argv is None:
+        argv = sys.argv[1:]
+    named = argv[:1] if argv and any(argv[0] == row[0] for row in SUBCOMMANDS) else None
+    args = build_parser(named).parse_args(argv)
     try:
         return args.fn(args)
     except json.JSONDecodeError as err:  # a ValueError, so it goes first

@@ -60,6 +60,47 @@ def ring_from_dict(data: dict) -> FiniteHyperring:
                 raise MalformedTables("%s row %d must be a list" % (key, i))
             if len(row) != order:
                 raise MalformedTables("%s row %d has %d entries" % (key, i, len(row)))
+    tables = _valid_tables(add_rows, mul_rows, order)
+    if tables is None:
+        tables = _checked_tables(add_rows, mul_rows, order)
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise MalformedTables("name must be a string")
+    meta = data.get("meta")
+    if meta is None:
+        meta = {}
+    elif not isinstance(meta, dict):
+        raise MalformedTables("meta must be an object")
+    return FiniteHyperring.from_masks(*tables, name=name, meta=meta)
+
+
+def _valid_tables(add_rows, mul_rows, order):
+    """(add, mul masks) of well-shaped rows whose every entry is valid, or
+    None at the first bad entry; formats no message, so a valid document
+    pays only for the tests."""
+    for row in add_rows:
+        for v in row:
+            if type(v) is not int or not 0 <= v < order:
+                return None
+    mul = []
+    for row in mul_rows:
+        cells = []
+        for cell in row:
+            if type(cell) is not list:
+                return None
+            mask = 0
+            for v in cell:
+                if type(v) is not int or not 0 <= v < order or mask >> v & 1:
+                    return None
+                mask |= 1 << v
+            cells.append(mask)
+        mul.append(cells)
+    return add_rows, mul
+
+
+def _checked_tables(add_rows, mul_rows, order):
+    """(add, mul masks) of well-shaped rows, or MalformedTables naming the
+    first bad entry in reading order, add before mul."""
     add = [
         [_check_index(v, order, "add[%d][%d]" % (i, j)) for j, v in enumerate(row)]
         for i, row in enumerate(add_rows)
@@ -76,15 +117,7 @@ def ring_from_dict(data: dict) -> FiniteHyperring:
                 raise MalformedTables("%s: duplicate members %r" % (where, cell))
             cells.append(mask_of(vals))
         mul.append(cells)
-    name = data.get("name")
-    if name is not None and not isinstance(name, str):
-        raise MalformedTables("name must be a string")
-    meta = data.get("meta")
-    if meta is None:
-        meta = {}
-    elif not isinstance(meta, dict):
-        raise MalformedTables("meta must be an object")
-    return FiniteHyperring.from_masks(add, mul, name=name, meta=meta)
+    return add, mul
 
 
 def ideal_to_dict(ring: FiniteHyperring, imask: int) -> dict:

@@ -1,5 +1,6 @@
 """JSON round-trips, strict decoding, the catalog store, and the CLI."""
 
+import argparse
 import dataclasses
 import io
 import json
@@ -52,26 +53,49 @@ def test_ring_dict_shape():
     assert doc["meta"] == {"family": "zx_mod", "m": 4, "X": [1, 3]}
 
 
+# Edits to the zx(4;2) document, as (key path, value) pairs, and the message
+# of the first bad entry; an entry is read add before mul, row by row.
+BAD_DOCUMENTS = [
+    ([(("order",), 0)], "order must be a positive integer"),
+    ([(("mul", 1, 1), [2, 2])], "mul[1][1]: duplicate members [2, 2]"),
+    ([(("mul", 1, 1), [7])], "mul[1][1]: index 7 out of range 0..3"),
+    ([(("add", 0, 0), True)], "add[0][0]: expected an element index, got True"),
+    ([(("meta",), "zx")], "meta must be an object"),
+    ([(("mul", 2, 3), 1)], "mul[2][3]: expected a list of members"),
+    ([(("mul", 0, 1), [0, 1.0])], "mul[0][1]: expected an element index, got 1.0"),
+    ([(("add", 1, 2), 2.0)], "add[1][2]: expected an element index, got 2.0"),
+    ([(("add", 3, 2), -1)], "add[3][2]: index -1 out of range 0..3"),
+    ([(("add", 3, 3), 4), (("mul", 0, 0), [9])], "add[3][3]: index 4 out of range 0..3"),
+    ([(("mul", 3, 3), [0, 2, 0])], "mul[3][3]: duplicate members [0, 2, 0]"),
+    ([(("mul", 1, 2), [1]), (("mul", 1, 3), [5])], "mul[1][3]: index 5 out of range 0..3"),
+    ([(("mul", 2, 2), []), (("name",), 3)], "name must be a string"),
+    ([(("mul", 2, 2), [])], "mul[2][2] is empty"),
+]
+
+
 def test_strict_decoding_rejects_bad_documents():
+    """Each bad document is refused with the message of its first bad entry."""
     good = ring_to_dict(make_zx_mod(4, [2]))
-    with pytest.raises(MalformedTables):
-        ring_from_dict({**good, "order": 0})
-    with pytest.raises(MalformedTables):
+    with pytest.raises(MalformedTables, match=r"^missing key 'add'$"):
         ring_from_dict({k: v for k, v in good.items() if k != "add"})
-    bad = json.loads(json.dumps(good))
-    bad["mul"][1][1] = [2, 2]
-    with pytest.raises(MalformedTables):
-        ring_from_dict(bad)
-    bad = json.loads(json.dumps(good))
-    bad["mul"][1][1] = [7]
-    with pytest.raises(MalformedTables):
-        ring_from_dict(bad)
-    bad = json.loads(json.dumps(good))
-    bad["add"][0][0] = True
-    with pytest.raises(MalformedTables):
-        ring_from_dict(bad)
-    with pytest.raises(MalformedTables):
-        ring_from_dict({**good, "meta": "zx"})
+    for edits, message in BAD_DOCUMENTS:
+        doc = json.loads(json.dumps(good))
+        for path, value in edits:
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        with pytest.raises(MalformedTables) as refused:
+            ring_from_dict(doc)
+        assert str(refused.value) == message
+
+
+def test_every_default_ring_round_trips_through_json():
+    for ring in harness.generate_instances(harness.SuiteConfig()):
+        back = ring_from_dict(json.loads(json.dumps(ring_to_dict(ring))))
+        assert (back.add, back.mul, back.name, back.meta) == (
+            ring.add, ring.mul, ring.name, ring.meta
+        )
 
 
 def test_profile_encoding_uses_inf_token():
@@ -546,3 +570,56 @@ def test_cli_verify_refuses_checks_naming_no_check(monkeypatch, capsys):
     assert built == []
     with pytest.raises(ValueError, match="check_ids must name at least one check"):
         harness.run_suite(harness.SuiteConfig(check_ids=()))
+
+
+def _cli_output(argv, capsys):
+    """(exit code, stdout, stderr) of one main call; argparse exits count too."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = ("exit", stop.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_prints_what_the_whole_parser_prints(tmp_path, monkeypatch, capsys):
+    """main builds only the named subcommand's parser; help, usage, errors
+    and results read as they do when every subcommand is built."""
+    ring = _write_ring(tmp_path, make_zx_mod(4, [2]))
+    names = [row[0] for row in cli.SUBCOMMANDS]
+    argvs = [
+        ["-h"],
+        *[[name, "-h"] for name in names],
+        [],
+        ["bogus"],
+        ["validate", ring, "--bogus"],
+        ["closed", ring, "--s", "2"],
+        ["profile", ring, "--smax", "0"],
+        ["validate", ring],
+        ["classify", ring],
+        ["profile", ring, "--ideal", "0"],
+        ["fundamental", ring],
+        ["closed", ring, "--s", "2", "--n", "1"],
+        ["zx", "12", "2", "--n", "2"],
+        ["verify", "--checks", "T2_13", "--max-order", "4", "--json", "-"],
+        ["instances", "--random", "1"],
+    ]
+    assert {argv[0] for argv in argvs if argv and argv[0] in names} == set(names)
+    built = [_cli_output(argv, capsys) for argv in argvs]
+    whole = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda names=None: whole())
+    for argv, got in zip(argvs, built):
+        assert got == _cli_output(argv, capsys), argv
+
+
+def test_cli_builds_one_subparser_for_a_named_subcommand(tmp_path, monkeypatch, capsys):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(["validate", _write_ring(tmp_path, make_zx_mod(4, [2]))]) == 0
+    assert added == ["validate"]
