@@ -277,11 +277,15 @@ def _zx_arguments(p):
 
 
 def _instances_arguments(p):
+    # The suite flags store under SuiteConfig's field names, and only when
+    # given: SuiteConfig holds the defaults.
+    p.argument_default = argparse.SUPPRESS
     p.add_argument("--random", type=int, dest="random_count", metavar="RANDOM")
     p.add_argument("--seed", type=int)
 
 
 def _verify_arguments(p):
+    p.argument_default = argparse.SUPPRESS
     p.add_argument("--zx-max-modulus", type=int)
     p.add_argument("--zx-max-multipliers", type=int)
     p.add_argument("--product-factor-max-order", type=int)
@@ -317,11 +321,6 @@ SUBCOMMANDS = (
     ("instances", "list the generated instance stream", _instances_arguments, cmd_instances),
 )
 
-# The suite flags of verify and instances store under SuiteConfig's field
-# names, and only when given: SuiteConfig holds the defaults.
-_GIVEN_ONLY = ("verify", "instances")
-
-
 def build_parser(names=None):
     """The parser with the subcommands named, or with all of them.
 
@@ -339,8 +338,7 @@ def build_parser(names=None):
         spelled["metavar"] = "{%s}" % ",".join(row[0] for row in SUBCOMMANDS)
     sub = parser.add_subparsers(dest="command", required=True, **spelled)
     for name, help_text, add_arguments, handler in chosen:
-        default = argparse.SUPPRESS if name in _GIVEN_ONLY else None
-        p = sub.add_parser(name, help=help_text, argument_default=default)
+        p = sub.add_parser(name, help=help_text)
         add_arguments(p)
         p.set_defaults(fn=handler)
     return parser

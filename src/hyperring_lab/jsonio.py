@@ -13,7 +13,7 @@ import json
 import math
 from typing import Any
 
-from .bitsets import least, mask_of, members
+from .bitsets import least, members
 from .closedness import ClosedProfile
 from .core import FiniteHyperring, HomMap, MalformedTables
 from .ideals import classify_ideal
@@ -60,9 +60,7 @@ def ring_from_dict(data: dict) -> FiniteHyperring:
                 raise MalformedTables("%s row %d must be a list" % (key, i))
             if len(row) != order:
                 raise MalformedTables("%s row %d has %d entries" % (key, i, len(row)))
-    tables = _valid_tables(add_rows, mul_rows, order)
-    if tables is None:
-        tables = _checked_tables(add_rows, mul_rows, order)
+    tables = _read_tables(add_rows, mul_rows, order)
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise MalformedTables("name must be a string")
@@ -74,50 +72,30 @@ def ring_from_dict(data: dict) -> FiniteHyperring:
     return FiniteHyperring.from_masks(*tables, name=name, meta=meta)
 
 
-def _valid_tables(add_rows, mul_rows, order):
-    """(add, mul masks) of well-shaped rows whose every entry is valid, or
-    None at the first bad entry; formats no message, so a valid document
-    pays only for the tests."""
-    for row in add_rows:
-        for v in row:
-            if type(v) is not int or not 0 <= v < order:
-                return None
-    mul = []
-    for row in mul_rows:
-        cells = []
-        for cell in row:
-            if type(cell) is not list:
-                return None
-            mask = 0
-            for v in cell:
-                if type(v) is not int or not 0 <= v < order or mask >> v & 1:
-                    return None
-                mask |= 1 << v
-            cells.append(mask)
-        mul.append(cells)
-    return add_rows, mul
-
-
-def _checked_tables(add_rows, mul_rows, order):
+def _read_tables(add_rows, mul_rows, order):
     """(add, mul masks) of well-shaped rows, or MalformedTables naming the
-    first bad entry in reading order, add before mul."""
-    add = [
-        [_check_index(v, order, "add[%d][%d]" % (i, j)) for j, v in enumerate(row)]
-        for i, row in enumerate(add_rows)
-    ]
+    first bad entry in reading order, add before mul.  A cell's location is
+    formatted only when that cell is rejected."""
+    for i, row in enumerate(add_rows):
+        for j, v in enumerate(row):
+            if type(v) is not int or not 0 <= v < order:
+                _check_index(v, order, "add[%d][%d]" % (i, j))
     mul = []
     for i, row in enumerate(mul_rows):
         cells = []
         for j, cell in enumerate(row):
-            where = "mul[%d][%d]" % (i, j)
             if not isinstance(cell, list):
-                raise MalformedTables("%s: expected a list of members" % where)
-            vals = [_check_index(v, order, where) for v in cell]
-            if len(set(vals)) != len(vals):
-                raise MalformedTables("%s: duplicate members %r" % (where, cell))
-            cells.append(mask_of(vals))
+                raise MalformedTables("mul[%d][%d]: expected a list of members" % (i, j))
+            mask = 0
+            for v in cell:
+                if type(v) is not int or not 0 <= v < order:
+                    _check_index(v, order, "mul[%d][%d]" % (i, j))
+                mask |= 1 << v
+            if mask.bit_count() != len(cell):
+                raise MalformedTables("mul[%d][%d]: duplicate members %r" % (i, j, cell))
+            cells.append(mask)
         mul.append(cells)
-    return add, mul
+    return add_rows, mul
 
 
 def ideal_to_dict(ring: FiniteHyperring, imask: int) -> dict:
