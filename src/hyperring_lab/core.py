@@ -2,9 +2,15 @@
 
 A structure is given by an addition table (single-valued, expected to be an
 abelian group), and a hyperproduct table whose cells are nonempty subsets of
-the carrier, stored as bitmasks.  Construction only enforces table shape;
-`validate_axioms` evaluates the algebraic laws exhaustively and reports the
-lexicographically first witness for each failure instead of raising.
+the carrier, stored as bitmasks.  Both constructors refuse rows that are not
+lists of the carrier's length and `add` entries that are not element
+indices; `FiniteHyperring(add, mul)` refuses a cell that is not a nonempty
+list of distinct element indices, and `from_masks` a mask cell that is empty
+or reaches outside the carrier.  Each raises `MalformedTables` naming the
+first fault: row shapes (add, then mul), then add entries, then mul cells,
+row by row.  The laws are not checked there: `validate_axioms` evaluates
+them exhaustively and reports the lexicographically first witness for each
+failure instead of raising.
 
 Laws checked, in report order:
 
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Iterable, Optional
 
-from .bitsets import full_mask, is_subset, iter_bits, mask_of, members
+from .bitsets import full_mask, iter_bits, mask_of, members
 
 
 class HyperringError(Exception):
@@ -133,6 +139,53 @@ class PowerProfile:
         return self.powers[idx - 1]
 
 
+def _checked_order(add, mul) -> int:
+    """The carrier size of well-shaped tables with element indices in `add`,
+    or MalformedTables naming the first fault in the module docstring's order."""
+    n = len(add)
+    if n == 0:
+        raise MalformedTables("carrier must be nonempty")
+    if len(mul) != n:
+        raise MalformedTables("tables must have exactly %d rows" % n)
+    for key, rows in (("add", add), ("mul", mul)):
+        for i, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise MalformedTables("%s row %d must be a list" % (key, i))
+            if len(row) != n:
+                raise MalformedTables("%s row %d has %d entries" % (key, i, len(row)))
+    for i, row in enumerate(add):
+        for j, v in enumerate(row):
+            if type(v) is not int or not 0 <= v < n:
+                raise _bad_index(v, n, "add[%d][%d]" % (i, j))
+    return n
+
+
+def _member_masks(i, row, n) -> list[int]:
+    """Row `i` of a product table of member lists as bitmasks, or MalformedTables
+    naming its first bad cell; a cell's duplicates are named after its members."""
+    masks = []
+    for j, cell in enumerate(row):
+        if not isinstance(cell, list):
+            raise MalformedTables("mul[%d][%d]: expected a list of members" % (i, j))
+        mask = 0
+        for v in cell:
+            if type(v) is not int or not 0 <= v < n:
+                raise _bad_index(v, n, "mul[%d][%d]" % (i, j))
+            mask |= 1 << v
+        if mask.bit_count() != len(cell):
+            raise MalformedTables("mul[%d][%d]: duplicate members %r" % (i, j, cell))
+        if not mask:
+            raise MalformedTables("mul[%d][%d] is empty" % (i, j))
+        masks.append(mask)
+    return masks
+
+
+def _bad_index(value, order: int, where: str) -> MalformedTables:
+    if type(value) is not int:
+        return MalformedTables("%s: expected an element index, got %r" % (where, value))
+    return MalformedTables("%s: index %d out of range 0..%d" % (where, value, order - 1))
+
+
 class FiniteHyperring:
     """A finite carrier with an addition table and a set-valued product table.
 
@@ -150,11 +203,12 @@ class FiniteHyperring:
     def __init__(
         self,
         add: list[list[int]],
-        mul: list[list[Iterable[int]]],
+        mul: list[list[list[int]]],
         name: str = "",
         meta: Optional[dict] = None,
     ):
-        self._init_from_masks(add, [[mask_of(c) for c in row] for row in mul], name, meta)
+        n = _checked_order(add, mul)
+        self._fill(add, [_member_masks(i, row, n) for i, row in enumerate(mul)], name, meta)
 
     @classmethod
     def from_masks(
@@ -164,37 +218,18 @@ class FiniteHyperring:
         name: str = "",
         meta: Optional[dict] = None,
     ) -> "FiniteHyperring":
+        bound = 1 << _checked_order(add, mul_masks)
+        for i, row in enumerate(mul_masks):
+            for j, cell in enumerate(row):
+                if not 0 < cell < bound:
+                    fault = "is empty" if cell == 0 else "references elements outside the carrier"
+                    raise MalformedTables("mul[%d][%d] %s" % (i, j, fault))
         ring = cls.__new__(cls)
-        ring._init_from_masks(add, [list(r) for r in mul_masks], name, meta)
+        ring._fill(add, [list(row) for row in mul_masks], name, meta)
         return ring
 
-    def _init_from_masks(self, add, mul_masks, name, meta):
-        n = len(add)
-        if n == 0:
-            raise MalformedTables("carrier must be nonempty")
-        limit = full_mask(n)
-        for a in range(n):
-            if len(add[a]) != n:
-                raise MalformedTables("addition table is not %d x %d" % (n, n))
-            for b in range(n):
-                if not 0 <= add[a][b] < n:
-                    raise MalformedTables(
-                        "add[%d][%d] = %r is outside the carrier" % (a, b, add[a][b])
-                    )
-        if len(mul_masks) != n:
-            raise MalformedTables("product table is not %d x %d" % (n, n))
-        for a in range(n):
-            if len(mul_masks[a]) != n:
-                raise MalformedTables("product table is not %d x %d" % (n, n))
-            for b in range(n):
-                cell = mul_masks[a][b]
-                if cell == 0:
-                    raise MalformedTables("mul[%d][%d] is empty" % (a, b))
-                if not is_subset(cell, limit):
-                    raise MalformedTables(
-                        "mul[%d][%d] references elements outside the carrier" % (a, b)
-                    )
-        self.order = n
+    def _fill(self, add, mul_masks, name, meta):
+        self.order = len(add)
         self.add = [list(row) for row in add]
         self.mul = mul_masks
         self.name = name

@@ -76,8 +76,12 @@ class SuiteConfig:
                     "check_ids must name at least one check, in a tuple, got %r"
                     % (self.check_ids,)
                 )
+            seen = set()
             for check_id in self.check_ids:
                 get_check(check_id)
+                if check_id in seen:
+                    raise ValueError("check_ids names %r more than once" % (check_id,))
+                seen.add(check_id)
 
     def to_dict(self) -> dict:
         # The worker count does not change the report, so it is left out.

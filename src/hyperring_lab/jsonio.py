@@ -2,9 +2,11 @@
 
 The interchange form stores the addition table as a matrix of element
 indices and each multiplication cell as an ascending list of members, so a
-file diff shows exactly which cells changed.  Decoding is strict: shape
-errors, out-of-range entries, and duplicate members are rejected rather
-than repaired.
+file diff shows exactly which cells changed.  Decoding checks the
+document (an object with a positive `order`, two tables of `order` rows, a
+string `name`, an object `meta`) and hands the tables to the
+`FiniteHyperring` constructor, which refuses a bad row or cell; nothing is
+repaired.
 """
 
 from __future__ import annotations
@@ -31,14 +33,6 @@ def ring_to_dict(ring: FiniteHyperring) -> dict:
     }
 
 
-def _check_index(value: Any, order: int, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise MalformedTables("%s: expected an element index, got %r" % (where, value))
-    if not 0 <= value < order:
-        raise MalformedTables("%s: index %d out of range 0..%d" % (where, value, order - 1))
-    return value
-
-
 def ring_from_dict(data: dict) -> FiniteHyperring:
     if not isinstance(data, dict):
         raise MalformedTables("hyperring document must be an object")
@@ -55,12 +49,6 @@ def ring_from_dict(data: dict) -> FiniteHyperring:
             raise MalformedTables("%s must be a list of rows" % key)
         if len(rows) != order:
             raise MalformedTables("tables must have exactly %d rows" % order)
-        for i, row in enumerate(rows):
-            if not isinstance(row, list):
-                raise MalformedTables("%s row %d must be a list" % (key, i))
-            if len(row) != order:
-                raise MalformedTables("%s row %d has %d entries" % (key, i, len(row)))
-    tables = _read_tables(add_rows, mul_rows, order)
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise MalformedTables("name must be a string")
@@ -69,33 +57,7 @@ def ring_from_dict(data: dict) -> FiniteHyperring:
         meta = {}
     elif not isinstance(meta, dict):
         raise MalformedTables("meta must be an object")
-    return FiniteHyperring.from_masks(*tables, name=name, meta=meta)
-
-
-def _read_tables(add_rows, mul_rows, order):
-    """(add, mul masks) of well-shaped rows, or MalformedTables naming the
-    first bad entry in reading order, add before mul.  A cell's location is
-    formatted only when that cell is rejected."""
-    for i, row in enumerate(add_rows):
-        for j, v in enumerate(row):
-            if type(v) is not int or not 0 <= v < order:
-                _check_index(v, order, "add[%d][%d]" % (i, j))
-    mul = []
-    for i, row in enumerate(mul_rows):
-        cells = []
-        for j, cell in enumerate(row):
-            if not isinstance(cell, list):
-                raise MalformedTables("mul[%d][%d]: expected a list of members" % (i, j))
-            mask = 0
-            for v in cell:
-                if type(v) is not int or not 0 <= v < order:
-                    _check_index(v, order, "mul[%d][%d]" % (i, j))
-                mask |= 1 << v
-            if mask.bit_count() != len(cell):
-                raise MalformedTables("mul[%d][%d]: duplicate members %r" % (i, j, cell))
-            cells.append(mask)
-        mul.append(cells)
-    return add_rows, mul
+    return FiniteHyperring(add_rows, mul_rows, name=name, meta=meta)
 
 
 def ideal_to_dict(ring: FiniteHyperring, imask: int) -> dict:

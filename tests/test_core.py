@@ -147,6 +147,10 @@ def test_from_masks_rejects_empty_cells_and_bad_shapes():
         FiniteHyperring.from_masks([[0, 1], [1, 0]], [[1, 1], [1, 0]])
     with pytest.raises(MalformedTables):
         FiniteHyperring.from_masks([[0], [0]], [[1], [1]])
+    for entry in (True, 2.0):
+        with pytest.raises(MalformedTables) as refused:
+            FiniteHyperring.from_masks([[0, 1], [1, entry]], [[1, 1], [1, 2]])
+        assert str(refused.value) == "add[1][1]: expected an element index, got %r" % entry
 
 
 def test_power_sequences_frozen():

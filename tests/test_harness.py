@@ -90,6 +90,8 @@ def test_random_instances_are_seed_stable():
         ("check_ids", ["C2_7"], ValueError, "check_ids must name at least one check"),
         ("check_ids", "C2_7", ValueError, "check_ids must name at least one check"),
         ("check_ids", ("C2_7", "T9_99"), UnknownCheckId, "no check named 'T9_99'"),
+        ("check_ids", ("T2_4", "C2_7", "T2_4"), ValueError,
+         "check_ids names 'T2_4' more than once"),
     ],
 )
 def test_suite_config_refuses_each_bad_field_at_construction(

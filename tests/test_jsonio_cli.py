@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperring_lab import (
+    FiniteHyperring,
     MalformedTables,
     cli,
     harness,
@@ -54,8 +55,13 @@ def test_ring_dict_shape():
 
 
 # Edits to the zx(4;2) document, as (key path, value) pairs, and the message
-# of the first bad entry; an entry is read add before mul, row by row.
+# of the first fault: the document's fields, then row shapes (add, then mul),
+# then add entries and mul cells, row by row.
 BAD_DOCUMENTS = [
+    ([(("add",), 5)], "add must be a list of rows"),
+    ([(("mul",), [[[0]] * 4] * 3)], "tables must have exactly 4 rows"),
+    ([(("add", 1), [1, 2, 3])], "add row 1 has 3 entries"),
+    ([(("mul", 2), 5)], "mul row 2 must be a list"),
     ([(("order",), 0)], "order must be a positive integer"),
     ([(("mul", 1, 1), [2, 2])], "mul[1][1]: duplicate members [2, 2]"),
     ([(("mul", 1, 1), [7])], "mul[1][1]: index 7 out of range 0..3"),
@@ -73,21 +79,40 @@ BAD_DOCUMENTS = [
 ]
 
 
+def _edited_zx42(edits):
+    doc = ring_to_dict(make_zx_mod(4, [2]))
+    for path, value in edits:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return doc
+
+
 def test_strict_decoding_rejects_bad_documents():
-    """Each bad document is refused with the message of its first bad entry."""
-    good = ring_to_dict(make_zx_mod(4, [2]))
+    """Each bad document is refused with the message of its first fault."""
+    good = _edited_zx42([])
     with pytest.raises(MalformedTables, match=r"^missing key 'add'$"):
         ring_from_dict({k: v for k, v in good.items() if k != "add"})
     for edits, message in BAD_DOCUMENTS:
-        doc = json.loads(json.dumps(good))
-        for path, value in edits:
-            node = doc
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value
         with pytest.raises(MalformedTables) as refused:
-            ring_from_dict(doc)
+            ring_from_dict(_edited_zx42(edits))
         assert str(refused.value) == message
+
+
+def test_list_constructor_refuses_bad_tables_with_the_decoders_message():
+    """FiniteHyperring(add, mul) refuses every bad table of BAD_DOCUMENTS with
+    the decoder's message, so decoding leaves rows and cells to it.  A table
+    that is not a list, and the other fields, are the document's to check."""
+    tried = 0
+    for edits, message in BAD_DOCUMENTS:
+        doc = _edited_zx42(edits)
+        if {path[0] for path, _ in edits} <= {"add", "mul"} and isinstance(doc["add"], list):
+            with pytest.raises(MalformedTables) as refused:
+                FiniteHyperring(doc["add"], doc["mul"])
+            assert str(refused.value) == message
+            tried += 1
+    assert tried == len(BAD_DOCUMENTS) - 4
 
 
 def test_profile_encoding_uses_inf_token():
