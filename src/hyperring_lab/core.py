@@ -190,15 +190,22 @@ class FiniteHyperring:
     """A finite carrier with an addition table and a set-valued product table.
 
     `add[a][b]` is an element, `mul[a][b]` a nonempty bitmask.  Derived data
-    (zero, negation, power profiles, the law report, and the tables of the
-    other modules) is computed lazily and kept in one memo per ring, read
-    and filled through `memo` and emptied by `drop_memo` (`run_suite` drops
-    each instance's memo once its checks have run); tables are treated as
-    immutable after construction.  `factors` is the pair of factor rings of
-    a ring built by `product_ring`, and None for every other ring.
+    is computed lazily and kept in two memos, both emptied by `drop_memo`
+    (`run_suite` drops each instance's memo once its checks have run);
+    tables are treated as immutable after construction.
+
+    * `memo` holds what depends on the tables alone: zero, negation, power
+      profiles, the law report, and the tables of the other modules.  A
+      ring made by `renamed` has its source's tables, so it shares this
+      memo with its source.
+    * `own_memo` holds what names this ring object, such as a quotient
+      named after it; it is never shared.
+
+    `factors` is the pair of factor rings of a ring built by
+    `product_ring`, and None for every other ring.
     """
 
-    __slots__ = ("order", "add", "mul", "name", "meta", "factors", "_cache")
+    __slots__ = ("order", "add", "mul", "name", "meta", "factors", "_cache", "_own")
 
     def __init__(
         self,
@@ -236,10 +243,20 @@ class FiniteHyperring:
         self.meta = dict(meta) if meta else {}
         self.factors = None
         self._cache = {}
+        self._own = {}
 
     def __repr__(self) -> str:
         label = self.name or "order %d" % self.order
         return "<FiniteHyperring %s>" % label
+
+    def renamed(self, name: str, meta: dict) -> "FiniteHyperring":
+        """A ring with these tables under another name and meta, sharing
+        this ring's table memo; its own memo starts empty and `factors` is
+        None."""
+        ring = FiniteHyperring.__new__(FiniteHyperring)
+        ring._fill(self.add, [list(row) for row in self.mul], name, meta)
+        ring._cache = self._cache
+        return ring
 
     def memo(self, key, build):
         """The value memoized under `key`, from `build()` on the first miss.
@@ -247,7 +264,8 @@ class FiniteHyperring:
         Any value counts, None included.  A `build` that raises stores
         nothing, so the next call builds again.  A grow-on-demand row is
         memoized as its starting list and then extended in place, only by
-        the function that owns it.
+        the function that owns it.  The value must follow from the tables
+        alone, since rings with equal tables may share this memo.
         """
         try:
             return self._cache[key]
@@ -255,10 +273,21 @@ class FiniteHyperring:
             value = self._cache[key] = build()
             return value
 
+    def own_memo(self, key, build):
+        """As `memo`, for a value that names this ring object (a ring named
+        after it, a map from it), which no other ring may share."""
+        try:
+            return self._own[key]
+        except KeyError:
+            value = self._own[key] = build()
+            return value
+
     def drop_memo(self) -> None:
-        """Empty the memo in place; `factors` stays, and every table is
-        rebuilt on its next request."""
+        """Empty both memos in place; `factors` stays, and every table is
+        rebuilt on its next request.  A shared table memo is emptied for
+        every ring that shares it."""
         self._cache.clear()
+        self._own.clear()
 
     # -- structural elements -------------------------------------------------
 
@@ -593,27 +622,15 @@ def make_zx_mod(modulus: int, multipliers: Iterable[int]) -> FiniteHyperring:
 
 def product_ring(r1: FiniteHyperring, r2: FiniteHyperring) -> FiniteHyperring:
     """Componentwise direct product; pair (x1, x2) is encoded as x1*|r2| + x2."""
-    n1, n2 = r1.order, r2.order
-    n = n1 * n2
-    add = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    # The cell of (a1, a2)*(b1, b2) is the box m1 x m2, the union of the
-    # copies of m2 = a2*b2 shifted by c1*n2 for each c1 in m1 = a1*b1.
-    shifts = [[[c1 * n2 for c1 in iter_bits(m1)] for m1 in row] for row in r1.mul]
-    for a1 in range(n1):
-        for a2 in range(n2):
-            a = a1 * n2 + a2
-            for b1 in range(n1):
-                s1 = r1.add[a1][b1]
-                box = shifts[a1][b1]
-                for b2 in range(n2):
-                    b = b1 * n2 + b2
-                    add[a][b] = s1 * n2 + r2.add[a2][b2]
-                    m2 = r2.mul[a2][b2]
-                    cell = 0
-                    for base in box:
-                        cell |= m2 << base
-                    mul[a][b] = cell
+    n2 = r2.order
+    # The cell of (a1, a2)*(b1, b2) is the box m1 x m2 of m1 = a1*b1 and
+    # m2 = a2*b2: the copies of m2 shifted by c1*n2 for each c1 in m1.  As
+    # m2 < 2**n2 the copies never overlap, so the box is m2 times the
+    # spread of m1, the mask with bit c1*n2 for each c1 in m1.
+    spreads = [[sum(1 << c1 * n2 for c1 in iter_bits(m1)) for m1 in row] for row in r1.mul]
+    sums = [[s1 * n2 for s1 in row] for row in r1.add]
+    add = [[s1 + s2 for s1 in row1 for s2 in row2] for row1 in sums for row2 in r2.add]
+    mul = [[m1 * m2 for m1 in row1 for m2 in row2] for row1 in spreads for row2 in r2.mul]
     name = "%sx%s" % (r1.name or "?", r2.name or "?")
     meta = {"family": "product"}
     ring = FiniteHyperring.from_masks(add, mul, name=name, meta=meta)
@@ -680,11 +697,18 @@ def check_good_hom(f: HomMap) -> tuple[bool, Optional[tuple]]:
     pair violating the corresponding law.
     """
     src, dst, t = f.source, f.target, f.table
+    images: dict[int, int] = {}  # cell -> f(cell), once per distinct cell
     for a in range(src.order):
+        add_row, mul_row = src.add[a], src.mul[a]
+        dadd, dmul = dst.add[t[a]], dst.mul[t[a]]
         for b in range(src.order):
-            if t[src.add[a][b]] != dst.add[t[a]][t[b]]:
+            if t[add_row[b]] != dadd[t[b]]:
                 return False, ("add", a, b)
-            if f.image_mask(src.mul[a][b]) != dst.mul[t[a]][t[b]]:
+            cell = mul_row[b]
+            image = images.get(cell)
+            if image is None:
+                image = images[cell] = f.image_mask(cell)
+            if image != dmul[t[b]]:
                 return False, ("mul", a, b)
     return True, None
 

@@ -34,7 +34,6 @@ from .core import (
     FiniteHyperring,
     HomMap,
     WellDefinednessFailure,
-    validate_axioms,
 )
 from .ideals import (
     coset_partition,
@@ -65,14 +64,14 @@ def fundamental_ring(ring: FiniteHyperring) -> tuple[FiniteHyperring, HomMap]:
                         "product of classes (%d,%d) straddles classes %s"
                         % (i, j, members(cell))
                     )
-        failed = next((c for c in validate_axioms(quot).axioms if not c.ok), None)
+        failed = next((c for c in quot.validate().axioms if not c.ok), None)
         if failed is not None:
             raise AxiomFailure(
                 "class ring breaks %s at classes %s" % (failed.name, failed.witness)
             )
         return quot, proj
 
-    return ring.memo("fundamental", build)
+    return ring.own_memo("fundamental", build)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ def _join_subgroup(ring: FiniteHyperring, base: int, amask: int) -> int:
     rest = amask & ~cur
     while rest:
         g = (rest & -rest).bit_length() - 1
-        xs = members(cur)
+        xs = iter_bits(cur)
         total = cur
         kg = g
         while not total >> kg & 1:
@@ -108,7 +108,7 @@ def is_hyperideal(ring: FiniteHyperring, imask: int) -> bool:
     add = ring.add
     neg = ring.neg_table()
     absorb = absorption_table(ring)
-    xs = members(imask)
+    xs = iter_bits(imask)
     for a in xs:
         row = add[a]
         for b in xs:
@@ -168,7 +168,7 @@ def _build_ideals(ring: FiniteHyperring) -> tuple[int, ...]:
     while frontier:
         nxt = []
         for ideal in frontier:
-            xs = members(ideal)
+            xs = iter_bits(ideal)
             for p in principals:
                 rest = p & ~ideal
                 if not rest:
@@ -341,7 +341,7 @@ def _multiset_products(ring: FiniteHyperring, length: int) -> tuple[list, list]:
         classes: dict[tuple, dict] = {}
         for (prod, subs), by_last in table["classes"].items():
             pid = intern(prod)
-            sub_ids = members(subs)
+            sub_ids = iter_bits(subs)
             best = None
             for a in range(min(by_last), ring.order):
                 t = by_last.get(a)
@@ -569,8 +569,18 @@ def coset_ring(
     raises instead of miscomputing.  That pair check is the add/mul
     compatibility test of `check_good_hom`, so the returned projection is a
     good homomorphism.
+
+    When each element is its own class (the subgroup is {0}), the class
+    tables are the ring's own tables, which pass the pair check as they
+    stand.  The class ring is then the ring `renamed`: it shares the ring's
+    memo of table-derived entries, so its lattice, profiles and closed-pair
+    rows are not built twice.
     """
     classes, class_of = coset_partition(ring, subgroup)
+    meta = {"family": family}
+    if class_of == list(ring.elements):
+        quot = ring.renamed(name, meta)
+        return quot, HomMap(ring, quot, tuple(class_of))
     reps = [least(c) for c in classes]
     images: dict[int, int] = {}  # cell -> its class set, once per distinct cell
     for row in ring.mul:
@@ -596,7 +606,7 @@ def coset_ring(
                 raise WellDefinednessFailure(
                     "coset product differs at representatives (%d,%d)" % (a, b)
                 )
-    quot = FiniteHyperring.from_masks(add, mul, name=name, meta={"family": family})
+    quot = FiniteHyperring.from_masks(add, mul, name=name, meta=meta)
     return quot, HomMap(ring, quot, tuple(class_of))
 
 
@@ -610,7 +620,7 @@ def quotient_by_ideal(
         name = "%s/%s" % (ring.name or "ring", "".join(str(x) for x in members(pmask)))
         return coset_ring(ring, pmask, name, "quotient")
 
-    return ring.memo(("quot", pmask), build)
+    return ring.own_memo(("quot", pmask), build)
 
 
 def classify_ideal(ring: FiniteHyperring, imask: int) -> dict:

@@ -417,6 +417,22 @@ def pair_split(r2_order, x):
     return divmod(x, r2_order)
 
 
+def first_bad_hom_pair(f):
+    """First ("add" | "mul", a, b) in row-major order at which the map breaks
+    f(a+b) = f(a)+f(b) or f(a*b) = f(a)*f(b), the sum tested first; None for
+    a good map.  Images are formed per pair from frozensets."""
+    n, add, mul = tables(f.source)
+    _, add2, mul2 = tables(f.target)
+    t = f.table
+    for a in range(n):
+        for b in range(n):
+            if t[add[a][b]] != add2[t[a]][t[b]]:
+                return ("add", a, b)
+            if frozenset(t[x] for x in mul[a][b]) != mul2[t[a]][t[b]]:
+                return ("mul", a, b)
+    return None
+
+
 def closed_combinations(ring, p, part, omega_of):
     """Reference for the T2_5i/T2_5ii case generator: one case per
     (combo, s, n), tested pair by pair on the aggregate's land row.

@@ -17,16 +17,20 @@ from hyperring_lab import (
     MalformedTables,
     canonical_identity,
     check_good_hom,
+    enumerate_hyperideals,
+    fundamental_ring,
     generate_instances,
     is_strongly_distributive,
     make_zx_mod,
     mask_of,
     members,
     product_ring,
+    quotient_by_ideal,
     scalar_identity,
     validate_axioms,
     weak_identities,
 )
+from hyperring_lab.closedness import closed_rows
 from hyperring_lab.core import factor_mask, identity_hom
 
 import oracles as orc
@@ -258,6 +262,76 @@ def test_memo_stores_nothing_when_the_build_raises(memo_builds):
     assert "neg" not in ring._cache
 
 
+def _table_entries(ring):
+    """Build a few entries that depend on the tables alone."""
+    for q in enumerate_hyperideals(ring)[:-1]:
+        closed_rows(ring, q, 4)
+    ring.power_bound()
+    ring.validate()
+
+
+@pytest.mark.parametrize(
+    "multipliers, build, name",
+    [
+        ([1, 5], lambda r: quotient_by_ideal(r, 1 << r.zero), "zx(6;1,5)/0"),
+        ([1], lambda r: quotient_by_ideal(r, 1 << r.zero), "zx(6;1)/0"),
+        ([1], fundamental_ring, "zx(6;1)/gamma*"),
+    ],
+)
+def test_coset_ring_by_zero_shares_the_table_memo(memo_builds, multipliers, build, name):
+    """R/{0}, and the class ring of a ring whose products are singletons
+    (gamma* trivial), have R's tables; an entry built on them is a hit on R."""
+    ring = make_zx_mod(6, multipliers)
+    quot, proj = build(ring)
+    assert quot.name == name
+    assert (quot.add, quot.mul) == (ring.add, ring.mul)
+    assert proj.source is ring and proj.target is quot
+    assert proj.table == tuple(ring.elements)
+    del memo_builds[:]
+    _table_entries(quot)
+    assert "ideals" in memo_builds
+    built = len(memo_builds)
+    _table_entries(ring)
+    assert len(memo_builds) == built
+
+
+def test_quotient_by_a_nonzero_ideal_shares_nothing(memo_builds):
+    ring = make_zx_mod(6, [1, 5])
+    quot, _ = quotient_by_ideal(ring, mask_of([0, 3]))
+    _table_entries(quot)
+    del memo_builds[:]
+    _table_entries(ring)
+    assert "ideals" in memo_builds and "report" in memo_builds
+
+
+def test_rings_named_after_a_zero_quotient_are_its_own():
+    """Quotients and the class ring keep to the ring object they were asked
+    of, so those of R/0 are named after R/0 and project from it."""
+    ring = make_zx_mod(8, [1, 3])
+    zero_quot, _ = quotient_by_ideal(ring, 1 << ring.zero)
+    half = mask_of([0, 4])
+    pairs = [
+        (quotient_by_ideal(ring, half), ring, "zx(8;1,3)/04"),
+        (quotient_by_ideal(zero_quot, half), zero_quot, "zx(8;1,3)/0/04"),
+        (fundamental_ring(ring), ring, "zx(8;1,3)/gamma*"),
+        (fundamental_ring(zero_quot), zero_quot, "zx(8;1,3)/0/gamma*"),
+    ]
+    for (quot, proj), source, name in pairs:
+        assert quot.name == name and proj.source is source
+    assert quotient_by_ideal(zero_quot, half)[0] is pairs[1][0][0]
+
+
+def test_drop_memo_empties_a_shared_memo(memo_builds):
+    ring = make_zx_mod(6, [1, 5])
+    quot, _ = quotient_by_ideal(ring, 1 << ring.zero)
+    _table_entries(quot)
+    ring.drop_memo()
+    assert (ring._cache, ring._own, quot._cache) == ({}, {}, {})
+    del memo_builds[:]
+    _table_entries(quot)
+    assert "ideals" in memo_builds
+
+
 def test_star_import_binds_every_exported_name():
     assert len(set(hyperring_lab.__all__)) == len(hyperring_lab.__all__)
     namespace: dict = {}
@@ -386,7 +460,27 @@ def test_bad_hom_reports_witness():
     r = make_zx_mod(4, [2])
     collapse = HomMap(r, r, (0, 0, 2, 0))
     ok, witness = check_good_hom(collapse)
-    assert not ok and witness is not None
+    assert not ok and witness == ("add", 1, 1)
+
+
+def test_good_hom_witness_is_the_first_bad_pair():
+    """On every single-entry edit of a few maps' tables, check_good_hom gives
+    the first failing pair of a brute-force row-major scan, exactly."""
+    r = make_zx_mod(4, [2])
+    maps = [HomMap(r, r, (0, 3, 2, 1)), HomMap(r, r, (0, 0, 2, 0))]
+    for src in (r, make_zx_mod(8, [1, 3])):
+        target = product_ring(src, make_zx_mod(2, [1]))
+        maps.append(HomMap(src, target, tuple(2 * x for x in src.elements)))
+    kinds = set()
+    for f in maps:
+        for i in f.source.elements:
+            for v in f.target.elements:
+                table = f.table[:i] + (v,) + f.table[i + 1 :]
+                edited = HomMap(f.source, f.target, table)
+                expect = orc.first_bad_hom_pair(edited)
+                assert check_good_hom(edited) == (expect is None, expect), table
+                kinds.add(expect and expect[0])
+    assert kinds == {None, "add", "mul"}
 
 
 def test_hom_masks():
@@ -399,17 +493,29 @@ def test_hom_masks():
 
 
 def test_product_ring_cells_follow_the_pair_encoding():
-    """Every sum and product cell of the default product rings against the
-    oracle's pair encoding, one member pair at a time."""
+    """Every sum and product cell against the oracle's pair encoding, one
+    member pair at a time: on the default product rings, on the order-2n
+    target R x zx(2;1) of every default instance (cells of up to 32 bits),
+    and on a product with an asymmetric product table."""
+    instances = generate_instances(SuiteConfig())
     factors = [
-        r for r in generate_instances(SuiteConfig())
-        if r.meta.get("family") == "zx_mod" and r.order <= 6
+        r for r in instances if r.meta.get("family") == "zx_mod" and r.order <= 6
     ]
     pairs = [
         (r1, r2) for r1, r2 in combinations_with_replacement(factors, 2)
         if r1.order * r2.order <= 16
     ]
     assert len(pairs) == 110
+    partner = make_zx_mod(2, [1])
+    pairs += [(r, partner) for r in instances]
+    assert max(r1.order * r2.order for r1, r2 in pairs) == 32
+    # On Z/3, a*b = {a, 2b mod 3}.
+    lopsided = FiniteHyperring(
+        [[(a + b) % 3 for b in range(3)] for a in range(3)],
+        [[sorted({a, 2 * b % 3}) for b in range(3)] for a in range(3)],
+    )
+    assert lopsided.mul[0][1] != lopsided.mul[1][0]
+    pairs.append((lopsided, lopsided))
     for r1, r2 in pairs:
         ring = product_ring(r1, r2)
         n1, add1, mul1 = orc.tables(r1)
