@@ -54,7 +54,7 @@ def is_subset(a: int, b: int) -> bool:
 
 
 def size(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def full_mask(n: int) -> int:

@@ -47,20 +47,19 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from .bitsets import is_subset, iter_bits, least, members
 from .closedness import (
-    big_omega_unchecked,
     closed_rows,
-    land_mask,
-    omega_unchecked,
+    open_mask,
     open_pairs,
+    order_rows,
+    premise,
     regularity_rows,
-    tough_free_rows,
-    tough_zero_mask,
     zero_in_mask,
 )
 from .core import (
     FiniteHyperring,
     HomMap,
     UnknownCheckId,
+    box_mask,
     canonical_identity,
     check_good_hom,
     factor_mask,
@@ -217,13 +216,13 @@ def _pairs(rows):
             yield s, n
 
 
-def _window_rows(ring, ideals, p, weak=False):
+def _window_rows(ring, ideals, p, kind="closed"):
     """Per-s masks of the pairs with s <= s_max and n <= n_max at which every
-    one of `ideals` is (weakly) closed; entry 0 is 0."""
+    one of `ideals` is closed for the pair kind; entry 0 is 0."""
     top = max(p.s_max, p.n_max)
     out = [0] + [_upto(p.n_max)] * p.s_max
     for q in ideals:
-        rows = closed_rows(ring, q, top, weak)
+        rows = closed_rows(ring, q, top, kind)
         for s in range(1, p.s_max + 1):
             out[s] &= rows[s]
     return out
@@ -232,16 +231,8 @@ def _window_rows(ring, ideals, p, weak=False):
 def _weakly_not_closed(ring, q, p):
     """Per-s masks of the window pairs at which q is weakly closed but not
     closed."""
-    weak = _window_rows(ring, (q,), p, True)
+    weak = _window_rows(ring, (q,), p, "weak")
     return [w & ~c for w, c in zip(weak, _window_rows(ring, (q,), p))]
-
-
-def _box_mask(m1, m2, n2):
-    """Pairs mask of m1 x m2 under the (a1, a2) -> a1*n2 + a2 encoding."""
-    out = 0
-    for a1 in iter_bits(m1):
-        out |= m2 << a1 * n2
-    return out
 
 
 # -- closed hyperideals -----------------------------------------------------------
@@ -295,10 +286,7 @@ def _closed_combinations(ring, p, part):
     against the aggregate's closed-pair rows."""
     propers = proper_hyperideals(ring)
     ns = _upto(p.n_max)
-    omegas = {
-        q: [omega_unchecked(ring, q, s) for s in range(1, p.s_max + 1)]
-        for q in propers
-    }
+    omegas = {q: order_rows(ring, q, p.s_max)[0][1 : p.s_max + 1] for q in propers}
     bound = sum if part == "product" else max
     count = 0
     for t in range(1, p.tuple_max + 1):
@@ -533,21 +521,23 @@ def _half_exponent_spread(ring, q, p):
 
 def _orders(ring, q, kk):
     """(closed-pair rows, omega, Omega) of the ideal q for s, n <= kk, each
-    in the entry-s layout with entry 0 set to 0.  One memo entry per ring
-    and ideal, read by R2_omega and T2_13-C2_18 (T2_13 and T2_14 compute
-    their one value at kk + 1 themselves); an intersection that the
-    enumeration left out (on tables that fail the axioms) is built on its
-    first lookup like any other ideal."""
+    a copy cut to the window, in the entry-s layout with entry 0 set to 0 so
+    that whole lists compare.  One memo entry per ring, ideal and kk, read
+    by R2_omega and T2_15-C2_18, which cut the same ideal's rows once per
+    pair of ideals; an intersection that the enumeration left out (on
+    tables that fail the axioms) is built on its first lookup like any
+    other ideal."""
 
     def build():
         every_n = _upto(kk)
+        om, big = order_rows(ring, q, kk)
         return (
             [0] + [row & every_n for row in closed_rows(ring, q, kk)[1 : kk + 1]],
-            [0] + [omega_unchecked(ring, q, s) for s in range(1, kk + 1)],
-            [0] + [big_omega_unchecked(ring, q, n) for n in range(1, kk + 1)],
+            [0] + om[1 : kk + 1],
+            [0] + big[1 : kk + 1],
         )
 
-    return ring.memo(("orders", q, kk), build)
+    return ring.memo(("window orders", q, kk), build)
 
 
 def _order_comparisons(ring, p):
@@ -572,7 +562,7 @@ def _order_comparisons(ring, p):
 
 def _omega_jump(ring, q, p):
     kk = _kmax(ring, p)
-    omegas = _orders(ring, q, kk)[_OMEGA] + [omega_unchecked(ring, q, kk + 1)]
+    omegas = order_rows(ring, q, kk + 1)[0]
     count = 0
     for s in range(1, kk + 1):
         w, w2 = omegas[s], omegas[s + 1]
@@ -592,7 +582,7 @@ def _omega_jump(ring, q, p):
 
 def _Omega_jump(ring, q, p):
     kk = _kmax(ring, p)
-    bigs = _orders(ring, q, kk)[_BIG_OMEGA] + [big_omega_unchecked(ring, q, kk + 1)]
+    bigs = order_rows(ring, q, kk + 1)[1]
     count = 0
     for n in range(1, kk + 1):
         big, big2 = bigs[n], bigs[n + 1]
@@ -673,9 +663,9 @@ def _weakly_basics(ring, p):
     count = 0
     for pm, qm in combinations(propers, 2):
         im = pm & qm
-        hyp = _window_rows(ring, (pm, qm), p, True)
+        hyp = _window_rows(ring, (pm, qm), p, "weak")
         count += _bits(hyp)
-        for s, n, w in open_pairs(ring, im, hyp, True):
+        for s, n, w in open_pairs(ring, im, hyp, "weak"):
             yield (
                 (pm, qm, im),
                 (w,),
@@ -685,10 +675,10 @@ def _weakly_basics(ring, p):
             )
     top = max(p.s_max, p.n_max)
     for q in propers:
-        hyp = _window_rows(ring, (q,), p, True)
+        hyp = _window_rows(ring, (q,), p, "weak")
         count += _bits(hyp)
         # Shifted by one, entry s tests (s, n+1) wherever (s, n) holds.
-        for s, n, w in open_pairs(ring, q, [h << 1 for h in hyp], True):
+        for s, n, w in open_pairs(ring, q, [h << 1 for h in hyp], "weak"):
             yield (
                 (q,),
                 (w,),
@@ -700,12 +690,12 @@ def _weakly_basics(ring, p):
             continue
         count += _bits(hyp)
         closed = closed_rows(ring, q, top)
-        free = tough_free_rows(ring, q, top)
+        free = closed_rows(ring, q, top, "tough")
         # Not closed exactly when some tough zero exists: a case fails where
         # the closed and tough-free bits differ.
         fail = [0] + [hyp[s] & (closed[s] ^ free[s]) for s in range(1, p.s_max + 1)]
         for s, n in _pairs(fail):
-            tough = tough_zero_mask(ring, q, s, n)
+            tough = open_mask(ring, q, s, n, "tough")
             yield (
                 (q,),
                 tuple(members(tough)[:1]),
@@ -718,13 +708,13 @@ def _weakly_basics(ring, p):
 
 def _tough_zero_shift(ring, q, p):
     inside = members(q)
-    weak = _window_rows(ring, (q,), p, True)
-    free = tough_free_rows(ring, q, max(p.s_max, p.n_max))
+    weak = _window_rows(ring, (q,), p, "weak")
+    free = closed_rows(ring, q, max(p.s_max, p.n_max), "tough")
     count = 0
     # Tough-free pairs have no tough zero, so no case.
     for s, n in _pairs([0] + [weak[s] & ~free[s] for s in range(1, p.s_max + 1)]):
         zs = zero_in_mask(ring, s)
-        for x in iter_bits(tough_zero_mask(ring, q, s, n)):
+        for x in iter_bits(open_mask(ring, q, s, n, "tough")):
             count += 1
             row = ring.add[x]
             bad = next((a for a in inside if not zs >> row[a] & 1), None)
@@ -758,7 +748,7 @@ def _weakly_nilpotent(ring, q, p):
 def _all_weakly_closed(ring, p, ideals, rhs, fmt):
     """One case per window pair with s > n: the ideals given are all weakly
     (s,n)-closed exactly when rhs(s, n) holds."""
-    every = _window_rows(ring, ideals, p, True)
+    every = _window_rows(ring, ideals, p, "weak")
     count = 0
     for s in range(1, p.s_max + 1):
         for n in range(1, min(s - 1, p.n_max) + 1):
@@ -897,9 +887,8 @@ def _hom_pool(ring):
     for f in (ident, emb):
         ok, wit = check_good_hom(f)
         assert ok, ("hom pool member is not a good homomorphism", wit)
-    # coset_ring checks every pair of a quotient projection against the
-    # class tables, which is the check_good_hom test, so they are not
-    # checked again here.
+    # coset_ring passes every quotient projection through check_good_hom,
+    # so they are not checked again here.
     projs = [quotient_by_ideal(ring, pm)[1] for pm in proper_hyperideals(ring)]
     return (ident, *projs, emb)
 
@@ -921,9 +910,9 @@ def _hom_transport(ring, p):
                     )
                     continue
                 assert is_hyperideal(ring, pre)
-                hyp = _window_rows(target, (q2,), p, True)
+                hyp = _window_rows(target, (q2,), p, "weak")
                 count += _bits(hyp)
-                for s, n, w in open_pairs(ring, pre, hyp, True):
+                for s, n, w in open_pairs(ring, pre, hyp, "weak"):
                     yield (
                         (pre,),
                         (w,),
@@ -939,9 +928,9 @@ def _hom_transport(ring, p):
                     continue
                 img = f.image_mask(q1)
                 assert img != target.full and is_hyperideal(target, img)
-                hyp = _window_rows(ring, (q1,), p, True)
+                hyp = _window_rows(ring, (q1,), p, "weak")
                 count += _bits(hyp)
-                for s, n, w in open_pairs(target, img, hyp, True):
+                for s, n, w in open_pairs(target, img, hyp, "weak"):
                     yield (
                         (q1,),
                         (),
@@ -964,9 +953,9 @@ def _quotient_transport(ring, p):
             if quot is None:
                 quot, proj = quotient_by_ideal(ring, pm)
             image = proj.image_mask(qm)
-            hyp = _window_rows(ring, (qm,), p, True)
+            hyp = _window_rows(ring, (qm,), p, "weak")
             count += _bits(hyp)
-            for s, n, w in open_pairs(quot, image, hyp, True):
+            for s, n, w in open_pairs(quot, image, hyp, "weak"):
                 yield (
                     (pm, qm),
                     (),
@@ -987,11 +976,11 @@ def _box_equivalence(ring, p):
             if not is_C_hyperideal(fac, q):
                 continue
             if side == 0:
-                box = _box_mask(q, f2.full, n2)
+                box = box_mask(q, f2.full, n2)
             else:
-                box = _box_mask(f1.full, q, n2)
+                box = box_mask(f1.full, q, n2)
             count += p.s_max * p.n_max
-            i = _window_rows(ring, (box,), p, True)
+            i = _window_rows(ring, (box,), p, "weak")
             ii = _window_rows(fac, (q,), p)
             iii = _window_rows(ring, (box,), p)
             for s, n in _pairs([a ^ b | b ^ c for a, b, c in zip(i, ii, iii)]):
@@ -1011,7 +1000,7 @@ def _box_C_hyperideal(ring, p):
     count = 0
     for i1 in enumerate_hyperideals(f1):
         for i2 in enumerate_hyperideals(f2):
-            box = _box_mask(i1, i2, n2)
+            box = box_mask(i1, i2, n2)
             count += 1
             lhs = is_C_hyperideal(f1, i1) and is_C_hyperideal(f2, i2)
             if lhs != is_C_hyperideal(ring, box):
@@ -1032,9 +1021,9 @@ def _one_sided_criterion(fa, qa, fb, qb, p):
         return [0] * (p.s_max + 1)
     out = _weakly_not_closed(fa, qa, p)
     for s in range(1, p.s_max + 1):
-        if land_mask(fb, qb, s) & ~zero_in_mask(fb, s):
+        if premise(fb, qb, s, "weak"):
             out[s] = 0
-        elif qb != fb.full and land_mask(fa, qa, s) & ~zero_in_mask(fa, s):
+        elif qb != fb.full and premise(fa, qa, s, "weak"):
             out[s] &= closed_rows(fb, qb, max(p.s_max, p.n_max))[s]
     return out
 
@@ -1047,7 +1036,7 @@ def _box_decomposition(ring, p):
     for q in proper_hyperideals(ring):
         q1 = factor_mask(q, n2, 0)
         q2 = factor_mask(q, n2, 1)
-        decomposes = _box_mask(q1, q2, n2) == q
+        decomposes = box_mask(q1, q2, n2) == q
         count += p.s_max * p.n_max
         lhs = _weakly_not_closed(ring, q, p) if is_C_hyperideal(ring, q) else none
         rhs = none

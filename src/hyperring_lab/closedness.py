@@ -18,22 +18,31 @@ Q drags every higher power in) and constant once k reaches the power bound
 L, which makes the "for every exponent" questions decidable on a finite
 window.
 
-Closedness, weak closedness and element regularity share one layout,
-"entry s, bit n": a list indexed by the exponent s whose entry is a mask
-over exponents n, grown on demand to the largest exponent asked for.
-`closed_rows` keeps one such table per (ring, set, weak), bit n of entry s
-set when the set is (weakly) (s,n)-closed; every check over exponent pairs
-reads it, omega(s) is the least bit of entry s and Omega(n) a scan of
-column n.  `tough_free_rows` marks the pairs with no tough zero the same
-way.  `open_pairs` forms the least witness of each failing pair on demand
-from `open_mask` / `weakly_open_mask`; no witness is stored.
+Every closedness notion here is one pair kind, and a kind differs from the
+others only in its premise, the elements it admits at exponent s:
 
-The rule: rows decide verdicts, masks only form witnesses.  Every verdict
-over exponent pairs -- each window check, omega, Omega and the class-ring
-transfer -- is one bit of the closed-pair rows, and `open_mask`,
-`weakly_open_mask` and `tough_zero_mask` are called only to form a witness
-or to list the elements that break a pair.  A single-pair entry point such
-as `is_sn_closed` asks for the least witness and holds when there is none.
+* "closed" -- a^s inside Q, for (s,n)-closedness;
+* "weak"   -- a^s inside Q and free of 0, for weak (s,n)-closedness;
+* "tough"  -- 0 in a^s, for the tough zeros behind the weak theorems.
+
+`_premise` is the one definition of the three, and `premise` its public
+form with the exponent checked.  The set is (s,n)-closed
+for a kind when no admitted element has its n-th power outside it, so
+`open_mask(.., kind)`, the elements breaking a pair, is the premise minus
+land(n).  `closed_rows(.., kind)` keeps one table per (ring, set, kind) in
+the layout "entry s, bit n", a list indexed by s whose entry masks the n
+with the pair closed, grown on demand to the largest exponent asked for.
+`order_rows` keeps omega and Omega of a set as one pair of rows read off
+its closed rows: omega(s) is the least bit of entry s and Omega(n) a scan
+of column n.
+
+Rows decide verdicts, masks only form witnesses.  Every verdict over
+exponent pairs -- each window check, omega, Omega and the class-ring
+transfer -- is one bit or entry of these rows, and `open_mask` is called
+only to form a witness or to list the elements that break a pair;
+`open_pairs` forms the least witness of each failing pair on demand, and no
+witness is stored.  A single-pair entry point such as `is_sn_closed` asks
+for the least witness and holds when there is none.
 
 Element regularity keeps one pair of regularity rows per (ring, element):
 entry s holds the n with a^n inside a^s * b for a single element b
@@ -122,71 +131,74 @@ def zero_in_row(ring: FiniteHyperring, k: int) -> list:
     return row
 
 
-def land_mask(ring: FiniteHyperring, imask: int, k: int) -> int:
-    """Elements whose k-th hyperpower is contained in the given set."""
-    _require_exponent(k)
-    return land_row(ring, imask, k)[k]
-
-
 def zero_in_mask(ring: FiniteHyperring, k: int) -> int:
     """Elements whose k-th hyperpower contains 0."""
     _require_exponent(k)
     return zero_in_row(ring, k)[k]
 
 
-# -- mask-level formulas -----------------------------------------------------------
+# -- the three pair kinds -------------------------------------------------------
 #
 # These take the ideal on trust: no hyperideal validation, only the exponent
-# check.  The check registry and the closed-pair tables below call them where
+# check.  The check registry and the closed-pair rows below call them where
 # the hypotheses already guarantee proper hyperideals; the public functions
 # further down validate their input once, with `_require_query`, and then
 # delegate here.
 
 
-def open_mask(ring: FiniteHyperring, imask: int, s: int, n: int) -> int:
-    """Elements breaking (s,n)-closedness: a^s inside the ideal, a^n not."""
+def _premise(ring: FiniteHyperring, imask: int, s: int, kind: str) -> int:
+    """The elements a that the pair kind admits at exponent s.
+
+    "closed" admits a^s inside the set, "weak" a^s inside the set and free
+    of 0, and "tough" 0 in a^s.  The set is (s,n)-closed for the kind when
+    no admitted a has a^n outside it.
+    """
+    land = land_row(ring, imask, s)[s]
+    if kind == "closed":
+        return land
+    zin = zero_in_row(ring, s)[s]
+    if kind == "weak":
+        return land & ~zin
+    if kind == "tough":
+        return zin
+    raise ValueError("pair kind must be closed, weak or tough, not %r" % (kind,))
+
+
+def premise(ring: FiniteHyperring, imask: int, s: int, kind: str) -> int:
+    """The elements that the pair kind ("closed", "weak", "tough") admits at s."""
+    _require_exponent(s)
+    return _premise(ring, imask, s, kind)
+
+
+def open_mask(
+    ring: FiniteHyperring, imask: int, s: int, n: int, kind: str = "closed"
+) -> int:
+    """Elements breaking the pair (s,n) of the kind: admitted at s, a^n outside."""
     _require_exponent(min(s, n))
-    land = land_row(ring, imask, max(s, n))
-    return land[s] & ~land[n]
+    return _premise(ring, imask, s, kind) & ~land_row(ring, imask, n)[n]
 
 
-def weakly_open_mask(ring: FiniteHyperring, imask: int, s: int, n: int) -> int:
-    """Elements breaking weak (s,n)-closedness: a^s inside and free of 0, a^n not."""
-    _require_exponent(min(s, n))
-    land = land_row(ring, imask, max(s, n))
-    return land[s] & ~zero_in_row(ring, s)[s] & ~land[n]
+def closed_rows(
+    ring: FiniteHyperring, imask: int, k: int, kind: str = "closed"
+) -> list:
+    """Closed-pair rows of the set for the kind, present for every s <= k: bit
+    n of entry s is set, for n <= k, when no element admitted at s has its
+    n-th power outside the set.
 
-
-def tough_zero_mask(ring: FiniteHyperring, imask: int, s: int, n: int) -> int:
-    """Elements x with 0 in x^s but x^n not inside the ideal."""
-    _require_exponent(min(s, n))
-    return zero_in_row(ring, s)[s] & ~land_row(ring, imask, n)[n]
-
-
-# -- closed-pair rows ------------------------------------------------------------
-
-
-def _pair_rows(ring: FiniteHyperring, imask: int, k: int, kind: str) -> list:
-    """Entry s masks the n <= k with no x in trigger(s) and x^n outside the
-    set, for s <= k; trigger is land for "closed", land minus zero_in for
-    "weak" and zero_in for "tough".  One cache entry per (ring, set, kind),
-    grown like the regularity rows: growing to k adds the new n to the old
-    entries and fills the new entries whole.  Entry 0 is None.
+    One cache entry per (ring, set, kind), grown like the regularity rows:
+    growing to k adds the new n to the old entries and fills the new entries
+    whole.  Entry 0 is None.
     """
     rows = ring.memo(("pairs", imask, kind), _start_row)
     top = len(rows) - 1
     if top >= k:
         return rows
     land = land_row(ring, imask, k)
-    zin = zero_in_row(ring, k)
+    # Formed before the row changes, so an unknown kind leaves it as it was.
+    admitted = [None] + [_premise(ring, imask, s, kind) for s in range(1, k + 1)]
     rows.extend([0] * (k - top))
     for s in range(1, k + 1):
-        if kind == "closed":
-            trigger = land[s]
-        elif kind == "weak":
-            trigger = land[s] & ~zin[s]
-        else:
-            trigger = zin[s]
+        trigger = admitted[s]
         row = rows[s]
         for n in range(1 if s > top else top + 1, k + 1):
             if not trigger & ~land[n]:
@@ -195,54 +207,51 @@ def _pair_rows(ring: FiniteHyperring, imask: int, k: int, kind: str) -> list:
     return rows
 
 
-def closed_rows(
-    ring: FiniteHyperring, imask: int, k: int, weak: bool = False
-) -> list:
-    """Closed-pair rows of the set, present for every s <= k: bit n of entry
-    s is set when the set is (s,n)-closed (weakly, with `weak`), for n <= k."""
-    return _pair_rows(ring, imask, k, "weak" if weak else "closed")
-
-
-def tough_free_rows(ring: FiniteHyperring, imask: int, k: int) -> list:
-    """Rows whose entry s has bit n set when no x has 0 in x^s and x^n
-    outside the set: the pairs with no tough zero, for s, n <= k."""
-    return _pair_rows(ring, imask, k, "tough")
-
-
-def open_pairs(ring: FiniteHyperring, imask: int, hyp, weak: bool = False):
-    """(s, n, least witness) for each pair that `hyp` names and the set fails.
+def open_pairs(ring: FiniteHyperring, imask: int, hyp, kind: str = "closed"):
+    """(s, n, least witness) for each pair that `hyp` names and the set fails
+    for the kind.
 
     Entry s of `hyp` masks the n of the pairs (s, n) to test, in the layout of
     the closed-pair rows; entry 0 is ignored.  Pairs come in order of s, then
     n, and each witness is formed on demand and not stored.
     """
     k = max(len(hyp) - 1, max(hyp).bit_length() - 1)
-    rows = closed_rows(ring, imask, k, weak)
-    opened = weakly_open_mask if weak else open_mask
+    rows = closed_rows(ring, imask, k, kind)
     for s in range(1, len(hyp)):
         fail = hyp[s] & ~rows[s]
         if fail:
             for n in iter_bits(fail):
-                yield s, n, least(opened(ring, imask, s, n))
+                yield s, n, least(open_mask(ring, imask, s, n, kind))
 
 
-def omega_unchecked(ring: FiniteHyperring, imask: int, s: int) -> int:
-    """Least n with the ideal (s,n)-closed; always within 1..s."""
-    _require_exponent(s)
-    return least(closed_rows(ring, imask, s)[s])
+def _start_orders() -> tuple:
+    return [None], [None]
 
 
-def big_omega_unchecked(ring: FiniteHyperring, imask: int, n: int) -> float:
-    """Greatest s with the ideal (s,n)-closed; inf when every s works."""
-    _require_exponent(n)
-    bound = ring.power_bound()
-    rows = closed_rows(ring, imask, max(bound, n))
-    if rows[bound] >> n & 1:
-        return INF
-    for s in range(bound - 1, 1, -1):
-        if rows[s] >> n & 1:
-            return float(s)
-    return 1.0
+def order_rows(ring: FiniteHyperring, imask: int, k: int) -> tuple:
+    """(omega row, Omega row) of the set, present for every exponent <= k.
+
+    Entry s of the omega row is the least n with the set (s,n)-closed, always
+    within 1..s: the least bit of entry s of the closed-pair rows.  Entry n
+    of the Omega row is the greatest s with the set (s,n)-closed, read down
+    column n from the power bound L; it is inf when (L, n) is closed, as
+    land(s) is constant from L on.  One cache entry per (ring, set), grown
+    on demand.  Entry 0 of each row is None.
+    """
+    _require_exponent(k)
+    om, big = ring.memo(("orders", imask), _start_orders)
+    top = len(om) - 1
+    if top < k:
+        bound = ring.power_bound()
+        rows = closed_rows(ring, imask, max(bound, k))
+        for j in range(top + 1, k + 1):
+            om.append(least(rows[j]))
+            if rows[bound] >> j & 1:
+                big.append(INF)
+            else:
+                found = (s for s in range(bound - 1, 1, -1) if rows[s] >> j & 1)
+                big.append(float(next(found, 1)))
+    return om, big
 
 
 # -- validated entry points -------------------------------------------------------
@@ -271,7 +280,7 @@ def weakly_sn_closed_witness(
 ) -> Optional[int]:
     """Least element breaking weak (s,n)-closedness, or None."""
     _require_query(ring, imask, s, n)
-    return least(weakly_open_mask(ring, imask, s, n))
+    return least(open_mask(ring, imask, s, n, "weak"))
 
 
 def is_weakly_sn_closed(ring: FiniteHyperring, imask: int, s: int, n: int) -> bool:
@@ -287,19 +296,19 @@ def find_tough_zero(
     power set meets Q at 0), so such an x directly breaks (s,n)-closedness.
     """
     _require_query(ring, imask, s, n)
-    return least(tough_zero_mask(ring, imask, s, n))
+    return least(open_mask(ring, imask, s, n, "tough"))
 
 
 def omega(ring: FiniteHyperring, imask: int, s: int) -> int:
     """Least n with the ideal (s,n)-closed; always within 1..s."""
     _require_query(ring, imask, s)
-    return omega_unchecked(ring, imask, s)
+    return order_rows(ring, imask, s)[0][s]
 
 
 def big_omega(ring: FiniteHyperring, imask: int, n: int) -> float:
     """Greatest s with the ideal (s,n)-closed; inf when every s works."""
     _require_query(ring, imask, n)
-    return big_omega_unchecked(ring, imask, n)
+    return order_rows(ring, imask, n)[1][n]
 
 
 @dataclass(frozen=True)
@@ -325,8 +334,9 @@ def closed_profile(
     if smax < 1 or nmax < 1:
         raise ValueError("window smax=%d, nmax=%d is below 1" % (smax, nmax))
     require_proper(ring, imask)
-    om = tuple(omega_unchecked(ring, imask, s) for s in range(1, smax + 1))
-    big = tuple(big_omega_unchecked(ring, imask, n) for n in range(1, nmax + 1))
+    om_row, big_row = order_rows(ring, imask, max(smax, nmax))
+    om = tuple(om_row[1 : smax + 1])
+    big = tuple(big_row[1 : nmax + 1])
     wits: dict[int, int] = {}
     for s in range(1, smax + 1):
         n = om[s - 1]

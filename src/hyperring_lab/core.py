@@ -75,19 +75,6 @@ class WellDefinednessFailure(HyperringError):
     """A quotient construction produced a multi-valued operation."""
 
 
-AXIOM_NAMES = (
-    "zero_identity",
-    "add_commutative",
-    "add_associative",
-    "add_inverse",
-    "mul_commutative",
-    "mul_associative",
-    "left_distributive_inclusion",
-    "right_distributive_inclusion",
-    "sign_rule",
-)
-
-
 @dataclass(frozen=True)
 class AxiomCheck:
     name: str
@@ -620,14 +607,24 @@ def make_zx_mod(modulus: int, multipliers: Iterable[int]) -> FiniteHyperring:
     return FiniteHyperring.from_masks(add, mul, name=name, meta=meta)
 
 
+def box_mask(m1: int, m2: int, n2: int) -> int:
+    """The box m1 x m2 in a product whose second factor has order n2.
+
+    Pair (x1, x2) is encoded as x1*n2 + x2, so the box is the copies of m2
+    shifted by x1*n2 for each x1 in m1.  As m2 < 2**n2 the copies never
+    overlap, and the box is m2 times the spread of m1, the mask with bit
+    x1*n2 for each x1 in m1.
+    """
+    return m2 * sum(1 << x1 * n2 for x1 in iter_bits(m1))
+
+
 def product_ring(r1: FiniteHyperring, r2: FiniteHyperring) -> FiniteHyperring:
     """Componentwise direct product; pair (x1, x2) is encoded as x1*|r2| + x2."""
     n2 = r2.order
     # The cell of (a1, a2)*(b1, b2) is the box m1 x m2 of m1 = a1*b1 and
-    # m2 = a2*b2: the copies of m2 shifted by c1*n2 for each c1 in m1.  As
-    # m2 < 2**n2 the copies never overlap, so the box is m2 times the
-    # spread of m1, the mask with bit c1*n2 for each c1 in m1.
-    spreads = [[sum(1 << c1 * n2 for c1 in iter_bits(m1)) for m1 in row] for row in r1.mul]
+    # m2 = a2*b2.  The spread of m1 is its box with {0}, formed once per m1
+    # and then multiplied by each m2.
+    spreads = [[box_mask(m1, 1, n2) for m1 in row] for row in r1.mul]
     sums = [[s1 * n2 for s1 in row] for row in r1.add]
     add = [[s1 + s2 for s1 in row1 for s2 in row2] for row1 in sums for row2 in r2.add]
     mul = [[m1 * m2 for m1 in row1 for m2 in row2] for row1 in spreads for row2 in r2.mul]

@@ -221,15 +221,10 @@ def run_suite(
     if instances is None:
         instances = generate_instances(cfg)
     if cfg.threads > 1 and len(instances) > 1:
-        # Largest rings first, one per task, so no worker is left with the
-        # order-16 tail; results go back into stream order for the merge.
-        schedule = sorted(range(len(instances)), key=lambda i: -instances[i].order)
-        work = [instances[i] for i in schedule]
-        per_instance = [None] * len(instances)
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            done = pool.map(_run_instance, work, repeat(checks), repeat(cfg), chunksize=1)
-            for i, results in zip(schedule, done):
-                per_instance[i] = results
+            per_instance = list(
+                pool.map(_run_instance, instances, repeat(checks), repeat(cfg), chunksize=1)
+            )
     else:
         per_instance = [_run_instance(ring, checks, cfg) for ring in instances]
 

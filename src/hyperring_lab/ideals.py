@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .bitsets import is_subset, iter_bits, least, members, size
+from .bitsets import is_subset, iter_bits, least, mask_of, members, size
 from .core import (
     EmptyOperand,
     FiniteHyperring,
@@ -39,6 +39,7 @@ from .core import (
     ProperIdealRequired,
     WellDefinednessFailure,
     canonical_identity,
+    check_good_hom,
     weak_identities,
 )
 
@@ -88,18 +89,9 @@ def absorption_table(ring: FiniteHyperring) -> list[int]:
     its members; the entry is read off the product table as given, so it is
     exact on tables that break the axioms too.
     """
-    return ring.memo("absorb", lambda: _build_absorption(ring))
-
-
-def _build_absorption(ring: FiniteHyperring) -> list[int]:
-    mul = ring.mul
-    table = []
-    for a in ring.elements:
-        out = 0
-        for r in ring.elements:
-            out |= mul[r][a]
-        table.append(out)
-    return table
+    return ring.memo(
+        "absorb", lambda: [ring.row_product(ring.full, a) for a in ring.elements]
+    )
 
 
 def is_hyperideal(ring: FiniteHyperring, imask: int) -> bool:
@@ -564,11 +556,10 @@ def coset_ring(
 ) -> tuple[FiniteHyperring, HomMap]:
     """Cosets of an additive subgroup with the induced sum and class-set product.
 
-    Class arithmetic is read at least representatives and then checked
-    against every representative pair, so a failure of well-definedness
-    raises instead of miscomputing.  That pair check is the add/mul
-    compatibility test of `check_good_hom`, so the returned projection is a
-    good homomorphism.
+    Class arithmetic is read at least representatives, and the projection
+    is then checked with `check_good_hom` against every pair of elements, so
+    a failure of well-definedness raises instead of miscomputing and the
+    returned projection is a good homomorphism.
 
     When each element is its own class (the subgroup is {0}), the class
     tables are the ring's own tables, which pass the pair check as they
@@ -582,32 +573,21 @@ def coset_ring(
         quot = ring.renamed(name, meta)
         return quot, HomMap(ring, quot, tuple(class_of))
     reps = [least(c) for c in classes]
-    images: dict[int, int] = {}  # cell -> its class set, once per distinct cell
-    for row in ring.mul:
-        for cell in row:
-            if cell not in images:
-                out = 0
-                for c in iter_bits(cell):
-                    out |= 1 << class_of[c]
-                images[cell] = out
-
     add = [[class_of[ring.add[a][b]] for b in reps] for a in reps]
-    mul = [[images[ring.mul[a][b]] for b in reps] for a in reps]
-    for a in ring.elements:
-        add_row, mul_row = ring.add[a], ring.mul[a]
-        qadd, qmul = add[class_of[a]], mul[class_of[a]]
-        for b in ring.elements:
-            j = class_of[b]
-            if class_of[add_row[b]] != qadd[j]:
-                raise WellDefinednessFailure(
-                    "coset addition differs at representatives (%d,%d)" % (a, b)
-                )
-            if images[mul_row[b]] != qmul[j]:
-                raise WellDefinednessFailure(
-                    "coset product differs at representatives (%d,%d)" % (a, b)
-                )
+    mul = [
+        [mask_of(class_of[c] for c in iter_bits(ring.mul[a][b])) for b in reps]
+        for a in reps
+    ]
     quot = FiniteHyperring.from_masks(add, mul, name=name, meta=meta)
-    return quot, HomMap(ring, quot, tuple(class_of))
+    proj = HomMap(ring, quot, tuple(class_of))
+    ok, witness = check_good_hom(proj)
+    if not ok:
+        law, a, b = witness
+        raise WellDefinednessFailure(
+            "coset %s differs at representatives (%d,%d)"
+            % ("addition" if law == "add" else "product", a, b)
+        )
+    return quot, proj
 
 
 def quotient_by_ideal(

@@ -19,13 +19,12 @@ from hyperring_lab import (
 )
 from hyperring_lab.checks import (
     CHECKS,
-    _box_mask,
     _check,
     _hom_pool,
     get_check,
 )
-from hyperring_lab.closedness import omega_unchecked
-from hyperring_lab.core import check_good_hom
+from hyperring_lab.closedness import order_rows
+from hyperring_lab.core import box_mask, check_good_hom
 
 import oracles as orc
 
@@ -159,9 +158,14 @@ def test_hom_pool_layout_and_goodness():
 
 
 def test_box_mask_encoding():
-    mask = _box_mask(mask_of([0, 1]), mask_of([2]), 4)
+    mask = box_mask(mask_of([0, 1]), mask_of([2]), 4)
     assert members(mask) == [2, 6]
-    assert _box_mask(mask_of([0]), mask_of([0, 1, 2, 3]), 4) == mask_of([0, 1, 2, 3])
+    assert box_mask(mask_of([0]), mask_of([0, 1, 2, 3]), 4) == mask_of([0, 1, 2, 3])
+    # Against the pair-by-pair encoding, for every m1, m2 of orders 3 and 4.
+    for m1 in range(8):
+        for m2 in range(16):
+            expect = mask_of(x1 * 4 + x2 for x1 in members(m1) for x2 in members(m2))
+            assert box_mask(m1, m2, 4) == expect, (m1, m2)
 
 
 def test_transfer_check_reports_skips_but_still_counts():
@@ -201,9 +205,13 @@ def test_closed_combinations_match_the_per_pair_reference(part, params, monkeypa
     the default rings of order <= 6, in the default window and a non-square
     one."""
     def lowered(ring, q, s):
-        return max(1, omega_unchecked(ring, q, s) - 1)
+        return max(1, order_rows(ring, q, s)[0][s] - 1)
 
-    monkeypatch.setattr(checks, "omega_unchecked", lowered)
+    def lowered_rows(ring, q, k):
+        om, big = order_rows(ring, q, k)
+        return [None] + [lowered(ring, q, s) for s in range(1, k + 1)], big
+
+    monkeypatch.setattr(checks, "order_rows", lowered_rows)
     rings = [r for r in generate_instances(SuiteConfig()) if r.order <= 6]
     assert len(rings) == 39
     failures = 0

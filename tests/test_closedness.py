@@ -1,8 +1,11 @@
 """(s,n)-closedness, weak closedness, omega/Omega profiles, and the residue model."""
 
+import ast
 import itertools
 import math
 import random
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -33,17 +36,13 @@ from hyperring_lab import (
 from hyperring_lab import closedness
 from hyperring_lab.bitsets import least
 from hyperring_lab.closedness import (
-    big_omega_unchecked,
     closed_rows,
-    land_mask,
     land_row,
-    omega_unchecked,
     open_mask,
     open_pairs,
+    order_rows,
     power_column,
-    tough_free_rows,
-    tough_zero_mask,
-    weakly_open_mask,
+    premise,
     zero_in_mask,
     zero_in_row,
 )
@@ -91,6 +90,9 @@ def test_exponent_and_properness_validation():
         is_sn_closed(r, r.full, 2, 1)
 
 
+KINDS = ("closed", "weak", "tough")
+
+
 @pytest.mark.parametrize("bad", [0, -1])
 def test_mask_functions_refuse_exponents_below_one(bad):
     """The rows are lists, so an unchecked exponent of -1 would read the last entry."""
@@ -98,21 +100,39 @@ def test_mask_functions_refuse_exponents_below_one(bad):
     q = mask_of([0])
     land_row(r, q, 6)
     zero_in_row(r, 6)
+    order_rows(r, q, 6)
     calls = [
-        lambda: land_mask(r, q, bad),
-        lambda: zero_in_mask(r, bad),
-        lambda: open_mask(r, q, bad, 2),
-        lambda: open_mask(r, q, 2, bad),
-        lambda: weakly_open_mask(r, q, bad, 2),
-        lambda: weakly_open_mask(r, q, 2, bad),
-        lambda: tough_zero_mask(r, q, bad, 2),
-        lambda: tough_zero_mask(r, q, 2, bad),
-        lambda: omega_unchecked(r, q, bad),
-        lambda: big_omega_unchecked(r, q, bad),
+        partial(zero_in_mask, r, bad),
+        partial(order_rows, r, q, bad),
     ]
+    for kind in KINDS:
+        calls += [
+            partial(premise, r, q, bad, kind),
+            partial(open_mask, r, q, bad, 2, kind),
+            partial(open_mask, r, q, 2, bad, kind),
+        ]
     for call in calls:
         with pytest.raises(ValueError):
             call()
+
+
+def test_pair_kinds_are_only_the_three():
+    """An unknown pair kind, or the old boolean flag, is refused, and the
+    refusal leaves the rows of the known kinds as they were."""
+    r = make_zx_mod(8, [2])
+    q = mask_of([0])
+    before = [list(closed_rows(r, q, 4, kind)) for kind in KINDS]
+    for kind in ("strong", True):
+        calls = [
+            partial(premise, r, q, 2, kind),
+            partial(open_mask, r, q, 2, 1, kind),
+            partial(closed_rows, r, q, 4, kind),
+            lambda: list(open_pairs(r, q, [0, 2], kind)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+    assert [list(closed_rows(r, q, 4, kind)) for kind in KINDS] == before
 
 
 def test_rows_grown_out_of_order_match_oracle_powers():
@@ -138,7 +158,32 @@ def test_rows_grown_out_of_order_match_oracle_powers():
             inside = set(members(q))
             for k in order:
                 expect = [a for a in range(n) if powers[a, k] <= inside]
-                assert members(land_mask(ring, q, k)) == expect, (ring.name, members(q), k)
+                got = premise(ring, q, k, "closed")
+                assert members(got) == expect, (ring.name, members(q), k)
+
+
+def test_order_rows_grown_out_of_order_match_the_oracle():
+    """The omega and Omega rows of every proper ideal of the default rings
+    of order <= 8 are grown to power bound + 3, read at every lower
+    exponent, then grown by two, and each entry present is compared with
+    the oracle's omega and Omega every time."""
+    for ring in generate_instances(SuiteConfig()):
+        if ring.order > 8:
+            continue
+        n, add, mul = orc.tables(ring)
+        top = ring.power_bound() + 3
+        for q in proper_hyperideals(ring):
+            Q = frozenset(members(q))
+            expect_om = [None] + [orc.omega(n, add, mul, Q, k) for k in range(1, top + 3)]
+            expect_big = [None] + [orc.big_omega(n, add, mul, Q, k) for k in range(1, top + 3)]
+            grown = 0
+            for k in [top] + list(range(1, top)) + [top + 2]:
+                om, big = order_rows(ring, q, k)
+                grown = max(grown, k)
+                where = (ring.name, members(q), k)
+                assert len(om) == len(big) == grown + 1, where
+                assert om[1:] == expect_om[1 : grown + 1], where
+                assert big[1:] == expect_big[1 : grown + 1], where
 
 
 def test_power_column_grown_out_of_order_matches_oracle_powers():
@@ -163,7 +208,7 @@ def test_land_and_zero_in_masks_frozen():
     r = make_zx_mod(8, [2])
     zero_ideal = mask_of([0])
     expect = [[0], [0, 2, 4, 6], [0, 2, 4, 6], list(range(8)), list(range(8)), list(range(8))]
-    assert [members(land_mask(r, zero_ideal, k)) for k in range(1, 7)] == expect
+    assert [members(premise(r, zero_ideal, k, "closed")) for k in range(1, 7)] == expect
     assert [members(zero_in_mask(r, k)) for k in range(1, 7)] == expect
 
 
@@ -374,9 +419,10 @@ def test_residue_model_validation():
 
 
 def test_closed_pair_tables_match_the_frozenset_oracle():
-    """Plain, weak and tough-free closed-pair rows against `oracles.sn_closed`,
-    `weakly_sn_closed` and `tough_free`, and `open_pairs` against the least
-    oracle witness of each open pair, on every proper ideal of the default
+    """Closed-pair rows of the three kinds against `oracles.sn_closed`,
+    `weakly_sn_closed` and `tough_free`, and `open_pairs` of each kind
+    against the least oracle witness of each open pair (for "tough", the
+    least tough zero), on every proper ideal of the default
     rings of order <= 8.  Each set's rows are grown out of order, to 6, then
     4, then kk, then kk + 1, and after each step every bit of every entry is
     compared, so a growth must extend the old entries as well as add new
@@ -418,10 +464,7 @@ def test_closed_pair_tables_match_the_frozenset_oracle():
                 grown = 0
                 for k in steps:
                     where = (ring.name, members(q), kind, k)
-                    if kind == "tough":
-                        rows = tough_free_rows(ring, q, k)
-                    else:
-                        rows = closed_rows(ring, q, k, kind == "weak")
+                    rows = closed_rows(ring, q, k, kind)
                     grown = max(grown, k)
                     assert len(rows) == grown + 1, where
                     for s in range(1, grown + 1):
@@ -429,10 +472,8 @@ def test_closed_pair_tables_match_the_frozenset_oracle():
                             1 << m for m in range(1, grown + 1) if not breaks[s, m]
                         )
                         assert rows[s] == expect, where + (s,)
-                    if kind == "tough":
-                        continue
                     every = [0] + [(1 << k + 1) - 2] * k
-                    got = list(open_pairs(ring, q, every, kind == "weak"))
+                    got = list(open_pairs(ring, q, every, kind))
                     want = [
                         (s, m, breaks[s, m][0])
                         for s in range(1, k + 1)
@@ -440,3 +481,17 @@ def test_closed_pair_tables_match_the_frozenset_oracle():
                         if breaks[s, m]
                     ]
                     assert got == want, where
+
+
+def test_only_closedness_imports_the_premise_rows():
+    """The land and zero-in rows are read through the pair kinds, so no
+    other module of the package imports them to spell a premise of its own."""
+    rows = {"land_row", "land_mask", "zero_in_row"}
+    package = Path(closedness.__file__).parent
+    importing = sorted(
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and rows & {a.name for a in node.names}
+    )
+    assert importing == []

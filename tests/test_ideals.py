@@ -44,6 +44,7 @@ from hyperring_lab import (
 from hyperring_lab.ideals import (
     _multiset_products,
     cooccurrence_subgroup,
+    coset_ring,
     n_absorbing_witness,
     product_class_C,
     subgroup_closure,
@@ -386,3 +387,22 @@ def _oracle_set_power(mul, P, s):
     for _ in range(s - 1):
         acc = orc.set_product(mul, acc, P)
     return acc
+
+
+def test_coset_ring_names_the_first_pair_that_breaks_the_class_tables():
+    """The diagonal of zx(2;1) x zx(2;1) is a subgroup but no hyperideal, so
+    its class product is not well defined; a one-cell corruption of the
+    addition of zx(4;1), which leaves the cosets of {0,2} a partition, breaks
+    the class addition.  Each raises naming the first pair in scan order."""
+    prod = product_ring(make_zx_mod(2, [1]), make_zx_mod(2, [1]))
+    with pytest.raises(WellDefinednessFailure) as info:
+        coset_ring(prod, mask_of([0, 3]), "diagonal", "quotient")
+    assert str(info.value) == "coset product differs at representatives (1,2)"
+
+    ring = make_zx_mod(4, [1])
+    add = [list(row) for row in ring.add]
+    add[1][1] = 3  # 1 + 1 = 2 lies in {0,2}; 3 does not
+    corrupted = FiniteHyperring.from_masks(add, [list(row) for row in ring.mul])
+    with pytest.raises(WellDefinednessFailure) as info:
+        coset_ring(corrupted, mask_of([0, 2]), "corrupted", "quotient")
+    assert str(info.value) == "coset addition differs at representatives (1,3)"
