@@ -31,6 +31,13 @@ hyperideal q, as ``gen(ring, q, p)``, and runs on every q that `each`
 admits, in enumeration order; the counts are summed.  A hypothesis that
 rules out only part of a check stays in its generator.
 
+The statements about products and intersections of ideals share one fold,
+`_aggregate`, and two loops: `_bounded_aggregates` for those closed under a
+bound "n >= min(s, bound)" (T2_4, T2_5i, T2_5ii), and `_closed_members` for
+those whose members are closed at the same pair (C2_6, C2_7 and the first
+clause of D3_w).  A combo predicate such as C2_7's pairwise coprimality is
+passed from the registry, as `admits`.
+
 Pairs are decided on the window s <= p.s_max, n <= p.n_max of the validated
 `SuiteConfig` p only.  Every element's hyperpowers are eventually periodic,
 so every verdict repeats from some exponent on, but on the default sweep
@@ -256,114 +263,83 @@ def _absorbing_closed(ring, q, p):
     return count
 
 
-def _prime_products(ring, p):
-    primes = prime_hyperideals(ring)
-    count = 0
+def _aggregate(ring, combo, part):
+    """The product or the intersection of the ideals of a combo."""
+    agg = combo[0]
+    for q in combo[1:]:
+        agg = ideal_product(ring, agg, q) if part == "product" else agg & q
+    return agg
+
+
+def _bounded_aggregates(ring, p, pool, part, bounds, fmt, args):
+    """Cases (combo, (s,n)) for every multiset of 1..tuple_max ideals of the
+    pool with n >= min(s, bound), where bounds(combo) lists the bound for
+    s = 1..s_max; the aggregate of the combo must be (s,n)-closed.  The
+    cases of one combo are a mask over the window, tested against the
+    aggregate's closed-pair rows; args(combo, s, n, w) are a failure's."""
     ns = _upto(p.n_max)
+    count = 0
     for t in range(1, p.tuple_max + 1):
-        # Entry s masks the n >= min(s, t).
-        hyp = [0] + [ns & -(1 << min(s, t)) for s in range(1, p.s_max + 1)]
-        for combo in combinations_with_replacement(primes, t):
-            prod = combo[0]
-            for q in combo[1:]:
-                prod = ideal_product(ring, prod, q)
+        for combo in combinations_with_replacement(pool, t):
+            agg = _aggregate(ring, combo, part)
+            # Entry s masks the n >= min(s, bound).
+            hyp = [0] + [ns & -(1 << min(s, b)) for s, b in enumerate(bounds(combo), 1)]
             count += _bits(hyp)
-            for s, n, w in open_pairs(ring, prod, hyp):
-                yield (
-                    combo + (prod,),
-                    (w,),
-                    (s, n),
-                    "product of %d primes not (%d,%d)-closed at %d",
-                    (len(combo), s, n, w),
-                )
+            for s, n, w in open_pairs(ring, agg, hyp):
+                yield (combo + (agg,), (w,), (s, n), fmt, args(combo, s, n, w))
     return count
+
+
+def _prime_products(ring, p):
+    return (
+        yield from _bounded_aggregates(
+            ring, p, prime_hyperideals(ring), "product",
+            lambda combo: [len(combo)] * p.s_max,
+            "product of %d primes not (%d,%d)-closed at %d",
+            lambda combo, s, n, w: (len(combo), s, n, w),
+        )
+    )
 
 
 def _closed_combinations(ring, p, part):
-    """Cases (combo, (s,n)) with n >= min(s, the sum or max of the members'
-    omega(s)); the aggregate, the combo's product or intersection, must be
-    (s,n)-closed.  The cases of one combo are a mask over the window, tested
-    against the aggregate's closed-pair rows."""
+    """T2_5i/ii: the bound is the sum or the max of the members' omega(s)."""
     propers = proper_hyperideals(ring)
-    ns = _upto(p.n_max)
     omegas = {q: order_rows(ring, q, p.s_max)[0][1 : p.s_max + 1] for q in propers}
     bound = sum if part == "product" else max
+    return (
+        yield from _bounded_aggregates(
+            ring, p, propers, part,
+            lambda combo: list(map(bound, zip(*[omegas[q] for q in combo]))),
+            "%s of (s=%d, omega)-closed ideals not (%d,%d)-closed at %d",
+            lambda combo, s, n, w: (part, s, s, n, w),
+        )
+    )
+
+
+def _any_combo(ring, combo):
+    return True
+
+
+def _pairwise_coprime(ring, combo):
+    return all(is_coprime(ring, a, b) for a, b in combinations(combo, 2))
+
+
+def _closed_members(ring, p, part, fmt, admits=_any_combo, kind="closed", top=None):
+    """Cases (combo, (s,n)) for every set of 2..top (tuple_max by default)
+    distinct proper ideals that `admits` holds for, with every member closed
+    for the pair kind; the aggregate of the combo must be closed too."""
+    propers = proper_hyperideals(ring)
     count = 0
-    for t in range(1, p.tuple_max + 1):
-        for combo in combinations_with_replacement(propers, t):
-            if part == "product":
-                agg = combo[0]
-                for q in combo[1:]:
-                    agg = ideal_product(ring, agg, q)
-            else:
-                agg = ring.full
-                for q in combo:
-                    agg &= q
-            # Entry s masks the n >= min(s, bound of the members' omega(s)).
-            hyp = [0] + [
-                ns & -(1 << min(s, bound(nis)))
-                for s, nis in enumerate(zip(*[omegas[q] for q in combo]), 1)
-            ]
+    for t in range(2, (top or p.tuple_max) + 1):
+        for combo in combinations(propers, t):
+            if not admits(ring, combo):
+                continue
+            agg = _aggregate(ring, combo, part)
+            hyp = _window_rows(ring, combo, p, kind)
             count += _bits(hyp)
-            for s, n, w in open_pairs(ring, agg, hyp):
-                yield (
-                    combo + (agg,),
-                    (w,),
-                    (s, n),
-                    "%s of (s=%d, omega)-closed ideals not (%d,%d)-closed at %d",
-                    (part, s, s, n, w),
-                )
+            for s, n, w in open_pairs(ring, agg, hyp, kind):
+                yield (combo + (agg,), (w,), (s, n), fmt, (s, n, w))
     return count
-
-
-def _closed_combos_of_pairs(ring, p, combos, fmt):
-    """Cases (combo, (s,n)) with every member (s,n)-closed; the aggregate of
-    the combo, its last entry, must be (s,n)-closed too."""
-    count = 0
-    for ideals in combos:
-        hyp = _window_rows(ring, ideals[:-1], p)
-        count += _bits(hyp)
-        for s, n, w in open_pairs(ring, ideals[-1], hyp):
-            yield (ideals, (w,), (s, n), fmt, (s, n, w))
-    return count
-
-
-def _intersection_closed(ring, p):
-    propers = proper_hyperideals(ring)
-
-    def combos():
-        for t in range(2, p.tuple_max + 1):
-            for combo in combinations(propers, t):
-                inter = ring.full
-                for q in combo:
-                    inter &= q
-                yield combo + (inter,)
-
-    return (
-        yield from _closed_combos_of_pairs(
-            ring, p, combos(), "intersection of (%d,%d)-closed ideals open at %d"
-        )
-    )
-
-
-def _coprime_products(ring, p):
-    propers = proper_hyperideals(ring)
-
-    def combos():
-        for t in range(2, p.tuple_max + 1):
-            for combo in combinations(propers, t):
-                if not all(is_coprime(ring, a, b) for a, b in combinations(combo, 2)):
-                    continue
-                prod = combo[0]
-                for q in combo[1:]:
-                    prod = ideal_product(ring, prod, q)
-                yield combo + (prod,)
-
-    return (
-        yield from _closed_combos_of_pairs(
-            ring, p, combos(), "product of coprime (%d,%d)-closed ideals open at %d"
-        )
-    )
 
 
 def _square_sum(ring, q, p):
@@ -659,20 +635,12 @@ def _intersection_equivalence(ring, p, lhs, rhs, fmt):
 
 
 def _weakly_basics(ring, p):
+    count = yield from _closed_members(
+        ring, p, "intersection",
+        "intersection of weakly (%d,%d)-closed ideals open at %d",
+        kind="weak", top=2,
+    )
     propers = proper_hyperideals(ring)
-    count = 0
-    for pm, qm in combinations(propers, 2):
-        im = pm & qm
-        hyp = _window_rows(ring, (pm, qm), p, "weak")
-        count += _bits(hyp)
-        for s, n, w in open_pairs(ring, im, hyp, "weak"):
-            yield (
-                (pm, qm, im),
-                (w,),
-                (s, n),
-                "intersection of weakly (%d,%d)-closed ideals open at %d",
-                (s, n, w),
-            )
     top = max(p.s_max, p.n_max)
     for q in propers:
         hyp = _window_rows(ring, (q,), p, "weak")
@@ -922,48 +890,54 @@ def _hom_transport(ring, p):
                         (s, n, members(q2), target.name, w),
                     )
         if f.is_surjective():
-            ker = f.kernel_mask()
-            for q1 in proper_hyperideals(ring):
-                if not is_subset(ker, q1):
-                    continue
-                img = f.image_mask(q1)
-                assert img != target.full and is_hyperideal(target, img)
-                hyp = _window_rows(ring, (q1,), p, "weak")
-                count += _bits(hyp)
-                for s, n, w in open_pairs(target, img, hyp, "weak"):
-                    yield (
-                        (q1,),
-                        (),
-                        (s, n),
-                        "image %s of weakly (%d,%d)-closed ideal in %s "
-                        "open at %d",
-                        (members(img), s, n, target.name, w),
-                    )
+            got, failures = _images(ring, f, p)
+            count += got
+            for q1, img, s, n, w in failures:
+                yield (
+                    (q1,),
+                    (),
+                    (s, n),
+                    "image %s of weakly (%d,%d)-closed ideal in %s "
+                    "open at %d",
+                    (members(img), s, n, target.name, w),
+                )
     return count
 
 
-def _quotient_transport(ring, p):
-    propers = proper_hyperideals(ring)
+def _images(ring, f, p):
+    """Case count and failures (q1, image, s, n, w) of the images along the
+    surjection f of the proper ideals q1 that contain its kernel: the image
+    must be weakly (s,n)-closed wherever q1 is."""
+    ker = f.kernel_mask()
     count = 0
-    for pm in propers:
-        quot = None
-        for qm in propers:
-            if not is_subset(pm, qm):
-                continue
-            if quot is None:
-                quot, proj = quotient_by_ideal(ring, pm)
-            image = proj.image_mask(qm)
-            hyp = _window_rows(ring, (qm,), p, "weak")
-            count += _bits(hyp)
-            for s, n, w in open_pairs(quot, image, hyp, "weak"):
-                yield (
-                    (pm, qm),
-                    (),
-                    (s, n),
-                    "image of weakly (%d,%d)-closed ideal in quotient "
-                    "open at class %d",
-                    (s, n, w),
-                )
+    failures = []
+    for q1 in proper_hyperideals(ring):
+        if not is_subset(ker, q1):
+            continue
+        img = f.image_mask(q1)
+        assert img != f.target.full and is_hyperideal(f.target, img)
+        hyp = _window_rows(ring, (q1,), p, "weak")
+        count += _bits(hyp)
+        failures += [
+            (q1, img, s, n, w) for s, n, w in open_pairs(f.target, img, hyp, "weak")
+        ]
+    return count, failures
+
+
+def _quotient_transport(ring, p):
+    count = 0
+    for pm in proper_hyperideals(ring):
+        got, failures = _images(ring, quotient_by_ideal(ring, pm)[1], p)
+        count += got
+        for qm, _, s, n, w in failures:
+            yield (
+                (pm, qm),
+                (),
+                (s, n),
+                "image of weakly (%d,%d)-closed ideal in quotient "
+                "open at class %d",
+                (s, n, w),
+            )
     return count
 
 
@@ -1084,13 +1058,20 @@ CHECKS: tuple[Check, ...] = (
     _check(
         "C2_6",
         "An intersection of (s,n)-closed hyperideals is (s,n)-closed.",
-        _intersection_closed,
+        partial(
+            _closed_members, part="intersection",
+            fmt="intersection of (%d,%d)-closed ideals open at %d",
+        ),
     ),
     _check(
         "C2_7",
         "A product of pairwise coprime (s,n)-closed hyperideals is "
         "(s,n)-closed.",
-        _coprime_products,
+        partial(
+            _closed_members, part="product",
+            fmt="product of coprime (%d,%d)-closed ideals open at %d",
+            admits=_pairwise_coprime,
+        ),
     ),
     _check(
         "T2_8",

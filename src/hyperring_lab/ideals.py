@@ -135,8 +135,8 @@ def enumerate_hyperideals(
     Every hyperideal is the sum of the principal hyperideals of its members,
     so the lattice is the closure of the distinct principal hyperideals under
     sums.  It is built breadth-first from {0}: a principal P is added to a
-    found sum I only when P is not inside I, and I + P is formed as the union
-    of the cosets j + I for j in P.
+    found sum I only when P is not inside I, and I + P is formed as the
+    subgroup join of I and P.
 
     Completeness assumes the hyperring axioms: an abelian addition makes
     every sum a subgroup and a union of cosets, and inclusion distributivity
@@ -153,24 +153,16 @@ def enumerate_hyperideals(
 
 def _build_ideals(ring: FiniteHyperring) -> tuple[int, ...]:
     principals = {generate_hyperideal(ring, 1 << x) for x in ring.elements}
-    add = ring.add
     zero_ideal = 1 << ring.zero
     found = {zero_ideal}
     frontier = [zero_ideal]
     while frontier:
         nxt = []
         for ideal in frontier:
-            xs = iter_bits(ideal)
             for p in principals:
-                rest = p & ~ideal
-                if not rest:
+                if not p & ~ideal:
                     continue
-                total = ideal
-                while rest:
-                    row = add[(rest & -rest).bit_length() - 1]
-                    for x in xs:
-                        total |= 1 << row[x]
-                    rest &= ~total
+                total = _join_subgroup(ring, ideal, p)
                 if total not in found:
                     found.add(total)
                     nxt.append(total)

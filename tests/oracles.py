@@ -63,16 +63,6 @@ def power(mul, a, k):
     return acc
 
 
-def all_powers(mul, a):
-    """Every distinct hyperpower of a, by following S -> S*{a} to a repeat."""
-    seen = []
-    acc = frozenset([a])
-    while acc not in seen:
-        seen.append(acc)
-        acc = set_product(mul, acc, frozenset([a]))
-    return seen
-
-
 def axiom_report(n, add, mul):
     report = {}
     report["add_closed"] = all(0 <= add[a][b] < n for a in range(n) for b in range(n))

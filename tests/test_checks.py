@@ -1,6 +1,9 @@
 """Behavior of individual registry checks on hand-picked instances."""
 
+import ast
 import hashlib
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +11,10 @@ from hyperring_lab import (
     SuiteConfig,
     checks,
     generate_instances,
+    has_i_set,
     is_C_hyperideal,
+    is_strong_C_hyperideal,
+    is_strongly_distributive,
     make_zx_mod,
     mask_of,
     members,
@@ -118,6 +124,40 @@ def test_identity_gated_product_checks_skip_identityless_factors():
     assert short.fn(make_zx_mod(4, [1]), PARAMS).applicable == 0
 
 
+# How the statements word each hypothesis predicate; a predicate with more
+# than one entry is worded differently by different statements.
+HYPOTHESIS_PHRASES = {
+    checks._any_ideal: ("",),  # admits every proper ideal: no hypothesis
+    is_C_hyperideal: ("c-hyperideal",),
+    is_strong_C_hyperideal: ("strong c-hyperideal",),
+    is_strongly_distributive: ("strongly distributive",),
+    has_i_set: ("i-set",),
+    checks._has_identity: ("identity", "unit"),
+    checks._has_scalar_identity: ("scalar identity",),
+    checks._has_nonzero_scalar_identity: ("nonzero scalar identity",),
+    checks._is_product: ("product", "factor"),
+    checks._factors_have_nonzero_scalar_identity: ("scalar-identity",),
+    checks._pairwise_coprime: ("pairwise coprime",),
+}
+
+
+def test_each_statement_names_its_hypotheses():
+    """Every ring predicate in `requires`, the ideal predicate in `each` and
+    a combo predicate handed to a generator's partial is worded in the
+    statement, so a hypothesis added to the registry must be stated too."""
+    seen = set()
+    for check in CHECKS:
+        gen, requires, each = check.fn.args[1].args
+        preds = [*requires, *([each] if each else [])]
+        if isinstance(gen, partial):
+            preds += [v for v in gen.keywords.values() if callable(v)]
+        text = check.statement.lower()
+        for pred in preds:
+            assert any(w in text for w in HYPOTHESIS_PHRASES[pred]), (check.id, pred.__name__)
+        seen.update(preds)
+    assert seen == set(HYPOTHESIS_PHRASES)
+
+
 def test_each_hands_over_the_admitted_proper_ideals_in_order():
     ring = product_ring(make_zx_mod(2, [1]), make_zx_mod(6, [1, 3]))
     seen = []
@@ -221,6 +261,20 @@ def test_closed_combinations_match_the_per_pair_reference(part, params, monkeypa
         assert got == expect, ring.name
         failures += len(got[0])
     assert failures > 0
+
+
+def test_only_aggregate_multiplies_ideals():
+    """The product statements share one fold: in the check registry only
+    `_aggregate` calls `ideal_product`."""
+    tree = ast.parse(Path(checks.__file__).read_text())
+    callers = sorted(
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ideal_product"
+    )
+    assert callers == ["_aggregate"]
 
 
 def _case_stream_digest():
